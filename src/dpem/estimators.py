@@ -23,7 +23,7 @@ from .accounting import (
     split_budget_alg2,
 )
 from .base import BaseEstimator
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .models import (
     ModelSpec,
     ObservationSet,
@@ -63,12 +63,16 @@ class IterationTrace:
         betas = np.asarray(self.betas, dtype=float)
         if betas.ndim != 2 or betas.shape[0] < 1:
             raise DomainError(f"betas must be (T+1, d), got shape {betas.shape}")
+        if not np.all(np.isfinite(betas)):
+            raise DomainError("betas must have finite entries")
         betas.setflags(write=False)
         object.__setattr__(self, "betas", betas)
         if self.errors is not None:
             errors = np.asarray(self.errors, dtype=float)
-            if errors.shape != (betas.shape[0],) or np.any(errors < 0):
-                raise DomainError("errors must be one nonnegative value per iterate")
+            if errors.shape != (betas.shape[0],) or not np.all(
+                np.isfinite(errors) & (errors >= 0)
+            ):
+                raise DomainError("errors must be one finite nonnegative value per iterate")
             errors.setflags(write=False)
             object.__setattr__(self, "errors", errors)
 
@@ -117,6 +121,17 @@ def align_sign(beta0: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return beta0
 
 
+def _append_iterate(betas: list, beta: np.ndarray) -> None:
+    """Record beta^t, t = len(betas); a non-finite iterate means the run
+    diverged, reported with the last finite iterate."""
+    if not np.all(np.isfinite(beta)):
+        raise ConvergenceError(
+            f"diverged at iteration {len(betas)}: beta has non-finite entries",
+            last_value=betas[-1],
+        )
+    betas.append(beta)
+
+
 def _finish_trace(betas: list, truth, config: dict) -> IterationTrace:
     stack = np.vstack(betas)
     errors = None
@@ -149,7 +164,7 @@ def gradient_em(
     betas = [beta]
     for _ in range(T):
         beta = beta + eta * grad_q_batch(model, data, beta).mean(axis=0)
-        betas.append(beta)
+        _append_iterate(betas, beta)
     config = {"algorithm": "em", "eta": eta, "T": T}
     return _finish_trace(betas, truth, config)
 
@@ -189,7 +204,7 @@ def clipped_dp_gradient_em(
             gen = rng.split(t).generator
             noise = sigma * gen.standard_normal(model.d)
         beta = beta + eta * (mean_grad + noise)
-        betas.append(beta)
+        _append_iterate(betas, beta)
     config = {
         "algorithm": "clipped",
         "clip_C": clip_C,
@@ -258,7 +273,7 @@ def dp_gradient_em(
                 [sample_gaussian(stream_t.split(j), 0.0, sigma) for j in range(d)]
             )
         beta = beta + eta * released
-        betas.append(beta)
+        _append_iterate(betas, beta)
     config = {
         "algorithm": "dpgem",
         "tau": tau,
@@ -317,7 +332,7 @@ def dp_em_gmm(
                 [sample_gaussian(stream_t.split(j), 0.0, sigma) for j in range(d)]
             )
         beta = released
-        betas.append(beta)
+        _append_iterate(betas, beta)
     config = {
         "algorithm": "dpem",
         "tau": tau,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpem.accounting import make_budget
-from dpem.errors import ConfigError, DomainError
+from dpem.errors import ConfigError, ConvergenceError, DomainError
 from dpem.estimators import (
     ClippedDPGradientEM,
     DPEMGaussianMixture,
@@ -55,6 +55,14 @@ class TestIterationTrace:
             IterationTrace(betas, np.zeros(2), {})
         with pytest.raises(DomainError):
             IterationTrace(betas, np.array([0.0, -1.0, 0.0]), {})
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(DomainError):
+            IterationTrace(np.zeros((3, 2)), np.array([0.0, float("nan"), 0.0]), {})
+        with pytest.raises(DomainError):
+            IterationTrace(np.zeros((3, 2)), np.array([0.0, float("inf"), 0.0]), {})
+        with pytest.raises(DomainError):
+            IterationTrace(np.array([[0.0, 0.0], [float("inf"), 0.0]]), None, {})
 
     def test_final_accessors(self):
         tr = IterationTrace(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([2.0, 1.0]), {})
@@ -136,6 +144,13 @@ class TestGradientEM:
             tr = gradient_em(data, model, beta0, 1.0, 50, truth=beta_star)
             errs.append(tr.errors[-1])
         assert np.median(errs) <= 0.2 * 3.0
+
+    def test_divergence_raises_with_last_finite_iterate(self):
+        model, beta_star, data, beta0, _ = make_problem("mrm", 5, 200, 3)
+        with pytest.raises(ConvergenceError, match="iteration") as info:
+            gradient_em(data, model, beta0, 1e6, 200, truth=beta_star)
+        last = info.value.last_value
+        assert last.shape == (5,) and np.all(np.isfinite(last))
 
     def test_mismatched_data_rejected(self):
         model, beta_star, data, beta0, _ = make_problem("gmm", 3, 50, 2)

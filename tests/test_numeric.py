@@ -143,6 +143,17 @@ class TestMaxEigenvalue:
         # equal top eigenvalues stall naive power iteration residuals
         assert max_eigenvalue(np.eye(5) * 2.5) == pytest.approx(2.5, rel=1e-9)
 
+    def test_near_degenerate_top_eigenvalues(self):
+        # relative eigengap 1e-4: too slow a contraction for power iteration
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))
+        m = q @ np.diag([3.0, 3.0 * (1 - 1e-4), 1.0, 0.5, 0.1, 0.0]) @ q.T
+        m = (m + m.T) / 2
+        assert max_eigenvalue(m) == pytest.approx(3.0, rel=1e-12)
+
+    def test_negative_minor_eigenvalue_rejected(self):
+        with pytest.raises(DomainError):
+            max_eigenvalue(np.diag([5.0, 1.0, -1.0]))
+
 
 class TestExpectationUnderGaussian:
     def test_odd_bounded_function_is_zero(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 from dpem.errors import DomainError
 from dpem.numeric import RngStream, expectation_under_gaussian
@@ -33,6 +34,67 @@ def oracle(x, s, beta):
         lambda e: phi((x + e * x) / s), 0.0, 1.0 / math.sqrt(beta),
         breakpoints=knots)
     return s * val
+
+
+def pow_closed_form(a, b):
+    """The closed form with every power taken by libm pow: the reference
+    that the kernel's product form must match to rounding."""
+    with np.errstate(over="ignore", divide="ignore"):
+        v_minus = np.clip((SQRT2 - a) / b, -40.0, 40.0)
+        v_plus = np.clip((SQRT2 + a) / b, -40.0, 40.0)
+    f_minus, f_plus = ndtr(-v_minus), ndtr(-v_plus)
+    e_minus, e_plus = np.exp(-0.5 * v_minus**2), np.exp(-0.5 * v_plus**2)
+    c = 1.0 / math.sqrt(2.0 * math.pi)
+    corr = (PHI_BOUND * (f_minus - f_plus)
+            - (a - a**3 / 6.0) * (f_minus + f_plus)
+            + b * c * (1.0 - a**2 / 2.0) * (e_plus - e_minus)
+            + (a * b**2 / 2.0) * (f_plus + f_minus + c * (v_plus * e_plus + v_minus * e_minus))
+            + (b**3 / 6.0) * c * ((2.0 + v_minus**2) * e_minus - (2.0 + v_plus**2) * e_plus))
+    return a * (1.0 - b**2 / 2.0) - a**3 / 6.0 + corr
+
+
+def single_window_expectation(a, b):
+    """The far-regime evaluation for one entry at a time: the reference that
+    the kernel's batched evaluation must reproduce bit for bit."""
+    v_minus = (SQRT2 - a) / b
+    v_plus = (SQRT2 + a) / b
+    tails = PHI_BOUND * ((1.0 - ndtr(v_minus)) - ndtr(-v_plus))
+    lo = max(-v_plus, -39.0)
+    hi = min(v_minus, 39.0)
+    if hi <= lo:
+        return float(tails)
+    n_panels = max(1, int(math.ceil((hi - lo) / 0.25)))
+    edges = np.linspace(lo, hi, n_panels + 1)
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    u = mid[:, None] + half[:, None] * nodes
+    z = a + b * u
+    pdf = np.exp(-0.5 * u * u) * (1.0 / math.sqrt(2.0 * math.pi))
+    return float(tails + np.sum(half * (((z - z**3 / 6.0) * pdf) @ weights)))
+
+
+def kernel_args(x, s, beta):
+    """The (a, b) the kernel derives from x: x/s and |x|/(s sqrt(beta))."""
+    return x / s, abs(x) / (s * math.sqrt(beta))
+
+
+FAR_S, FAR_BETA = 1.7, 25.0
+
+
+def mixed_far_row():
+    """Far-regime entries (|a| > 10 or b > 10).  With b = |a| / sqrt(beta)
+    every window is centred at -a/b = -+5, where it still carries mass, and
+    is 2 sqrt(2) / b wide, so the entries need one panel (over two evaluation
+    chunks of them), two panels, six panels (over two chunks), or none (tail
+    mass only, where the window's two ends round together)."""
+    a = np.concatenate([
+        np.linspace(60.0, 200.0, 2100),  # b in [12, 40]: window < 0.25
+        np.linspace(30.0, 50.0, 40),     # b in [6, 10]: window in (0.28, 0.48)
+        np.linspace(10.2, 10.6, 400),    # b ~ 2.1: window ~ 1.35
+        [1e6, 1e300],                    # deep saturation
+    ])
+    return np.concatenate([a, -a]) * FAR_S
 
 
 class TestPhi:
@@ -137,6 +199,69 @@ class TestSmoothedPhi:
         p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
         for x in (9.999, 10.0, 10.001):
             assert smoothed_phi(x, p) == pytest.approx(oracle(x, s, beta), abs=1e-9)
+
+    def test_closed_form_matches_pow_reference(self):
+        # products in place of pow move each cube by about an ulp of |a|^3,
+        # which the closed form's cancellation passes on undamped
+        s = 2.0
+        eps = np.finfo(float).eps
+        for a0 in np.linspace(-10.0, 10.0, 41):
+            for b0 in np.concatenate([[1e-3, 0.05], np.linspace(0.25, 10.0, 40)]):
+                if a0 == 0.0:
+                    continue
+                x = a0 * s
+                beta = (a0 / b0) ** 2
+                a, b = kernel_args(x, s, beta)
+                want = min(max(s * pow_closed_form(a, b), -PHI_BOUND * s), PHI_BOUND * s)
+                got = smoothed_phi(x, RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05))
+                tol = s * max(1e-13, 2.0 * eps * (1.0 + abs(a) ** 3 + b**3))
+                assert got == pytest.approx(want, abs=tol), (a, b)
+
+    def test_correction_gate_is_exact(self):
+        # C(a, b) is skipped where min(V-, V+) >= 40; just either side of that
+        # bound the value must equal the ungated closed form bit for bit
+        s = 1.5
+        for b0 in (1e-3, 0.01, 0.03):
+            edge = SQRT2 - 40.0 * b0  # |a| at which min(V-, V+) == 40
+            for a0 in (edge * (1 - 1e-9), edge * (1 + 1e-9)):
+                for sign in (1.0, -1.0):
+                    x = sign * a0 * s
+                    beta = (a0 / b0) ** 2
+                    a, b = kernel_args(x, s, beta)
+                    c = correction_C(a, b)
+                    if min((SQRT2 - a) / b, (SQRT2 + a) / b) >= 40.0:
+                        assert c == 0.0
+                    want = s * ((a * (1.0 - b * b / 2.0) - a * a * a / 6.0) + c)
+                    p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
+                    assert smoothed_phi(x, p) == want
+
+    def test_columns_bitwise_equal_per_entry(self):
+        s, beta = FAR_S, FAR_BETA
+        row = np.concatenate([[0.0, 1e-320, -1e-320, 0.3, -2.5, 5.0 * s],
+                              mixed_far_row()])
+        mat = np.vstack([row, row[::-1]])
+        p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
+        per_entry = np.array([[smoothed_phi(float(x), p) for x in r] for r in mat])
+        got = robust_mean_columns(mat, p)
+        assert np.array_equal(got, per_entry.mean(axis=0))
+
+    def test_far_regime_bitwise_equal_to_one_at_a_time(self):
+        s, beta = FAR_S, FAR_BETA
+        row = mixed_far_row()
+        p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
+        got = robust_mean_columns(row[None, :], p)
+        bound = PHI_BOUND * s
+        want = np.array([min(max(s * single_window_expectation(*kernel_args(x, s, beta)),
+                                 -bound), bound) for x in row])
+        assert np.array_equal(got, want)
+
+    def test_far_regime_matches_quadrature(self):
+        s, beta = FAR_S, FAR_BETA
+        row = mixed_far_row()[::97]
+        p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
+        got = robust_mean_columns(row[None, :], p)
+        for x, v in zip(row, got):
+            assert v == pytest.approx(oracle(float(x), s, beta), abs=1e-8), x
 
     def test_small_x_linearity(self):
         # for |x| << s the estimator is nearly the identity
