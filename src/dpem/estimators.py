@@ -138,6 +138,13 @@ def _finish_trace(betas: list, truth, config: dict) -> IterationTrace:
     if truth is not None:
         beta_star = check_vector("beta_star", getattr(truth, "beta_star", truth))
         errors = np.linalg.norm(stack - beta_star, axis=1)
+        overflow = np.flatnonzero(~np.isfinite(errors))
+        if overflow.size:  # beta^t finite but so large that its error overflows
+            t = int(overflow[0])
+            raise ConvergenceError(
+                f"diverged at iteration {t}: estimation error overflows",
+                last_value=betas[max(t - 1, 0)],
+            )
     return IterationTrace(stack, errors, config)
 
 

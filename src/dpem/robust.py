@@ -147,8 +147,6 @@ def _closed_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     value = a * (1.0 - b2 / 2.0) - cubic
     v_minus, v_plus = _v_pair(a, b)
     live = np.minimum(v_minus, v_plus) < _V_BOUND
-    if live.all():
-        return value + _correction_vec(a, a2, cubic, b, b2, v_minus, v_plus)
     idx = np.flatnonzero(live)  # integer gathers are ~6x faster than boolean ones
     if idx.size:
         terms = (a, a2, cubic, b, b2, v_minus, v_plus)

@@ -171,6 +171,17 @@ class TestRun:
         assert result.exit_code == 4
         assert "diverged at iteration" in result.stderr
 
+    def test_error_overflow_exits_4(self, runner, tmp_path):
+        # after 30 steps every iterate is finite, but the error of the
+        # largest ones overflows to inf
+        data = gen_dataset(runner, tmp_path, model="mrm", n=200, d=5)
+        result = runner.invoke(cli, [
+            "run", "--data", str(data), "--out", str(tmp_path / "o.csv"),
+            "--algorithm", "em", "--eta", "1e6", "--iters", "30",
+        ])
+        assert result.exit_code == 4
+        assert "estimation error overflows" in result.stderr
+
     def test_unsafe_no_noise_warns_on_stderr(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, n=50, d=3)
         out = tmp_path / "rows.csv"
