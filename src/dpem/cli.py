@@ -49,7 +49,6 @@ ALGORITHMS = ("em", "clipped", "dpgem", "dpem")
 class ExperimentConfig:
     """Resolved settings for one run or sweep."""
 
-    model: ModelSpec
     algorithm: str
     n_values: tuple[int, ...]
     d_values: tuple[int, ...]
@@ -238,7 +237,7 @@ def _trace_rows(trace, *, model_kind, algorithm, eps, delta, d, n, T, clip,
 
 
 def _run_parallel(tasks, worker, threads: int) -> dict:
-    """Execute worker over keyed tasks, any order; return {key: rows}."""
+    """Execute worker over keyed tasks, any order; return {key: result}."""
     results = {}
     if threads <= 1:
         for key, spec in tasks:
@@ -427,8 +426,9 @@ def cmd_run(ctx, **_):
 @_guarded
 def cmd_sweep(ctx, **_):
     """Run a Cartesian sweep over n, d, eps (and clip for the clipped
-    algorithm) with per-cell synthetic data; rows come out in canonical
-    order no matter how many threads execute the cells."""
+    algorithm).  Synthetic data is drawn once per (n, d, seed) and shared
+    by that seed's eps x clip cells; rows come out in canonical order no
+    matter how many threads execute the tasks."""
     cfg = _load_config(ctx.params["config"])
     get = lambda name: _resolve(ctx, cfg, "sweep", name)
     model_kind = _check_model(get("model"))
@@ -436,7 +436,6 @@ def cmd_sweep(ctx, **_):
     if algorithm == "dpem" and model_kind != "gmm":
         raise ConfigError("algorithm: dpem applies to the gmm model only")
     config = ExperimentConfig(
-        model=ModelSpec(model_kind, 1, 1.0),  # placeholder; real specs are per-cell
         algorithm=algorithm,
         n_values=_as_int_list("n-list", get("n-list")),
         d_values=_as_int_list("d-list", get("d-list")),
@@ -465,19 +464,18 @@ def cmd_sweep(ctx, **_):
     if config.disable_noise:
         click.echo("NON-PRIVATE: noise injection disabled", err=True)
 
-    tasks = []
-    for i_n, n in enumerate(config.n_values):
-        for i_d, d in enumerate(config.d_values):
-            for i_eps, eps in enumerate(config.eps_values):
-                for i_clip, clip in enumerate(config.clip_values):
-                    for k in range(config.n_seeds):
-                        key = (i_n, i_d, i_eps, i_clip, k)
-                        tasks.append((key, (n, d, eps, clip, i_eps, i_clip, k)))
+    tasks = [
+        ((i_n, i_d, k), (n, d, k))
+        for i_n, n in enumerate(config.n_values)
+        for i_d, d in enumerate(config.d_values)
+        for k in range(config.n_seeds)
+    ]
 
     master = config.seed
 
-    def worker(spec) -> list[dict]:
-        n, d, eps, clip, i_eps, i_clip, k = spec
+    def worker(spec) -> dict:
+        """Every eps x clip cell of one (n, d, seed), keyed by (i_eps, i_clip)."""
+        n, d, k = spec
         model = ModelSpec(model_kind, d, sigma, p_m if model_kind == "rmc" else 0.0)
         # data and init are shared across the eps and clip axes so cells
         # differ only in privacy noise
@@ -488,30 +486,40 @@ def cmd_sweep(ctx, **_):
         beta0 = initial_beta(d, RngStream(master).split(2).split(d).split(k))
         if model_kind in SIGN_SYMMETRIC_KINDS:
             beta0 = align_sign(beta0, beta_star)
-        noise_rng = (RngStream(master).split(3).split(n).split(d)
-                     .split(i_eps).split(i_clip).split(k))
         truth = GroundTruth(beta_star)
         delta = _resolve_delta(config.delta_rule, n)
         T = _resolve_iters(config.iters, n)
         tau_value = None
         if algorithm in ("dpgem", "dpem"):
             tau_value = _resolve_tau(config.tau, model, beta_star)
-        started = time.perf_counter()
-        trace = _execute(
-            algorithm, data, model, beta0, noise_rng, truth,
-            eps=eps, delta=delta, eta=config.eta, T=T, clip=clip,
-            tau=tau_value, zeta=config.zeta, shuffle=shuffle,
-            disable_noise=config.disable_noise,
-        )
-        wall = (time.perf_counter() - started) * 1e3 if config.timing else 0.0
-        return _trace_rows(
-            trace, model_kind=model_kind, algorithm=algorithm, eps=eps,
-            delta=delta, d=d, n=n, T=T, clip=clip, seed=master + k,
-            wall_ms=wall,
-        )
+        cells = {}
+        for i_eps, eps in enumerate(config.eps_values):
+            for i_clip, clip in enumerate(config.clip_values):
+                noise_rng = (RngStream(master).split(3).split(n).split(d)
+                             .split(i_eps).split(i_clip).split(k))
+                started = time.perf_counter()
+                trace = _execute(
+                    algorithm, data, model, beta0, noise_rng, truth,
+                    eps=eps, delta=delta, eta=config.eta, T=T, clip=clip,
+                    tau=tau_value, zeta=config.zeta, shuffle=shuffle,
+                    disable_noise=config.disable_noise,
+                )
+                wall = (time.perf_counter() - started) * 1e3 if config.timing else 0.0
+                cells[i_eps, i_clip] = _trace_rows(
+                    trace, model_kind=model_kind, algorithm=algorithm, eps=eps,
+                    delta=delta, d=d, n=n, T=T, clip=clip, seed=master + k,
+                    wall_ms=wall,
+                )
+        return cells
 
     results = _run_parallel(tasks, worker, config.threads)
-    rows = [row for key in sorted(results) for row in results[key]]
+    # canonical order: n, d, eps, clip, seed
+    by_cell = {
+        (i_n, i_d, *cell, k): cell_rows
+        for (i_n, i_d, k), cells in results.items()
+        for cell, cell_rows in cells.items()
+    }
+    rows = [row for key in sorted(by_cell) for row in by_cell[key]]
     io.write_results(out, rows)
     click.echo(f"wrote {len(rows)} rows to {out}")
 

@@ -1,10 +1,10 @@
 """The four estimation procedures, as plain functions and as estimators.
 
-All four iterate beta^t from beta^0 and record an IterationTrace.  The
-private variants draw their noise from per-iteration (and, for the
-per-coordinate releases, per-coordinate) child streams of the caller's
-RngStream, so traces are bitwise reproducible no matter how the work is
-scheduled.
+All four iterate beta^t from beta^0 and record an IterationTrace.  Each
+private variant releases one d-vector per iteration t and adds one
+Gaussian vector drawn from child stream t of the caller's RngStream
+(``_add_noise``), so traces are bitwise reproducible no matter how the
+work is scheduled.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .models import (
     grad_q_batch,
     tau_bound,
 )
-from .numeric import RngStream, sample_gaussian
+from .numeric import RngStream
 from .robust import PHI_BOUND, RobustMeanParams, robust_mean_columns
 from .validation import check_count, check_positive, check_probability, check_vector
 
@@ -60,7 +60,8 @@ class IterationTrace:
     config: dict
 
     def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=float)
+        # freeze a view: the caller's own array stays writeable
+        betas = np.asarray(self.betas, dtype=float).view()
         if betas.ndim != 2 or betas.shape[0] < 1:
             raise DomainError(f"betas must be (T+1, d), got shape {betas.shape}")
         if not np.all(np.isfinite(betas)):
@@ -68,7 +69,7 @@ class IterationTrace:
         betas.setflags(write=False)
         object.__setattr__(self, "betas", betas)
         if self.errors is not None:
-            errors = np.asarray(self.errors, dtype=float)
+            errors = np.asarray(self.errors, dtype=float).view()
             if errors.shape != (betas.shape[0],) or not np.all(
                 np.isfinite(errors) & (errors >= 0)
             ):
@@ -132,12 +133,29 @@ def _append_iterate(betas: list, beta: np.ndarray) -> None:
     betas.append(beta)
 
 
+def _quiet_overflow():
+    """Silence numpy's overflow/invalid warnings for one fit: a diverging
+    run is reported once, as a ConvergenceError from _append_iterate or
+    _finish_trace, not as a burst of RuntimeWarnings before it."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _add_noise(release: np.ndarray, sigma: float, rng: RngStream, t: int,
+               disable_noise: bool) -> np.ndarray:
+    """The Gaussian mechanism on iteration t's d-vector release: one
+    N(0, sigma^2 I_d) draw from child stream t of rng."""
+    if disable_noise:
+        return release
+    return release + sigma * rng.split(t).generator.standard_normal(release.size)
+
+
 def _finish_trace(betas: list, truth, config: dict) -> IterationTrace:
     stack = np.vstack(betas)
     errors = None
     if truth is not None:
         beta_star = check_vector("beta_star", getattr(truth, "beta_star", truth))
-        errors = np.linalg.norm(stack - beta_star, axis=1)
+        with _quiet_overflow():
+            errors = np.linalg.norm(stack - beta_star, axis=1)
         overflow = np.flatnonzero(~np.isfinite(errors))
         if overflow.size:  # beta^t finite but so large that its error overflows
             t = int(overflow[0])
@@ -169,9 +187,10 @@ def gradient_em(
     eta = check_positive("eta", eta)
     T = check_count("T", T, minimum=0)
     betas = [beta]
-    for _ in range(T):
-        beta = beta + eta * grad_q_batch(model, data, beta).mean(axis=0)
-        _append_iterate(betas, beta)
+    with _quiet_overflow():
+        for _ in range(T):
+            beta = beta + eta * grad_q_batch(model, data, beta).mean(axis=0)
+            _append_iterate(betas, beta)
     config = {"algorithm": "em", "eta": eta, "T": T}
     return _finish_trace(betas, truth, config)
 
@@ -189,8 +208,8 @@ def clipped_dp_gradient_em(
     disable_noise: bool = False,
 ) -> IterationTrace:
     """Per-sample gradients rescaled to norm <= clip_C, averaged, plus
-    per-coordinate Gaussian noise; the full dataset is reused every
-    iteration, so the T releases compose sequentially."""
+    N(0, sigma^2 I_d) noise; the full dataset is reused every iteration,
+    so the T releases compose sequentially."""
     beta = _check_run(data, model, beta0)
     clip_C = check_positive("clip_C", clip_C)
     eta = check_positive("eta", eta)
@@ -199,19 +218,15 @@ def clipped_dp_gradient_em(
     # one averaged d-vector per iteration, L2 sensitivity 2 clip_C / n
     sigma = gaussian_sigma_for_zcdp(2.0 * clip_C / n, split_budget_alg1(budget, T))
     betas = [beta]
-    for t in range(1, T + 1):
-        grads = grad_q_batch(model, data, beta)
-        norms = np.linalg.norm(grads, axis=1)
-        with np.errstate(divide="ignore"):
-            scale = np.minimum(1.0, clip_C / np.where(norms > 0, norms, np.inf))
-        mean_grad = (grads * scale[:, None]).mean(axis=0)
-        if disable_noise:
-            noise = np.zeros(model.d)
-        else:
-            gen = rng.split(t).generator
-            noise = sigma * gen.standard_normal(model.d)
-        beta = beta + eta * (mean_grad + noise)
-        _append_iterate(betas, beta)
+    with _quiet_overflow():
+        for t in range(1, T + 1):
+            grads = grad_q_batch(model, data, beta)
+            norms = np.linalg.norm(grads, axis=1)
+            with np.errstate(divide="ignore"):
+                scale = np.minimum(1.0, clip_C / np.where(norms > 0, norms, np.inf))
+            mean_grad = (grads * scale[:, None]).mean(axis=0)
+            beta = beta + eta * _add_noise(mean_grad, sigma, rng, t, disable_noise)
+            _append_iterate(betas, beta)
     config = {
         "algorithm": "clipped",
         "clip_C": clip_C,
@@ -243,10 +258,13 @@ def dp_gradient_em(
     subsets.
 
     The data is split (after an optional seeded shuffle) into T subsets of
-    m = floor(n/T) samples; iteration t releases, for each coordinate, the
-    smoothed robust mean of that subset's gradients plus N(0, sigma^2) with
+    m = floor(n/T) samples; iteration t releases the d-vector of smoothed
+    robust means of that subset's gradients plus N(0, sigma^2 I_d) with
     sigma^2 = 16 s^2 d / (9 m^2 eps_tilde^2).  Disjointness makes the
-    iterations compose in parallel, so only the d coordinates split rho.
+    iterations compose in parallel.  sigma is calibrated as d coordinate
+    releases of sensitivity Delta at rho/d each; the vector drawn jointly
+    has L2 sensitivity sqrt(d) Delta at the whole rho, and
+    Delta / sqrt(2 rho / d) = sqrt(d) Delta / sqrt(2 rho), the same sigma.
     """
     beta = _check_run(data, model, beta0)
     tau = check_positive("tau", tau)
@@ -270,17 +288,12 @@ def dp_gradient_em(
     subsets = order[: m * T].reshape(T, m)  # trailing n - mT samples unused
 
     betas = [beta]
-    for t in range(1, T + 1):
-        subset = data.take(subsets[t - 1])
-        grads = grad_q_batch(model, subset, beta)
-        released = robust_mean_columns(grads, params)
-        if not disable_noise:
-            stream_t = rng.split(t)
-            released = released + np.array(
-                [sample_gaussian(stream_t.split(j), 0.0, sigma) for j in range(d)]
-            )
-        beta = beta + eta * released
-        _append_iterate(betas, beta)
+    with _quiet_overflow():
+        for t in range(1, T + 1):
+            grads = grad_q_batch(model, data.take(subsets[t - 1]), beta)
+            released = robust_mean_columns(grads, params)
+            beta = beta + eta * _add_noise(released, sigma, rng, t, disable_noise)
+            _append_iterate(betas, beta)
     config = {
         "algorithm": "dpgem",
         "tau": tau,
@@ -314,8 +327,10 @@ def dp_em_gmm(
     """Private EM for the two-component mixture: beta^t is the noisy
     per-coordinate robust-smoothed mean of the fixed-point map over the
     full dataset (no step size).  Reusing all n samples every iteration
-    costs sequential composition over the T*d releases, so
-    sigma^2 = 16 s^2 d T / (9 n^2 eps_tilde^2)."""
+    costs sequential composition over the T*d coordinate releases, so
+    sigma^2 = 16 s^2 d T / (9 n^2 eps_tilde^2).  Each iteration's d-vector
+    is noised by one joint N(0, sigma^2 I_d) draw: at L2 sensitivity
+    sqrt(d) Delta and rho/T per iteration that is the same sigma."""
     if model.kind != "gmm":
         raise DomainError(f"dp_em_gmm requires the gmm model, got {model.kind!r}")
     beta = _check_run(data, model, beta0)
@@ -330,16 +345,11 @@ def dp_em_gmm(
     sigma = gaussian_sigma_for_zcdp(2.0 * PHI_BOUND * s / n, rho_release)
 
     betas = [beta]
-    for t in range(1, T + 1):
-        values = f_gmm_batch(data, beta, model.sigma)
-        released = robust_mean_columns(values, params)
-        if not disable_noise:
-            stream_t = rng.split(t)
-            released = released + np.array(
-                [sample_gaussian(stream_t.split(j), 0.0, sigma) for j in range(d)]
-            )
-        beta = released
-        _append_iterate(betas, beta)
+    with _quiet_overflow():
+        for t in range(1, T + 1):
+            released = robust_mean_columns(f_gmm_batch(data, beta, model.sigma), params)
+            beta = _add_noise(released, sigma, rng, t, disable_noise)
+            _append_iterate(betas, beta)
     config = {
         "algorithm": "dpem",
         "tau": tau,

@@ -89,7 +89,9 @@ class ObservationSet:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise DomainError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        ys = np.asarray(self.ys, dtype=float)
+        # arrays are frozen through views, so the caller's own arrays stay
+        # writeable; no copy is made
+        ys = np.asarray(self.ys, dtype=float).view()
         if not np.all(np.isfinite(ys)):
             raise DomainError("ys must have finite entries")
         if self.kind == "gmm":
@@ -100,7 +102,7 @@ class ObservationSet:
         else:
             if ys.ndim != 1 or ys.shape[0] == 0:
                 raise DomainError(f"{self.kind} ys must be (n,), got shape {ys.shape}")
-            xs = np.asarray(self.xs, dtype=float) if self.xs is not None else None
+            xs = np.asarray(self.xs, dtype=float).view() if self.xs is not None else None
             if xs is None or xs.ndim != 2 or xs.shape[0] != ys.shape[0]:
                 raise DomainError(f"{self.kind} xs must be (n, d) matching ys")
             if not np.all(np.isfinite(xs)):
@@ -108,7 +110,7 @@ class ObservationSet:
             xs.setflags(write=False)
             object.__setattr__(self, "xs", xs)
             if self.kind == "rmc":
-                mask = np.asarray(self.mask)
+                mask = np.asarray(self.mask).view()
                 if mask is None or mask.dtype != bool or mask.shape != xs.shape:
                     raise DomainError("rmc mask must be boolean with xs's shape")
                 if np.any(xs[~mask] != 0.0):

@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dpem.cli
 from dpem.cli import cli
 from dpem.io import read_dataset, read_metadata, read_results, write_results
 
@@ -16,6 +18,14 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(cli, [str(a) for a in args], catch_exceptions=False)
+
+
+def invoke_quiet(runner, args):
+    """runner.invoke, also returning the warnings raised during the run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(cli, args)
+    return result, [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def gen_dataset(runner, tmp_path, name="data.csv", **opts):
@@ -164,23 +174,26 @@ class TestRun:
 
     def test_divergence_exits_4(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, model="mrm", n=200, d=5)
-        result = runner.invoke(cli, [
+        result, runtime_warnings = invoke_quiet(runner, [
             "run", "--data", str(data), "--out", str(tmp_path / "o.csv"),
             "--algorithm", "em", "--eta", "1e6", "--iters", "200",
         ])
         assert result.exit_code == 4
         assert "diverged at iteration" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert runtime_warnings == []
 
     def test_error_overflow_exits_4(self, runner, tmp_path):
         # after 30 steps every iterate is finite, but the error of the
         # largest ones overflows to inf
         data = gen_dataset(runner, tmp_path, model="mrm", n=200, d=5)
-        result = runner.invoke(cli, [
+        result, runtime_warnings = invoke_quiet(runner, [
             "run", "--data", str(data), "--out", str(tmp_path / "o.csv"),
             "--algorithm", "em", "--eta", "1e6", "--iters", "30",
         ])
         assert result.exit_code == 4
         assert "estimation error overflows" in result.stderr
+        assert runtime_warnings == []
 
     def test_unsafe_no_noise_warns_on_stderr(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, n=50, d=3)
@@ -296,6 +309,35 @@ class TestSweep:
         for r in rows:
             by_eps.setdefault(r["eps"], []).append(r["error"])
         assert by_eps[0.2] == by_eps[1.0]
+
+    @pytest.mark.parametrize("algorithm", ["dpgem", "clipped"])
+    def test_cells_independent_of_eps_axis(self, runner, tmp_path, monkeypatch,
+                                           algorithm):
+        # a cell's rows depend on its own coordinates only, and each
+        # (n, d, seed) dataset is drawn once for all of its eps x clip cells
+        sampled = []
+        real = dpem.cli.sample_observations
+
+        def counting(*args, **kwargs):
+            sampled.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dpem.cli, "sample_observations", counting)
+        files = {}
+        for eps_list in ("0.2", "0.2,0.5,1"):
+            out = tmp_path / f"{eps_list}.csv"
+            sampled.clear()
+            invoke(
+                runner, "sweep", "--model", "mrm", "--algorithm", algorithm,
+                "--n-list", "200,300", "--d-list", 3, "--eps-list", eps_list,
+                "--clip-list", "0.5,1", "--n-seeds", 3, "--threads", 2,
+                "--out", out,
+            )
+            assert len(sampled) == 2 * 1 * 3
+            files[eps_list] = read_results(out)
+        wide = [r for r in files["0.2,0.5,1"] if r["eps"] == 0.2]
+        assert len(files["0.2,0.5,1"]) == 3 * len(wide)
+        assert files["0.2"] == wide
 
 
 class TestPreprocess:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpem.accounting import make_budget
+from dpem.accounting import gaussian_sigma_for_zcdp, make_budget, split_budget_alg1
 from dpem.errors import ConfigError, ConvergenceError, DomainError
 from dpem.estimators import (
     ClippedDPGradientEM,
@@ -20,7 +20,7 @@ from dpem.estimators import (
     gradient_em,
     initial_beta,
 )
-from dpem.models import ModelSpec, grad_q_batch, sample_observations, tau_bound
+from dpem.models import ModelSpec, f_gmm_batch, grad_q_batch, sample_observations, tau_bound
 from dpem.numeric import RngStream
 from dpem.robust import PHI_BOUND, RobustMeanParams, robust_mean_columns
 
@@ -78,6 +78,16 @@ class TestIterationTrace:
         tr = IterationTrace(np.zeros((2, 2)), None, {})
         with pytest.raises(ValueError):
             tr.betas[0, 0] = 1.0
+
+    def test_caller_arrays_stay_writeable(self):
+        betas, errors = np.zeros((2, 2)), np.zeros(2)
+        tr = IterationTrace(betas, errors, {})
+        betas[0, 0] = 1.0
+        errors[0] = 1.0
+        assert tr.betas[0, 0] == 1.0  # a view, not a copy
+        for arr in (tr.betas, tr.errors):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestEstimationError:
@@ -264,6 +274,30 @@ class TestDPGradientEM:
             other = robust_mean_columns(swapped, params)
             assert np.all(np.abs(other - base) <= bound + 1e-12)
 
+    def test_noise_is_one_vector_per_iteration(self):
+        model, beta_star, data, beta0, rng = make_problem("mrm", 6, 600, 9)
+        budget = make_budget(1.0, 1e-4)
+        tau = auto_tau(model, beta_star)
+        tr = dp_gradient_em(data, model, beta0, tau, 0.5, 2, budget, 0.05, rng,
+                            shuffle=False)
+        params = RobustMeanParams(s=tr.config["s"], beta=tr.config["smoothing_beta"],
+                                  tau=tau, zeta=0.05)
+        released = robust_mean_columns(
+            grad_q_batch(model, data.take(np.arange(tr.config["m"])), beta0), params)
+        noise = tr.config["sigma_coord"] * rng.split(1).generator.standard_normal(6)
+        assert np.array_equal(tr.betas[1], beta0 + 0.5 * (released + noise))
+
+    @pytest.mark.parametrize("d", [2, 7, 50])
+    def test_joint_sigma_equals_per_coordinate(self, d):
+        model, beta_star, data, beta0, rng = make_problem("gmm", d, 400, 19)
+        for eps in (0.2, 1.0, 4.0):
+            budget = make_budget(eps, 1e-5)
+            tr = dp_gradient_em(data, model, beta0, 2.0, 1.0, 3, budget, 0.05, rng)
+            # disjoint subsets: each iteration may spend the whole rho
+            coord = 2.0 * PHI_BOUND * tr.config["s"] / tr.config["m"]
+            joint = gaussian_sigma_for_zcdp(math.sqrt(d) * coord, budget.rho)
+            assert tr.config["sigma_coord"] == pytest.approx(joint, rel=1e-15)
+
     def test_trailing_samples_dropped(self):
         # n = 607, T = 3 -> m = 202; the last sample cannot influence the
         # run when it lands in the discarded tail (shuffle off: order kept)
@@ -366,6 +400,27 @@ class TestDPEMGmm:
             meds[n] = float(np.median(errs))
         assert 0.35 <= meds[8000] / meds[2000] <= 0.75
 
+    def test_noise_is_one_vector_per_iteration(self):
+        model, beta_star, data, beta0, rng = make_problem("gmm", 6, 500, 16)
+        budget = make_budget(1.0, 1e-4)
+        tr = dp_em_gmm(data, model, beta0, 4.0, 2, budget, 0.05, rng)
+        params = RobustMeanParams(s=tr.config["s"], beta=tr.config["smoothing_beta"],
+                                  tau=4.0, zeta=0.05)
+        released = robust_mean_columns(f_gmm_batch(data, beta0, model.sigma), params)
+        noise = tr.config["sigma_coord"] * rng.split(1).generator.standard_normal(6)
+        assert np.array_equal(tr.betas[1], released + noise)
+
+    @pytest.mark.parametrize("d", [2, 7, 50])
+    def test_joint_sigma_equals_per_coordinate(self, d):
+        model, beta_star, data, beta0, rng = make_problem("gmm", d, 400, 20)
+        for eps, T in ((0.2, 1), (1.0, 3), (4.0, 6)):
+            budget = make_budget(eps, 1e-5)
+            tr = dp_em_gmm(data, model, beta0, 2.0, T, budget, 0.05, rng)
+            coord = 2.0 * PHI_BOUND * tr.config["s"] / 400
+            joint = gaussian_sigma_for_zcdp(math.sqrt(d) * coord,
+                                            split_budget_alg1(budget, T))
+            assert tr.config["sigma_coord"] == pytest.approx(joint, rel=1e-15)
+
     def test_deterministic(self):
         model, beta_star, data, beta0, _ = make_problem("gmm", 4, 400, 16)
         budget = make_budget(0.5, 1e-4)
@@ -397,6 +452,13 @@ class TestEstimatorClasses:
         assert est.n_iter_ == 7
         assert est.beta_.shape == (6,)
         assert est.trace_.errors is not None
+
+    def test_fit_leaves_caller_data_writeable(self):
+        model, beta_star, data, beta0, _ = make_problem("mrm", 3, 200, 18)
+        X, y = data.xs.copy(), data.ys.copy()
+        GradientEM(model="gmm", n_iter=2).fit(X)
+        GradientEM(model="mrm", n_iter=2).fit(X, y)
+        X[0, 0] = y[0] = 1.0
 
     def test_fit_aligns_start_against_truth(self):
         model, beta_star, data, beta0, _ = make_problem("gmm", 6, 300, 19)

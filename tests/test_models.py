@@ -110,6 +110,17 @@ class TestObservationSet:
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
 
+    def test_caller_arrays_stay_writeable(self):
+        ys, xs = np.zeros(3), np.ones((3, 2))
+        mask = np.ones((3, 2), dtype=bool)
+        for obs in (ObservationSet("gmm", xs), ObservationSet("mrm", ys, xs),
+                    ObservationSet("rmc", ys, xs, mask)):
+            for arr in (obs.ys, obs.xs, obs.mask):
+                if arr is not None:
+                    with pytest.raises(ValueError):
+                        arr[0] = arr[0]
+        ys[0], xs[0, 0], mask[0, 0] = 1.0, 2.0, False
+
     def test_take(self):
         obs = sample_mrm(10, np.ones(2), 1.0, RngStream(1))
         sub = obs.take([2, 5, 7])
