@@ -14,23 +14,19 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from pathlib import Path
 
 import click
 import numpy as np
 
 from . import io
-from .accounting import make_budget
 from .errors import ConfigError, ConvergenceError, DataError, DomainError
 from .estimators import (
+    ALGORITHMS,
     SIGN_SYMMETRIC_KINDS,
     align_sign,
-    clipped_dp_gradient_em,
-    dp_em_gmm,
-    dp_gradient_em,
-    gradient_em,
     initial_beta,
+    resolve_settings,
+    run_algorithm,
 )
 from .models import (
     MODEL_KINDS,
@@ -38,33 +34,8 @@ from .models import (
     ModelSpec,
     preprocess_real_gmm,
     sample_observations,
-    tau_bound,
 )
 from .numeric import RngStream
-
-ALGORITHMS = ("em", "clipped", "dpgem", "dpem")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved settings for one run or sweep."""
-
-    algorithm: str
-    n_values: tuple[int, ...]
-    d_values: tuple[int, ...]
-    eps_values: tuple
-    clip_values: tuple
-    delta_rule: str
-    eta: float
-    iters: object
-    tau: object
-    zeta: float
-    snr: float
-    seed: int
-    n_seeds: int
-    threads: int
-    timing: bool
-    disable_noise: bool
 
 
 def _fail(message: str, code: int):
@@ -117,6 +88,13 @@ def _as_int(name: str, value) -> int:
         raise ConfigError(f"{name}: expected an integer, got {value!r}") from None
 
 
+def _as_count(name: str, value) -> int:
+    count = _as_int(name, value)
+    if count < 1:
+        raise ConfigError(f"{name}: expected an integer >= 1, got {count}")
+    return count
+
+
 def _as_float(name: str, value) -> float:
     try:
         return float(str(value))
@@ -135,18 +113,11 @@ def _as_bool(name: str, value) -> bool:
     raise ConfigError(f"{name}: expected a boolean, got {value!r}")
 
 
-def _as_float_list(name: str, value) -> tuple[float, ...]:
+def _as_list(name: str, value, parse) -> tuple:
     parts = [p.strip() for p in str(value).split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"{name}: expected a nonempty comma-separated list")
-    return tuple(_as_float(name, p) for p in parts)
-
-
-def _as_int_list(name: str, value) -> tuple[int, ...]:
-    parts = [p.strip() for p in str(value).split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{name}: expected a nonempty comma-separated list")
-    return tuple(_as_int(name, p) for p in parts)
+    return tuple(parse(name, p) for p in parts)
 
 
 def _auto_or_float(name: str, value):
@@ -163,77 +134,94 @@ def _check_model(value: str) -> str:
     return value
 
 
-def _check_algorithm(value: str) -> str:
+def _check_algorithm(value: str, model_kind: str) -> str:
     if value not in ALGORITHMS:
         raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {value!r}")
+    if value == "dpem" and model_kind != "gmm":
+        raise ConfigError("algorithm: dpem applies to the gmm model only")
     return value
 
 
-def _resolve_delta(rule, n: int) -> float:
-    if rule == "auto":
-        return float(n) ** -1.1
-    return float(rule)
+def _fit_flags(n_seeds: str):
+    """The click options shared by run and sweep."""
+    options = [
+        click.option("--algorithm", default="dpgem", help=f"one of {'|'.join(ALGORITHMS)}"),
+        click.option("--delta", default="auto", help="'auto' means n^-1.1"),
+        click.option("--eta", default="1.0"),
+        click.option("--iters", default="auto", help="'auto' means ceil(ln n)"),
+        click.option("--tau", default="auto"),
+        click.option("--zeta", default="0.05"),
+        click.option("--shuffle", default="true"),
+        click.option("--seed", default="0"),
+        click.option("--n-seeds", default=n_seeds),
+        click.option("--threads", default="1"),
+        click.option("--out", required=True, type=click.Path(dir_okay=False)),
+        click.option("--unsafe-no-noise", is_flag=True,
+                     help="disable privacy noise; output is NOT private"),
+        click.option("--timing", is_flag=True, help="record real wall_ms (non-reproducible)"),
+        click.option("--config", type=click.Path(exists=True, dir_okay=False)),
+    ]
+
+    def decorate(func):
+        for option in reversed(options):
+            func = option(func)
+        return func
+
+    return decorate
 
 
-def _resolve_iters(iters, n: int) -> int:
-    if iters == "auto":
-        return max(1, math.ceil(math.log(n)))
-    return int(iters)
-
-
-def _resolve_tau(tau, model: ModelSpec, beta_star: np.ndarray) -> float:
-    if tau == "auto":
-        return tau_bound(
-            model,
-            float(np.max(np.abs(beta_star))),
-            float(np.linalg.norm(beta_star)),
-        )
-    return float(tau)
+def _fit_options(get) -> dict:
+    """Parse and check the fit options that run and sweep share; warn on
+    stderr when the privacy noise is disabled."""
+    opts = dict(
+        delta=_auto_or_float("delta", get("delta")),
+        eta=_as_float("eta", get("eta")),
+        iters=_auto_or_int("iters", get("iters")),
+        tau=_auto_or_float("tau", get("tau")),
+        zeta=_as_float("zeta", get("zeta")),
+        shuffle=_as_bool("shuffle", get("shuffle")),
+        seed=_as_int("seed", get("seed")),
+        n_seeds=_as_count("n-seeds", get("n-seeds")),
+        threads=_as_count("threads", get("threads")),
+        disable_noise=_as_bool("unsafe-no-noise", get("unsafe-no-noise")),
+        timing=_as_bool("timing", get("timing")),
+    )
+    if opts["disable_noise"]:
+        click.echo("NON-PRIVATE: noise injection disabled", err=True)
+    return opts
 
 
 # ------------------------------------------------------------------- running
 
 
-def _execute(algorithm, data, model, beta0, rng, truth, *, eps, delta, eta,
-             T, clip, tau, zeta, shuffle, disable_noise):
-    if algorithm == "em":
-        return gradient_em(data, model, beta0, eta, T, truth)
-    budget = make_budget(eps, delta)
-    if algorithm == "clipped":
-        return clipped_dp_gradient_em(
-            data, model, beta0, clip, eta, T, budget, rng, truth,
-            disable_noise=disable_noise,
-        )
-    if algorithm == "dpgem":
-        return dp_gradient_em(
-            data, model, beta0, tau, eta, T, budget, zeta, rng, truth,
-            shuffle=shuffle, disable_noise=disable_noise,
-        )
-    return dp_em_gmm(
-        data, model, beta0, tau, T, budget, zeta, rng, truth,
-        disable_noise=disable_noise,
+def _fit_rows(opts: dict, algorithm, data, model, beta0, rng, truth, *, eps, clip,
+              seed) -> list[dict]:
+    """Fit one cell and return one result row per iterate.  eps is None for
+    em and clip is None unless the algorithm is clipped; their columns are
+    then left empty."""
+    delta, T, tau = resolve_settings(algorithm, data.n, model, truth, delta=opts["delta"],
+                                     iters=opts["iters"], tau=opts["tau"])
+    started = time.perf_counter()
+    trace = run_algorithm(
+        algorithm, data, model, beta0, rng, truth, T=T, eta=opts["eta"], eps=eps,
+        delta=delta, clip=clip, tau=tau, zeta=opts["zeta"], shuffle=opts["shuffle"],
+        disable_noise=opts["disable_noise"],
     )
-
-
-def _trace_rows(trace, *, model_kind, algorithm, eps, delta, d, n, T, clip,
-                seed, wall_ms) -> list[dict]:
-    rows = []
-    for it in range(trace.betas.shape[0]):
-        rows.append({
-            "model": model_kind,
-            "algorithm": algorithm,
-            "eps": "" if eps is None else float(eps),
-            "delta": "" if eps is None else float(delta),
-            "d": d,
-            "n": n,
-            "T": T,
-            "C": "" if clip is None else float(clip),
-            "seed": seed,
-            "iter": it,
-            "error": float(trace.errors[it]),
-            "wall_ms": wall_ms,
-        })
-    return rows
+    wall_ms = (time.perf_counter() - started) * 1e3 if opts["timing"] else 0.0
+    return [{
+        "model": model.kind,
+        "algorithm": algorithm,
+        "eps": "" if eps is None else float(eps),
+        "delta": "" if eps is None else float(delta),
+        "d": data.d,
+        "n": data.n,
+        "T": T,
+        "C": "" if clip is None else float(clip),
+        "seed": seed,
+        "iter": it,
+        "error": float(error),
+        "wall_ms": wall_ms,
+    } for it, error in enumerate(trace.errors)]
 
 
 def _run_parallel(tasks, worker, threads: int) -> dict:
@@ -302,53 +290,29 @@ def cmd_gen(ctx, **_):
 
 
 @cli.command("run")
-@click.option("--algorithm", default="dpgem", help=f"one of {'|'.join(ALGORITHMS)}")
 @click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--meta", type=click.Path(exists=True, dir_okay=False))
 @click.option("--eps", default="1.0")
-@click.option("--delta", default="auto", help="'auto' means n^-1.1")
-@click.option("--eta", default="1.0")
-@click.option("--iters", default="auto", help="'auto' means ceil(ln n)")
 @click.option("--clip", default="1.0")
-@click.option("--tau", default="auto")
-@click.option("--zeta", default="0.05")
-@click.option("--shuffle", default="true")
-@click.option("--seed", default="0")
-@click.option("--n-seeds", default="1")
-@click.option("--threads", default="1")
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--unsafe-no-noise", is_flag=True,
-              help="disable privacy noise; output is NOT private")
-@click.option("--timing", is_flag=True, help="record real wall_ms (non-reproducible)")
-@click.option("--config", type=click.Path(exists=True, dir_okay=False))
+@_fit_flags(n_seeds="1")
 @click.pass_context
 @_guarded
 def cmd_run(ctx, **_):
     """Run one algorithm on an existing dataset, once per seed."""
     cfg = _load_config(ctx.params["config"])
     get = lambda name: _resolve(ctx, cfg, "run", name)
-    algorithm = _check_algorithm(get("algorithm"))
     data_path = get("data")
     meta_path = get("meta") or f"{data_path}.meta.json"
     eps = _as_float("eps", get("eps"))
-    delta_rule = get("delta")
-    eta = _as_float("eta", get("eta"))
-    iters = _auto_or_int("iters", get("iters"))
     clip = _as_float("clip", get("clip"))
-    tau = _auto_or_float("tau", get("tau"))
-    zeta = _as_float("zeta", get("zeta"))
-    shuffle = _as_bool("shuffle", get("shuffle"))
-    seed = _as_int("seed", get("seed"))
-    n_seeds = _as_int("n-seeds", get("n-seeds"))
-    threads = _as_int("threads", get("threads"))
+    opts = _fit_options(get)
     out = get("out")
-    disable_noise = _as_bool("unsafe-no-noise", get("unsafe-no-noise"))
-    timing = _as_bool("timing", get("timing"))
 
     meta = io.read_metadata(meta_path)
     model_kind = meta.get("model")
     if model_kind not in MODEL_KINDS:
         raise ConfigError(f"model: metadata has invalid kind {model_kind!r}")
+    algorithm = _check_algorithm(get("algorithm"), model_kind)
     data = io.read_dataset(data_path, model_kind)
     if data.n != int(meta["n"]):
         raise ConfigError(f"n: metadata says {meta['n']}, dataset has {data.n}")
@@ -359,17 +323,8 @@ def cmd_run(ctx, **_):
     beta_star = np.asarray(meta["beta_star"], dtype=float)
     if beta_star.shape != (data.d,):
         raise ConfigError("beta_star: metadata dimension mismatch")
-    if algorithm == "dpem" and model_kind != "gmm":
-        raise ConfigError("algorithm: dpem applies to the gmm model only")
-
     truth = GroundTruth(beta_star)
-    delta = _resolve_delta(delta_rule, data.n)
-    T = _resolve_iters(iters, data.n)
-    tau_value = None
-    if algorithm in ("dpgem", "dpem"):
-        tau_value = _resolve_tau(tau, model, beta_star)
-    if disable_noise:
-        click.echo("NON-PRIVATE: noise injection disabled", err=True)
+    seed = opts["seed"]
 
     def worker(k: int) -> list[dict]:
         root = RngStream(seed + k)
@@ -378,22 +333,14 @@ def cmd_run(ctx, **_):
             # beta -> -beta is a symmetry of these models; fix the gauge so
             # error curves measure convergence, not the arbitrary sign
             beta0 = align_sign(beta0, beta_star)
-        started = time.perf_counter()
-        trace = _execute(
-            algorithm, data, model, beta0, root.split(1), truth,
-            eps=eps, delta=delta, eta=eta, T=T, clip=clip, tau=tau_value,
-            zeta=zeta, shuffle=shuffle, disable_noise=disable_noise,
-        )
-        wall = (time.perf_counter() - started) * 1e3 if timing else 0.0
-        private = algorithm != "em"
-        return _trace_rows(
-            trace, model_kind=model_kind, algorithm=algorithm,
-            eps=eps if private else None, delta=delta, d=data.d, n=data.n,
-            T=T, clip=clip if algorithm == "clipped" else None,
-            seed=seed + k, wall_ms=wall,
+        return _fit_rows(
+            opts, algorithm, data, model, beta0, root.split(1), truth,
+            eps=None if algorithm == "em" else eps,
+            clip=clip if algorithm == "clipped" else None, seed=seed + k,
         )
 
-    results = _run_parallel([(k, k) for k in range(n_seeds)], worker, threads)
+    results = _run_parallel([(k, k) for k in range(opts["n_seeds"])], worker,
+                            opts["threads"])
     rows = [row for k in sorted(results) for row in results[k]]
     io.write_results(out, rows)
     click.echo(f"wrote {len(rows)} rows to {out}")
@@ -401,7 +348,6 @@ def cmd_run(ctx, **_):
 
 @cli.command("sweep")
 @click.option("--model", default="gmm")
-@click.option("--algorithm", default="dpgem")
 @click.option("--n-list", default="2000")
 @click.option("--d-list", default="10")
 @click.option("--eps-list", default="0.2,0.5,1")
@@ -409,19 +355,7 @@ def cmd_run(ctx, **_):
 @click.option("--snr", default="3.0")
 @click.option("--sigma", default="1.0")
 @click.option("--p-m", default="0.0")
-@click.option("--delta", default="auto")
-@click.option("--eta", default="1.0")
-@click.option("--iters", default="auto")
-@click.option("--tau", default="auto")
-@click.option("--zeta", default="0.05")
-@click.option("--shuffle", default="true")
-@click.option("--seed", default="0")
-@click.option("--n-seeds", default="20")
-@click.option("--threads", default="1")
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--unsafe-no-noise", is_flag=True)
-@click.option("--timing", is_flag=True)
-@click.option("--config", type=click.Path(exists=True, dir_okay=False))
+@_fit_flags(n_seeds="20")
 @click.pass_context
 @_guarded
 def cmd_sweep(ctx, **_):
@@ -432,46 +366,26 @@ def cmd_sweep(ctx, **_):
     cfg = _load_config(ctx.params["config"])
     get = lambda name: _resolve(ctx, cfg, "sweep", name)
     model_kind = _check_model(get("model"))
-    algorithm = _check_algorithm(get("algorithm"))
-    if algorithm == "dpem" and model_kind != "gmm":
-        raise ConfigError("algorithm: dpem applies to the gmm model only")
-    config = ExperimentConfig(
-        algorithm=algorithm,
-        n_values=_as_int_list("n-list", get("n-list")),
-        d_values=_as_int_list("d-list", get("d-list")),
-        eps_values=(_as_float_list("eps-list", get("eps-list"))
-                    if algorithm != "em" else (None,)),
-        clip_values=(_as_float_list("clip-list", get("clip-list"))
-                     if algorithm == "clipped" else (None,)),
-        delta_rule=get("delta"),
-        eta=_as_float("eta", get("eta")),
-        iters=_auto_or_int("iters", get("iters")),
-        tau=_auto_or_float("tau", get("tau")),
-        zeta=_as_float("zeta", get("zeta")),
-        snr=_as_float("snr", get("snr")),
-        seed=_as_int("seed", get("seed")),
-        n_seeds=_as_int("n-seeds", get("n-seeds")),
-        threads=_as_int("threads", get("threads")),
-        timing=_as_bool("timing", get("timing")),
-        disable_noise=_as_bool("unsafe-no-noise", get("unsafe-no-noise")),
-    )
+    algorithm = _check_algorithm(get("algorithm"), model_kind)
+    n_values = _as_list("n-list", get("n-list"), _as_int)
+    d_values = _as_list("d-list", get("d-list"), _as_int)
+    eps_values = (_as_list("eps-list", get("eps-list"), _as_float)
+                  if algorithm != "em" else (None,))
+    clip_values = (_as_list("clip-list", get("clip-list"), _as_float)
+                   if algorithm == "clipped" else (None,))
+    snr = _as_float("snr", get("snr"))
     sigma = _as_float("sigma", get("sigma"))
     p_m = _as_float("p-m", get("p-m"))
-    shuffle = _as_bool("shuffle", get("shuffle"))
+    opts = _fit_options(get)
     out = get("out")
-    if config.n_seeds < 1:
-        raise ConfigError("n-seeds: need at least one seed")
-    if config.disable_noise:
-        click.echo("NON-PRIVATE: noise injection disabled", err=True)
+    master = opts["seed"]
 
     tasks = [
         ((i_n, i_d, k), (n, d, k))
-        for i_n, n in enumerate(config.n_values)
-        for i_d, d in enumerate(config.d_values)
-        for k in range(config.n_seeds)
+        for i_n, n in enumerate(n_values)
+        for i_d, d in enumerate(d_values)
+        for k in range(opts["n_seeds"])
     ]
-
-    master = config.seed
 
     def worker(spec) -> dict:
         """Every eps x clip cell of one (n, d, seed), keyed by (i_eps, i_clip)."""
@@ -479,7 +393,7 @@ def cmd_sweep(ctx, **_):
         model = ModelSpec(model_kind, d, sigma, p_m if model_kind == "rmc" else 0.0)
         # data and init are shared across the eps and clip axes so cells
         # differ only in privacy noise
-        beta_star = config.snr * sigma * initial_beta(
+        beta_star = snr * sigma * initial_beta(
             d, RngStream(master).split(0).split(d).split(k))
         data = sample_observations(
             model, n, beta_star, RngStream(master).split(1).split(n).split(d).split(k))
@@ -487,32 +401,18 @@ def cmd_sweep(ctx, **_):
         if model_kind in SIGN_SYMMETRIC_KINDS:
             beta0 = align_sign(beta0, beta_star)
         truth = GroundTruth(beta_star)
-        delta = _resolve_delta(config.delta_rule, n)
-        T = _resolve_iters(config.iters, n)
-        tau_value = None
-        if algorithm in ("dpgem", "dpem"):
-            tau_value = _resolve_tau(config.tau, model, beta_star)
         cells = {}
-        for i_eps, eps in enumerate(config.eps_values):
-            for i_clip, clip in enumerate(config.clip_values):
+        for i_eps, eps in enumerate(eps_values):
+            for i_clip, clip in enumerate(clip_values):
                 noise_rng = (RngStream(master).split(3).split(n).split(d)
                              .split(i_eps).split(i_clip).split(k))
-                started = time.perf_counter()
-                trace = _execute(
-                    algorithm, data, model, beta0, noise_rng, truth,
-                    eps=eps, delta=delta, eta=config.eta, T=T, clip=clip,
-                    tau=tau_value, zeta=config.zeta, shuffle=shuffle,
-                    disable_noise=config.disable_noise,
-                )
-                wall = (time.perf_counter() - started) * 1e3 if config.timing else 0.0
-                cells[i_eps, i_clip] = _trace_rows(
-                    trace, model_kind=model_kind, algorithm=algorithm, eps=eps,
-                    delta=delta, d=d, n=n, T=T, clip=clip, seed=master + k,
-                    wall_ms=wall,
+                cells[i_eps, i_clip] = _fit_rows(
+                    opts, algorithm, data, model, beta0, noise_rng, truth,
+                    eps=eps, clip=clip, seed=master + k,
                 )
         return cells
 
-    results = _run_parallel(tasks, worker, config.threads)
+    results = _run_parallel(tasks, worker, opts["threads"])
     # canonical order: n, d, eps, clip, seed
     by_cell = {
         (i_n, i_d, *cell, k): cell_rows

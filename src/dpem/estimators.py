@@ -1,10 +1,12 @@
 """The four estimation procedures, as plain functions and as estimators.
 
-All four iterate beta^t from beta^0 and record an IterationTrace.  Each
-private variant releases one d-vector per iteration t and adds one
-Gaussian vector drawn from child stream t of the caller's RngStream
-(``_add_noise``), so traces are bitwise reproducible no matter how the
-work is scheduled.
+Each algorithm is a release rule run by one loop, ``_iterate``: iteration t
+reduces a matrix of per-sample values at beta^{t-1} to a d-vector release,
+plus (private variants) one Gaussian vector drawn from child stream t of
+the caller's RngStream, so traces are bitwise reproducible no matter how
+the work is scheduled.  The
+CLI and the estimator classes share one settings resolver
+(``resolve_settings``) and one dispatcher (``run_algorithm``).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .robust import PHI_BOUND, RobustMeanParams, robust_mean_columns
 from .validation import check_count, check_positive, check_probability, check_vector
 
 __all__ = [
+    "ALGORITHMS",
     "IterationTrace",
     "estimation_error",
     "initial_beta",
@@ -43,6 +46,8 @@ __all__ = [
     "clipped_dp_gradient_em",
     "dp_gradient_em",
     "dp_em_gmm",
+    "resolve_settings",
+    "run_algorithm",
     "GradientEM",
     "ClippedDPGradientEM",
     "DPGradientEM",
@@ -106,6 +111,8 @@ def initial_beta(d: int, rng: RngStream) -> np.ndarray:
     return v / norm
 
 
+ALGORITHMS = ("em", "clipped", "dpgem", "dpem")
+
 SIGN_SYMMETRIC_KINDS = ("gmm", "mrm")
 
 
@@ -122,31 +129,11 @@ def align_sign(beta0: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return beta0
 
 
-def _append_iterate(betas: list, beta: np.ndarray) -> None:
-    """Record beta^t, t = len(betas); a non-finite iterate means the run
-    diverged, reported with the last finite iterate."""
-    if not np.all(np.isfinite(beta)):
-        raise ConvergenceError(
-            f"diverged at iteration {len(betas)}: beta has non-finite entries",
-            last_value=betas[-1],
-        )
-    betas.append(beta)
-
-
 def _quiet_overflow():
     """Silence numpy's overflow/invalid warnings for one fit: a diverging
-    run is reported once, as a ConvergenceError from _append_iterate or
+    run is reported once, as a ConvergenceError from _iterate or
     _finish_trace, not as a burst of RuntimeWarnings before it."""
     return np.errstate(over="ignore", invalid="ignore")
-
-
-def _add_noise(release: np.ndarray, sigma: float, rng: RngStream, t: int,
-               disable_noise: bool) -> np.ndarray:
-    """The Gaussian mechanism on iteration t's d-vector release: one
-    N(0, sigma^2 I_d) draw from child stream t of rng."""
-    if disable_noise:
-        return release
-    return release + sigma * rng.split(t).generator.standard_normal(release.size)
 
 
 def _finish_trace(betas: list, truth, config: dict) -> IterationTrace:
@@ -164,6 +151,35 @@ def _finish_trace(betas: list, truth, config: dict) -> IterationTrace:
                 last_value=betas[max(t - 1, 0)],
             )
     return IterationTrace(stack, errors, config)
+
+
+def _iterate(beta, T, samples, estimate, truth, config, eta=None, sigma=0.0,
+             rng=None):
+    """The one iteration loop.  For t = 1..T, ``samples(t, beta^{t-1})``
+    gives a matrix of per-sample values and ``estimate`` reduces it to the
+    d-vector release; when sigma > 0 the Gaussian mechanism adds one
+    N(0, sigma^2 I_d) draw from child stream t of rng.  beta^t is
+    beta^{t-1} + eta * release, or the release itself when eta is None.  A
+    non-finite iterate means the run diverged, reported with the last
+    finite iterate."""
+    betas = [beta]
+    with _quiet_overflow():
+        for t in range(1, T + 1):
+            # the previous matrix stays bound until the next one exists, so
+            # the allocator reuses its pages instead of returning them to
+            # the OS and faulting them back in every iteration
+            matrix = samples(t, beta)
+            released = estimate(matrix)
+            if sigma > 0.0:
+                released = released + sigma * rng.split(t).generator.standard_normal(beta.size)
+            beta = released if eta is None else beta + eta * released
+            if not np.all(np.isfinite(beta)):
+                raise ConvergenceError(
+                    f"diverged at iteration {t}: beta has non-finite entries",
+                    last_value=betas[-1],
+                )
+            betas.append(beta)
+    return _finish_trace(betas, truth, config)
 
 
 def _check_run(data: ObservationSet, model: ModelSpec, beta0) -> np.ndarray:
@@ -186,13 +202,9 @@ def gradient_em(
     beta = _check_run(data, model, beta0)
     eta = check_positive("eta", eta)
     T = check_count("T", T, minimum=0)
-    betas = [beta]
-    with _quiet_overflow():
-        for _ in range(T):
-            beta = beta + eta * grad_q_batch(model, data, beta).mean(axis=0)
-            _append_iterate(betas, beta)
     config = {"algorithm": "em", "eta": eta, "T": T}
-    return _finish_trace(betas, truth, config)
+    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b),
+                    lambda grads: grads.mean(axis=0), truth, config, eta)
 
 
 def clipped_dp_gradient_em(
@@ -217,16 +229,13 @@ def clipped_dp_gradient_em(
     n = data.n
     # one averaged d-vector per iteration, L2 sensitivity 2 clip_C / n
     sigma = gaussian_sigma_for_zcdp(2.0 * clip_C / n, split_budget_alg1(budget, T))
-    betas = [beta]
-    with _quiet_overflow():
-        for t in range(1, T + 1):
-            grads = grad_q_batch(model, data, beta)
-            norms = np.linalg.norm(grads, axis=1)
-            with np.errstate(divide="ignore"):
-                scale = np.minimum(1.0, clip_C / np.where(norms > 0, norms, np.inf))
-            mean_grad = (grads * scale[:, None]).mean(axis=0)
-            beta = beta + eta * _add_noise(mean_grad, sigma, rng, t, disable_noise)
-            _append_iterate(betas, beta)
+
+    def clipped_mean(grads):
+        norms = np.linalg.norm(grads, axis=1)
+        with np.errstate(divide="ignore"):
+            scale = np.minimum(1.0, clip_C / np.where(norms > 0, norms, np.inf))
+        return (grads * scale[:, None]).mean(axis=0)
+
     config = {
         "algorithm": "clipped",
         "clip_C": clip_C,
@@ -237,7 +246,8 @@ def clipped_dp_gradient_em(
         "sigma_iter": sigma,
         "non_private_noise_disabled": bool(disable_noise),
     }
-    return _finish_trace(betas, truth, config)
+    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b), clipped_mean,
+                    truth, config, eta, 0.0 if disable_noise else sigma, rng)
 
 
 def dp_gradient_em(
@@ -287,13 +297,6 @@ def dp_gradient_em(
         order = np.arange(n)
     subsets = order[: m * T].reshape(T, m)  # trailing n - mT samples unused
 
-    betas = [beta]
-    with _quiet_overflow():
-        for t in range(1, T + 1):
-            grads = grad_q_batch(model, data.take(subsets[t - 1]), beta)
-            released = robust_mean_columns(grads, params)
-            beta = beta + eta * _add_noise(released, sigma, rng, t, disable_noise)
-            _append_iterate(betas, beta)
     config = {
         "algorithm": "dpgem",
         "tau": tau,
@@ -309,7 +312,9 @@ def dp_gradient_em(
         "shuffle": bool(shuffle),
         "non_private_noise_disabled": bool(disable_noise),
     }
-    return _finish_trace(betas, truth, config)
+    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data.take(subsets[t - 1]), b),
+                    lambda grads: robust_mean_columns(grads, params), truth, config, eta,
+                    0.0 if disable_noise else sigma, rng)
 
 
 def dp_em_gmm(
@@ -344,12 +349,6 @@ def dp_em_gmm(
     rho_release = split_budget_alg1(budget, T) / d
     sigma = gaussian_sigma_for_zcdp(2.0 * PHI_BOUND * s / n, rho_release)
 
-    betas = [beta]
-    with _quiet_overflow():
-        for t in range(1, T + 1):
-            released = robust_mean_columns(f_gmm_batch(data, beta, model.sigma), params)
-            beta = _add_noise(released, sigma, rng, t, disable_noise)
-            _append_iterate(betas, beta)
     config = {
         "algorithm": "dpem",
         "tau": tau,
@@ -362,11 +361,60 @@ def dp_em_gmm(
         "sigma_coord": sigma,
         "non_private_noise_disabled": bool(disable_noise),
     }
-    return _finish_trace(betas, truth, config)
+    return _iterate(beta, T, lambda t, b: f_gmm_batch(data, b, model.sigma),
+                    lambda fs: robust_mean_columns(fs, params), truth, config, None,
+                    0.0 if disable_noise else sigma, rng)
 
 
-def _auto_iterations(n: int) -> int:
-    return max(1, math.ceil(math.log(n)))
+def _is_auto(name: str, value) -> bool:
+    if isinstance(value, str):
+        if value != "auto":
+            raise ConfigError(f"{name} must be 'auto' or a number, got {value!r}")
+        return True
+    return False
+
+
+def resolve_settings(algorithm: str, n: int, model: ModelSpec, truth, *,
+                     delta, iters, tau):
+    """(delta, T, tau) for one fit on n samples, each ``auto`` resolved by
+    its one rule: delta = n^-1.1, T = max(1, ceil(ln n)), and tau =
+    tau_bound at the ground truth.  tau is None for the algorithms that do
+    not use it (em and clipped)."""
+    delta = float(n) ** -1.1 if _is_auto("delta", delta) else float(delta)
+    T = max(1, math.ceil(math.log(n))) if _is_auto("iters", iters) else iters
+    if algorithm not in ("dpgem", "dpem"):
+        tau = None
+    elif _is_auto("tau", tau):
+        if truth is None:
+            raise ConfigError("tau='auto' needs the ground truth beta_star")
+        beta_star = np.asarray(getattr(truth, "beta_star", truth), dtype=float)
+        tau = tau_bound(model, float(np.max(np.abs(beta_star))),
+                        float(np.linalg.norm(beta_star)))
+    else:
+        tau = float(tau)
+    return delta, T, tau
+
+
+def run_algorithm(algorithm: str, data: ObservationSet, model: ModelSpec, beta0,
+                  rng: RngStream, truth, *, T, eta=None, eps=None, delta=None,
+                  clip=None, tau=None, zeta=None, shuffle=True,
+                  disable_noise=False) -> IterationTrace:
+    """Run one algorithm with resolved settings (see resolve_settings).
+    The four functions are looked up by their module names at call time,
+    so anything rebound over those names also sees these calls."""
+    if algorithm == "em":
+        return gradient_em(data, model, beta0, eta, T, truth)
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {algorithm!r}")
+    budget = make_budget(eps, delta)
+    if algorithm == "clipped":
+        return clipped_dp_gradient_em(data, model, beta0, clip, eta, T, budget, rng,
+                                      truth, disable_noise=disable_noise)
+    if algorithm == "dpgem":
+        return dp_gradient_em(data, model, beta0, tau, eta, T, budget, zeta, rng, truth,
+                              shuffle=shuffle, disable_noise=disable_noise)
+    return dp_em_gmm(data, model, beta0, tau, T, budget, zeta, rng, truth,
+                     disable_noise=disable_noise)
 
 
 def _build_observations(kind: str, X, y) -> ObservationSet:
@@ -387,7 +435,11 @@ def _build_observations(kind: str, X, y) -> ObservationSet:
 
 
 class _EMBase(BaseEstimator):
-    """Shared fit plumbing; subclasses implement _run."""
+    """Shared fit: settings from resolve_settings, the fit from
+    run_algorithm; subclasses set ``algorithm`` and declare their
+    hyperparameters in ``__init__``."""
+
+    algorithm: str
 
     def _model_spec(self, d: int) -> ModelSpec:
         return ModelSpec(self.model, d, self.sigma, getattr(self, "p_m", 0.0))
@@ -399,13 +451,6 @@ class _EMBase(BaseEstimator):
             return initial_beta(d, root.split(0))
         return check_vector("init", self.init, d=d)
 
-    def _iterations(self, n: int):
-        if isinstance(self.n_iter, str):
-            if self.n_iter != "auto":
-                raise ConfigError(f"n_iter must be 'auto' or an integer, got {self.n_iter!r}")
-            return _auto_iterations(n)
-        return self.n_iter
-
     def fit(self, X, y=None, beta_star=None):
         data = _build_observations(self.model, X, y)
         model = self._model_spec(data.d)
@@ -414,37 +459,26 @@ class _EMBase(BaseEstimator):
         truth = None if beta_star is None else np.asarray(beta_star, dtype=float)
         if truth is not None and model.kind in SIGN_SYMMETRIC_KINDS:
             beta0 = align_sign(beta0, truth)
-        trace = self._run(data, model, beta0, root.split(1), truth)
+        p = self.get_params()
+        delta, T, tau = resolve_settings(self.algorithm, data.n, model, truth,
+                                         delta=p.get("delta", "auto"), iters=self.n_iter,
+                                         tau=p.get("tau"))
+        trace = run_algorithm(
+            self.algorithm, data, model, beta0, root.split(1), truth, T=T, eta=p.get("eta"),
+            eps=p.get("eps"), delta=delta, clip=p.get("clip"), tau=tau, zeta=p.get("zeta"),
+            shuffle=p.get("shuffle"), disable_noise=p.get("unsafe_no_noise", False),
+        )
         self.n_features_in_ = data.d
         self.trace_ = trace
         self.beta_ = trace.betas[-1]
         self.n_iter_ = trace.betas.shape[0] - 1
         return self
 
-    def _resolve_delta(self, n: int) -> float:
-        if isinstance(self.delta, str):
-            if self.delta != "auto":
-                raise ConfigError(f"delta must be 'auto' or a float, got {self.delta!r}")
-            return float(n) ** -1.1
-        return float(self.delta)
-
-    def _resolve_tau(self, model: ModelSpec, truth) -> float:
-        if isinstance(self.tau, str):
-            if self.tau != "auto":
-                raise ConfigError(f"tau must be 'auto' or a float, got {self.tau!r}")
-            if truth is None:
-                raise ConfigError("tau='auto' needs beta_star passed to fit")
-            beta_star = np.asarray(truth, dtype=float)
-            return tau_bound(
-                model,
-                float(np.max(np.abs(beta_star))),
-                float(np.linalg.norm(beta_star)),
-            )
-        return float(self.tau)
-
 
 class GradientEM(_EMBase):
     """Non-private gradient EM."""
+
+    algorithm = "em"
 
     def __init__(self, model="gmm", sigma=1.0, p_m=0.0, eta=1.0, n_iter="auto",
                  init="random", random_state=0):
@@ -456,12 +490,11 @@ class GradientEM(_EMBase):
         self.init = init
         self.random_state = random_state
 
-    def _run(self, data, model, beta0, rng, truth):
-        return gradient_em(data, model, beta0, self.eta, self._iterations(data.n), truth)
-
 
 class ClippedDPGradientEM(_EMBase):
     """Gradient EM privatized by per-sample clipping plus Gaussian noise."""
+
+    algorithm = "clipped"
 
     def __init__(self, model="gmm", sigma=1.0, p_m=0.0, clip=1.0, eta=1.0,
                  n_iter="auto", eps=1.0, delta="auto", init="random",
@@ -478,16 +511,11 @@ class ClippedDPGradientEM(_EMBase):
         self.random_state = random_state
         self.unsafe_no_noise = unsafe_no_noise
 
-    def _run(self, data, model, beta0, rng, truth):
-        budget = make_budget(self.eps, self._resolve_delta(data.n))
-        return clipped_dp_gradient_em(
-            data, model, beta0, self.clip, self.eta, self._iterations(data.n),
-            budget, rng, truth, disable_noise=self.unsafe_no_noise,
-        )
-
 
 class DPGradientEM(_EMBase):
     """Gradient EM privatized by robust-smoothed means on disjoint subsets."""
+
+    algorithm = "dpgem"
 
     def __init__(self, model="gmm", sigma=1.0, p_m=0.0, tau="auto", eta=1.0,
                  n_iter="auto", eps=1.0, delta="auto", zeta=0.05, shuffle=True,
@@ -506,17 +534,11 @@ class DPGradientEM(_EMBase):
         self.random_state = random_state
         self.unsafe_no_noise = unsafe_no_noise
 
-    def _run(self, data, model, beta0, rng, truth):
-        budget = make_budget(self.eps, self._resolve_delta(data.n))
-        return dp_gradient_em(
-            data, model, beta0, self._resolve_tau(model, truth), self.eta,
-            self._iterations(data.n), budget, self.zeta, rng, truth,
-            shuffle=self.shuffle, disable_noise=self.unsafe_no_noise,
-        )
-
 
 class DPEMGaussianMixture(_EMBase):
     """Private EM for the two-component Gaussian mixture."""
+
+    algorithm = "dpem"
 
     def __init__(self, sigma=1.0, tau="auto", n_iter="auto", eps=1.0,
                  delta="auto", zeta=0.05, init="random", random_state=0,
@@ -531,11 +553,3 @@ class DPEMGaussianMixture(_EMBase):
         self.init = init
         self.random_state = random_state
         self.unsafe_no_noise = unsafe_no_noise
-
-    def _run(self, data, model, beta0, rng, truth):
-        budget = make_budget(self.eps, self._resolve_delta(data.n))
-        return dp_em_gmm(
-            data, model, beta0, self._resolve_tau(model, truth),
-            self._iterations(data.n), budget, self.zeta, rng, truth,
-            disable_noise=self.unsafe_no_noise,
-        )

@@ -2,8 +2,9 @@
 
 The estimator soft-truncates each sample, smooths the truncation with
 multiplicative Gaussian noise (closed form below), averages, and for the
-private variants adds calibrated Gaussian noise either once to the mean
-(central model) or to every per-user release (local model).
+private variants adds Gaussian noise, calibrated on the zCDP scale of
+``dpem.accounting``, either once to the mean (central model) or to every
+per-user release (local model).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
+from .accounting import gaussian_sigma_for_zcdp, make_budget
 from .errors import DomainError
 from .numeric import RngStream, sample_gaussian
 from .validation import (
@@ -258,16 +260,13 @@ def select_params_nonprivate(n: int, tau: float, zeta: float) -> RobustMeanParam
     )
 
 
-def _gaussian_mechanism_sigma(sensitivity: float, eps: float, delta: float) -> float:
-    return math.sqrt(2.0 * math.log(1.25 / delta)) * sensitivity / eps
-
-
 def select_params_central(
     n: int, tau: float, eps: float, delta: float, zeta: float
 ) -> RobustMeanParams:
     """Central-model schedule: beta = sqrt(log(1/zeta)),
     s = sqrt(n eps tau) / (log(1/zeta) log^(1/4)(1/delta)), and sigma
-    calibrated to the mean's sensitivity (4 sqrt(2)/3) s / n."""
+    calibrated to the mean's sensitivity (4 sqrt(2)/3) s / n by the zCDP
+    Gaussian mechanism at the budget's rho, valid for every eps > 0."""
     n = check_count("n", n, minimum=2)
     tau = check_positive("tau", tau)
     eps = check_positive("eps", eps)
@@ -282,7 +281,7 @@ def select_params_central(
         beta=math.sqrt(log_zeta),
         tau=tau,
         zeta=zeta,
-        sigma=_gaussian_mechanism_sigma(sensitivity, eps, delta),
+        sigma=gaussian_sigma_for_zcdp(sensitivity, make_budget(eps, delta).rho),
     )
 
 
@@ -290,8 +289,9 @@ def select_params_local(
     n: int, tau: float, eps: float, delta: float, zeta: float
 ) -> RobustMeanParams:
     """Local-model schedule: s = n^(1/4) sqrt(eps tau) / (log(1/zeta)
-    log^(1/4)(1/delta)); sigma is per user, calibrated to one release's
-    sensitivity (4 sqrt(2)/3) s, hence independent of n."""
+    log^(1/4)(1/delta)); sigma is per user, calibrated (zCDP, as in the
+    central schedule) to one release's sensitivity (4 sqrt(2)/3) s, hence
+    independent of n."""
     n = check_count("n", n, minimum=2)
     tau = check_positive("tau", tau)
     eps = check_positive("eps", eps)
@@ -306,7 +306,7 @@ def select_params_local(
         beta=math.sqrt(log_zeta),
         tau=tau,
         zeta=zeta,
-        sigma=_gaussian_mechanism_sigma(sensitivity, eps, delta),
+        sigma=gaussian_sigma_for_zcdp(sensitivity, make_budget(eps, delta).rho),
     )
 
 

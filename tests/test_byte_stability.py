@@ -1,0 +1,82 @@
+"""Byte-stability guard for the result files of ``dpem run`` and ``dpem sweep``.
+
+Each case writes a small result file for one of the four algorithms and
+compares its SHA-256 digest with the digest recorded here.  A refactor must
+leave every digest unchanged.  A change that intentionally alters the draws
+(the RNG stream layout, the noise calibration or the arithmetic of an
+iteration) must update the affected digests and name the changed draws in
+CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+from click.testing import CliRunner
+
+from dpem.cli import cli
+
+DATASET = "818291cbd2223c1b310f362dd77c473798509db57ccb84254731374e9a029c4a"
+
+RUNS = {
+    "em": "4ca6d67dd3d8f4ed1fea16334ef8edf2b41d7804ba352a6ef845a6bb5c456193",
+    "clipped": "af11ae0d8d14120ae5a3397f6ef81963adef81bb40239f9dcaabd301f5230f7e",
+    "dpgem": "d91092e7405b05f5d0aae11c7c1300e9df98f4e7355da2bee277c7b26790d619",
+    "dpem": "781e741d37d5f7440d2042b0cd446de8e0858a213930b6505df88a04e71bea8a",
+}
+
+SWEEPS = {
+    "em-rmc": (
+        ["--model", "rmc", "--p-m", "0.2", "--algorithm", "em", "--iters", "4"],
+        "58e3c84530dd44c663dadbd7335b5eb0585c26801cb7356511541e0d7e1d6d87"),
+    "clipped-mrm": (
+        ["--model", "mrm", "--algorithm", "clipped", "--eps-list", "0.5,1",
+         "--clip-list", "0.5,1", "--threads", "2"],
+        "69057ac5e6cacd09a8bcb18aa0e1a9950b24ea0fcf0c74b91e58cba3995bde9f"),
+    "dpgem-mrm": (
+        ["--model", "mrm", "--algorithm", "dpgem", "--eps-list", "0.5,1",
+         "--d-list", "2,3"],
+        "7edd80ea2c95be691acb53dfc80edff6eaa363ee8ad22c5acf66341cd987bcfa"),
+    "dpgem-gmm-no-noise": (
+        ["--algorithm", "dpgem", "--eps-list", "1", "--unsafe-no-noise"],
+        "715c8b8bee8e9c409ae53ebbee14f924f116e2e5a163eb07695b42e3cbc8f3e4"),
+    "dpem-gmm": (
+        ["--algorithm", "dpem", "--eps-list", "0.5", "--tau", "9", "--threads", "2"],
+        "a4e399a7849c20c55e30e666f7f41e978a1bac5b9ab521706942df63d9f7f475"),
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def invoke(*args):
+    result = CliRunner().invoke(cli, [str(a) for a in args], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return result
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("byte_stability") / "gmm.csv"
+    invoke("gen", "--n", 150, "--d", 3, "--seed", 5, "--out", path)
+    return path
+
+
+def test_dataset_digest(dataset):
+    assert sha256(dataset) == DATASET
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNS))
+def test_run_digest(dataset, tmp_path, algorithm):
+    out = tmp_path / "run.csv"
+    invoke("run", "--algorithm", algorithm, "--data", dataset, "--seed", 3,
+           "--n-seeds", 2, "--out", out)
+    assert sha256(out) == RUNS[algorithm]
+
+
+@pytest.mark.parametrize("case", sorted(SWEEPS))
+def test_sweep_digest(tmp_path, case):
+    args, digest = SWEEPS[case]
+    out = tmp_path / "sweep.csv"
+    invoke("sweep", "--n-list", 200, "--n-seeds", 2, "--seed", 4, *args, "--out", out)
+    assert sha256(out) == digest

@@ -8,6 +8,12 @@ from click.testing import CliRunner
 
 import dpem.cli
 from dpem.cli import cli
+from dpem.estimators import (
+    ClippedDPGradientEM,
+    DPEMGaussianMixture,
+    DPGradientEM,
+    GradientEM,
+)
 from dpem.io import read_dataset, read_metadata, read_results, write_results
 
 
@@ -204,6 +210,70 @@ class TestRun:
         )
         assert result.exit_code == 0
         assert "NON-PRIVATE" in result.stderr
+
+
+class TestOptionChecks:
+    """run and sweep parse their shared options the same way."""
+
+    def command(self, runner, tmp_path, name):
+        if name == "run":
+            return ["run", "--data", str(gen_dataset(runner, tmp_path, n=50, d=3))]
+        return ["sweep", "--n-list", "60", "--d-list", "2", "--n-seeds", "1"]
+
+    @pytest.mark.parametrize("name", ["run", "sweep"])
+    def test_bad_delta_flag_exits_2(self, runner, tmp_path, name):
+        result = runner.invoke(cli, self.command(runner, tmp_path, name) + [
+            "--delta", "abc", "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2
+        assert "error: delta:" in result.stderr
+
+    @pytest.mark.parametrize("name", ["run", "sweep"])
+    def test_bad_delta_in_config_exits_2(self, runner, tmp_path, name):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("delta = abc\n")
+        result = runner.invoke(cli, self.command(runner, tmp_path, name) + [
+            "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2
+        assert "error: delta:" in result.stderr
+
+    @pytest.mark.parametrize("name", ["run", "sweep"])
+    @pytest.mark.parametrize("flag", ["--n-seeds", "--threads"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_counts_below_one_exit_2(self, runner, tmp_path, name, flag, value):
+        out = tmp_path / "o.csv"
+        result = runner.invoke(cli, self.command(runner, tmp_path, name) + [
+            flag, value, "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"error: {flag[2:]}:" in result.stderr
+        assert not out.exists()
+
+
+class TestCrossPath:
+    """An estimator class and ``dpem run`` at the same seed resolve the
+    same settings, draw beta^0 from root.split(0) and the noise from
+    root.split(1), and so give bitwise-equal error curves."""
+
+    @pytest.mark.parametrize("algorithm, estimator, kind", [
+        ("em", GradientEM, "gmm"),
+        ("clipped", ClippedDPGradientEM, "gmm"),
+        ("dpgem", DPGradientEM, "gmm"),
+        ("dpem", DPEMGaussianMixture, "gmm"),
+        ("clipped", ClippedDPGradientEM, "mrm"),
+        ("dpgem", DPGradientEM, "mrm"),
+    ])
+    def test_class_matches_run(self, runner, tmp_path, algorithm, estimator, kind):
+        path = gen_dataset(runner, tmp_path, model=kind, n=300, d=4, seed=9)
+        out = tmp_path / "rows.csv"
+        invoke(runner, "run", "--algorithm", algorithm, "--seed", 6, "--data", path,
+               "--out", out)
+        errors = [r["error"] for r in read_results(out)]
+
+        data = read_dataset(path, kind)
+        beta_star = read_metadata(f"{path}.meta.json")["beta_star"]
+        args = (data.ys,) if kind == "gmm" else (data.xs, data.ys)
+        kwargs = {} if estimator is DPEMGaussianMixture else {"model": kind}
+        est = estimator(random_state=6, **kwargs).fit(*args, beta_star=beta_star)
+        assert est.trace_.errors.tolist() == errors
 
 
 class TestConfigFile:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
+from dpem.accounting import gaussian_sigma_for_zcdp, make_budget
 from dpem.errors import DomainError
 from dpem.numeric import RngStream, expectation_under_gaussian
 from dpem.robust import (
@@ -330,7 +331,7 @@ class TestParamSchedules:
         assert p.s == pytest.approx(want_s)
         sens = (4 * SQRT2 / 3) * p.s / n
         assert p.sigma == pytest.approx(
-            math.sqrt(2 * math.log(1.25 / delta)) * sens / eps)
+            gaussian_sigma_for_zcdp(sens, make_budget(eps, delta).rho))
 
     def test_local_formulas(self):
         n, tau, eps, delta, zeta = 4000, 4.0, 1.0, 1e-5, 0.05
@@ -340,7 +341,7 @@ class TestParamSchedules:
         assert p.s == pytest.approx(want_s)
         sens = (4 * SQRT2 / 3) * p.s  # per-user release, no 1/n
         assert p.sigma == pytest.approx(
-            math.sqrt(2 * math.log(1.25 / delta)) * sens / eps)
+            gaussian_sigma_for_zcdp(sens, make_budget(eps, delta).rho))
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
