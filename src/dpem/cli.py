@@ -48,16 +48,12 @@ def _guarded(func):
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
-        except ConfigError as exc:
+        except (ConfigError, DomainError) as exc:
             _fail(str(exc), 2)
-        except DataError as exc:  # ParseError included
+        except (DataError, OSError) as exc:  # ParseError included
             _fail(str(exc), 3)
-        except DomainError as exc:
-            _fail(str(exc), 2)
         except ConvergenceError as exc:
             _fail(str(exc), 4)
-        except OSError as exc:
-            _fail(str(exc), 3)
 
     return wrapper
 
@@ -191,6 +187,16 @@ def _fit_options(get) -> dict:
     return opts
 
 
+def _meta_field(meta: dict, key: str, convert):
+    """convert(meta[key]), or a data error naming a missing or bad key."""
+    try:
+        return convert(meta[key])
+    except KeyError:
+        raise DataError(f"metadata: missing key {key!r}") from None
+    except (TypeError, ValueError):
+        raise DataError(f"metadata: bad {key} value {meta[key]!r}") from None
+
+
 # ------------------------------------------------------------------- running
 
 
@@ -309,18 +315,15 @@ def cmd_run(ctx, **_):
     out = get("out")
 
     meta = io.read_metadata(meta_path)
-    model_kind = meta.get("model")
-    if model_kind not in MODEL_KINDS:
-        raise ConfigError(f"model: metadata has invalid kind {model_kind!r}")
+    model_kind = _check_model(meta.get("model"))
     algorithm = _check_algorithm(get("algorithm"), model_kind)
     data = io.read_dataset(data_path, model_kind)
-    if data.n != int(meta["n"]):
-        raise ConfigError(f"n: metadata says {meta['n']}, dataset has {data.n}")
-    if data.d != int(meta["d"]):
-        raise ConfigError(f"d: metadata says {meta['d']}, dataset has {data.d}")
-    model = ModelSpec(model_kind, data.d, float(meta["sigma"]),
-                      float(meta.get("p_m", 0.0)))
-    beta_star = np.asarray(meta["beta_star"], dtype=float)
+    for key, value in (("n", data.n), ("d", data.d)):
+        if _meta_field(meta, key, int) != value:
+            raise ConfigError(f"{key}: metadata says {meta[key]}, dataset has {value}")
+    model = ModelSpec(model_kind, data.d, _meta_field(meta, "sigma", float),
+                      _meta_field(meta, "p_m", float) if "p_m" in meta else 0.0)
+    beta_star = _meta_field(meta, "beta_star", lambda v: np.asarray(v, dtype=float))
     if beta_star.shape != (data.d,):
         raise ConfigError("beta_star: metadata dimension mismatch")
     truth = GroundTruth(beta_star)
@@ -468,10 +471,10 @@ def cmd_preprocess(ctx, **_):
 def cmd_report(ctx, **_):
     """Summarize result rows: median and quartiles per cell per iteration."""
     rows = io.read_results(ctx.params["data"])
+    cell_columns = io.SUMMARY_COLUMNS[:9]  # model .. iter
     groups: dict[tuple, list[float]] = {}
     for row in rows:
-        key = tuple(row[c] for c in
-                    ("model", "algorithm", "eps", "delta", "d", "n", "T", "C", "iter"))
+        key = tuple(row[c] for c in cell_columns)
         groups.setdefault(key, []).append(row["error"])
 
     def sort_key(key):
@@ -482,7 +485,7 @@ def cmd_report(ctx, **_):
         errors = np.array(groups[key])
         q25, q50, q75 = np.percentile(errors, [25, 50, 75])
         summary.append(dict(
-            zip(("model", "algorithm", "eps", "delta", "d", "n", "T", "C", "iter"), key),
+            zip(cell_columns, key),
             n_seeds=errors.size,
             median_error=float(q50),
             q25_error=float(q25),

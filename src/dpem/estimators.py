@@ -417,23 +417,6 @@ def run_algorithm(algorithm: str, data: ObservationSet, model: ModelSpec, beta0,
                      disable_noise=disable_noise)
 
 
-def _build_observations(kind: str, X, y) -> ObservationSet:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DomainError(f"X must be 2-d, got shape {X.shape}")
-    if kind == "gmm":
-        if y is not None:
-            raise DomainError("gmm takes no response argument")
-        return ObservationSet("gmm", X)
-    if y is None:
-        raise DomainError(f"{kind} requires a response vector y")
-    y = np.asarray(y, dtype=float)
-    if kind == "mrm":
-        return ObservationSet("mrm", y, X)
-    mask = ~np.isnan(X)  # NaN marks a missing covariate coordinate
-    return ObservationSet("rmc", y, np.where(mask, X, 0.0), mask)
-
-
 class _EMBase(BaseEstimator):
     """Shared fit: settings from resolve_settings, the fit from
     run_algorithm; subclasses set ``algorithm`` and declare their
@@ -452,7 +435,7 @@ class _EMBase(BaseEstimator):
         return check_vector("init", self.init, d=d)
 
     def fit(self, X, y=None, beta_star=None):
-        data = _build_observations(self.model, X, y)
+        data = ObservationSet.from_arrays(self.model, X, y)
         model = self._model_spec(data.d)
         root = RngStream(self.random_state)
         beta0 = self._beta0(data.d, root)

@@ -57,110 +57,99 @@ def fmt(value) -> str:
 
 def _parse_float(text: str, line: int, what: str) -> float:
     try:
-        return float(text)
+        if math.isfinite(value := float(text)):
+            return value
     except ValueError:
-        raise ParseError(f"bad {what} value {text!r}", line) from None
+        pass
+    raise ParseError(f"bad {what} value {text!r} (expected a finite number)", line)
+
+
+def _columns(prefix: str, count: int) -> list[str]:
+    """prefix1..prefixN; at least one, so a header too narrow never matches."""
+    return [f"{prefix}{j + 1}" for j in range(max(count, 1))]
+
+
+def _dataset_columns(kind: str, width: int) -> list[str]:
+    return _columns("y", width) if kind == "gmm" else _columns("x", width - 1) + ["y"]
+
+
+def _read_table(path, what: str, header_for):
+    """Yield (lineno, cells) for each row of a CSV table.  The header must
+    equal header_for(len(header)) and every row must be as wide; a fault
+    raises ParseError at its line (the header is line 1)."""
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"empty {what} file", 1)
+        expected = header_for(len(header))
+        if header != expected:
+            raise ParseError(f"expected header {expected}, got {header}", 1)
+        for lineno, cells in enumerate(reader, start=2):
+            if len(cells) != len(header):
+                raise ParseError(f"expected {len(header)} cells, got {len(cells)}", lineno)
+            yield lineno, cells
+
+
+def _write_table(path, header: list[str], rows) -> None:
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_dataset(path, obs: ObservationSet) -> None:
     """gmm: y1..yd.  mrm/rmc: x1..xd,y; rmc leaves missing x-cells empty."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if obs.kind == "gmm":
-            d = obs.ys.shape[1]
-            writer.writerow([f"y{j + 1}" for j in range(d)])
-            for row in obs.ys:
-                writer.writerow([fmt(float(v)) for v in row])
-            return
-        d = obs.xs.shape[1]
-        writer.writerow([f"x{j + 1}" for j in range(d)] + ["y"])
-        for i in range(obs.n):
-            cells = []
-            for j in range(d):
-                if obs.kind == "rmc" and not obs.mask[i, j]:
-                    cells.append("")
-                else:
-                    cells.append(fmt(float(obs.xs[i, j])))
-            cells.append(fmt(float(obs.ys[i])))
-            writer.writerow(cells)
+    table = obs.ys if obs.kind == "gmm" else np.column_stack(
+        [obs.xs if obs.mask is None else np.where(obs.mask, obs.xs, np.nan), obs.ys])
+    # the observations are finite, so NaN marks exactly the missing cells
+    _write_table(path, _dataset_columns(obs.kind, table.shape[1]),
+                 (["" if v != v else repr(v) for v in row] for row in table.tolist()))
 
 
 def read_dataset(path, kind: str) -> ObservationSet:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty dataset file", 1) from None
-        if kind == "gmm":
-            expected = [f"y{j + 1}" for j in range(len(header))]
-            if header != expected:
-                raise ParseError(f"expected header {expected}, got {header}", 1)
-            d = len(header)
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != d:
-                    raise ParseError(f"expected {d} cells, got {len(row)}", lineno)
-                rows.append([_parse_float(c, lineno, "y") for c in row])
-            if not rows:
-                raise ParseError("dataset has no rows", 2)
-            return ObservationSet("gmm", np.array(rows))
-        d = len(header) - 1
-        expected = [f"x{j + 1}" for j in range(d)] + ["y"]
-        if d < 1 or header != expected:
-            raise ParseError(f"expected header of the form x1..xd,y, got {header}", 1)
-        xs, ys, mask = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise ParseError(f"expected {d + 1} cells, got {len(row)}", lineno)
-            x_row, m_row = [], []
-            for c in row[:-1]:
-                if c == "":
-                    if kind != "rmc":
-                        raise ParseError("empty covariate cell outside rmc", lineno)
-                    x_row.append(0.0)
-                    m_row.append(False)
-                else:
-                    x_row.append(_parse_float(c, lineno, "x"))
-                    m_row.append(True)
-            xs.append(x_row)
-            mask.append(m_row)
-            ys.append(_parse_float(row[-1], lineno, "y"))
-        if not ys:
-            raise ParseError("dataset has no rows", 2)
-        if kind == "mrm":
-            return ObservationSet("mrm", np.array(ys), np.array(xs))
-        return ObservationSet("rmc", np.array(ys), np.array(xs), np.array(mask, dtype=bool))
+    """Inverse of write_dataset.  Every cell must be a finite number, except
+    that an empty x-cell of an rmc file is a missing covariate (NaN)."""
+    header_for = lambda width: _dataset_columns(kind, width)
+    missing_ok = lambda c, name: not c and kind == "rmc" and name != "y"
+    # fast path: float() per cell, an empty cell read as NaN, then one
+    # finiteness check over the table.  Any fault, a ParseError included,
+    # sends the file to the slow path, which parses the cells one by one
+    # and raises at the first faulty line.
+    nan, rows, blanks = math.nan, [], 0
+    try:
+        for _, cells in _read_table(path, "dataset", header_for):
+            rows.append([float(c) if c else nan for c in cells])
+            blanks += cells.count("")
+        table = np.array(rows, dtype=float)
+        fast = not rows or (np.isfinite(table[:, -1]).all() and np.count_nonzero(
+            ~np.isfinite(table)) == (blanks if kind == "rmc" else 0))
+    except ValueError:
+        fast = False
+    if not fast:
+        table = np.array([
+            [nan if missing_ok(c, name) else _parse_float(c, lineno, name)
+             for name, c in zip(header_for(len(cells)), cells)]
+            for lineno, cells in _read_table(path, "dataset", header_for)], dtype=float)
+    if len(table) == 0:
+        raise ParseError("dataset has no rows", 2)
+    if kind == "gmm":
+        return ObservationSet.from_arrays(kind, table)
+    return ObservationSet.from_arrays(kind, table[:, :-1], table[:, -1])
 
 
 def read_labeled(path):
     """Labeled real data: f1..fd,label with label in {0, 1}."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty labeled file", 1) from None
-        d = len(header) - 1
-        expected = [f"f{j + 1}" for j in range(d)] + ["label"]
-        if d < 1 or header != expected:
-            raise ParseError(
-                f"expected header of the form f1..fd,label, got {header}", 1
-            )
-        features, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise ParseError(f"expected {d + 1} cells, got {len(row)}", lineno)
-            features.append([_parse_float(c, lineno, "feature") for c in row[:-1]])
-            if row[-1] not in ("0", "1"):
-                raise ParseError(f"label must be 0 or 1, got {row[-1]!r}", lineno)
-            labels.append(int(row[-1]))
-        if not labels:
-            raise ParseError("labeled file has no rows", 2)
-        return np.array(features), np.array(labels)
+    features, labels = [], []
+    header_for = lambda width: _columns("f", width - 1) + ["label"]
+    for lineno, cells in _read_table(path, "labeled", header_for):
+        features.append([_parse_float(c, lineno, "feature") for c in cells[:-1]])
+        if cells[-1] not in ("0", "1"):
+            raise ParseError(f"label must be 0 or 1, got {cells[-1]!r}", lineno)
+        labels.append(int(cells[-1]))
+    if not labels:
+        raise ParseError("labeled file has no rows", 2)
+    return np.array(features), np.array(labels)
 
 
 def write_metadata(path, meta: dict) -> None:
@@ -168,56 +157,37 @@ def write_metadata(path, meta: dict) -> None:
 
 
 def read_metadata(path) -> dict:
-    path = Path(path)
     try:
-        return json.loads(path.read_text())
+        meta = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad metadata JSON: {exc}", exc.lineno) from None
+    if not isinstance(meta, dict):
+        raise DataError(f"metadata: expected a JSON object, got {type(meta).__name__}")
+    return meta
 
 
 def write_results(path, rows: list[dict]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([fmt(row[c]) for c in RESULT_COLUMNS])
+    _write_table(path, RESULT_COLUMNS, ([fmt(row[c]) for c in RESULT_COLUMNS] for row in rows))
 
 
 def read_results(path) -> list[dict]:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty results file", 1) from None
-        if header != RESULT_COLUMNS:
-            raise ParseError(f"expected header {RESULT_COLUMNS}, got {header}", 1)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(RESULT_COLUMNS):
-                raise ParseError(
-                    f"expected {len(RESULT_COLUMNS)} cells, got {len(row)}", lineno
-                )
-            record = dict(zip(RESULT_COLUMNS, row))
-            for key in ("eps", "delta", "error", "wall_ms", "C"):
-                if record[key] != "":
-                    record[key] = _parse_float(record[key], lineno, key)
-            for key in ("d", "n", "T", "seed", "iter"):
-                try:
-                    record[key] = int(record[key])
-                except ValueError:
-                    raise ParseError(f"bad {key} value {record[key]!r}", lineno) from None
-            rows.append(record)
-        return rows
+    rows = []
+    for lineno, cells in _read_table(path, "results", lambda width: RESULT_COLUMNS):
+        record = dict(zip(RESULT_COLUMNS, cells))
+        for key in ("eps", "delta", "C", "error", "wall_ms"):
+            if record[key] or key in ("error", "wall_ms"):  # eps, delta, C may be empty
+                record[key] = _parse_float(record[key], lineno, key)
+        for key in ("d", "n", "T", "seed", "iter"):
+            try:
+                record[key] = int(record[key])
+            except ValueError:
+                raise ParseError(f"bad {key} value {record[key]!r}", lineno) from None
+        rows.append(record)
+    return rows
 
 
 def write_summary(path, rows: list[dict]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([fmt(row[c]) for c in SUMMARY_COLUMNS])
+    _write_table(path, SUMMARY_COLUMNS, ([fmt(row[c]) for c in SUMMARY_COLUMNS] for row in rows))
 
 
 def parse_config_file(path) -> dict[str, str]:

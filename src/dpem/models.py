@@ -122,6 +122,24 @@ class ObservationSet:
         ys.setflags(write=False)
         object.__setattr__(self, "ys", ys)
 
+    @classmethod
+    def from_arrays(cls, kind: str, X, y=None) -> "ObservationSet":
+        """Observations as estimators take them and dataset files hold them:
+        X is gmm's (n, d) responses, or (n, d) covariates beside responses y.
+        In rmc a NaN in X is a missing covariate (mask False, 0 sentinel)."""
+        X = np.ascontiguousarray(X, dtype=float)  # layout must not change results
+        if kind == "gmm":
+            if y is not None:
+                raise DomainError("gmm takes no response argument")
+            return cls(kind, X)
+        if y is None:
+            raise DomainError(f"{kind} requires a response vector y")
+        y = np.ascontiguousarray(y, dtype=float)
+        if kind != "rmc":
+            return cls(kind, y, X)
+        mask = ~np.isnan(X)
+        return cls(kind, y, np.where(mask, X, 0.0), mask)
+
     @property
     def n(self) -> int:
         return self.ys.shape[0]

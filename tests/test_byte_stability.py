@@ -1,7 +1,9 @@
-"""Byte-stability guard for the result files of ``dpem run`` and ``dpem sweep``.
+"""Byte-stability guard for the files the CLI writes: ``gen`` and
+``preprocess`` datasets, ``run`` and ``sweep`` result files and ``report``
+summaries.
 
-Each case writes a small result file for one of the four algorithms and
-compares its SHA-256 digest with the digest recorded here.  A refactor must
+Each case writes a small file and compares its SHA-256 digest with the
+digest recorded here.  A refactor must
 leave every digest unchanged.  A change that intentionally alters the draws
 (the RNG stream layout, the noise calibration or the arithmetic of an
 iteration) must update the affected digests and name the changed draws in
@@ -10,12 +12,30 @@ CHANGES.md.
 
 import hashlib
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from dpem.cli import cli
 
 DATASET = "818291cbd2223c1b310f362dd77c473798509db57ccb84254731374e9a029c4a"
+
+# the other dataset layouts: mrm (x1..xd,y) and rmc with empty missing cells
+GEN = {
+    "mrm": (["--model", "mrm"],
+            "a7f5f82b6bdcb4c7a6ae9428b3458e2c4eda77de6ba091829e3583a2b21a693a"),
+    "rmc": (["--model", "rmc", "--p-m", "0.2"],
+            "aaee5642d8e0f301dc5c94a12ee05994a6ef0d5cb96fc44b96163d6470637c4a"),
+}
+
+# report of the pinned run files of these algorithms (em leaves eps, delta
+# and C empty; clipped fills all three)
+REPORTS = {
+    "em": "5956c4add1a81a984731161d8a7c5328c00fd8d4a7e81d2dc684bed27aac1167",
+    "clipped": "6d6da8f2ac2a58140f094eb5fc48b7ae00c472bbbabdf564f46d8ea7fe2a9a0c",
+}
+
+PREPROCESSED = "669d2396f2fe09160d1a646ea2a4474a99f27d20cf5ce882683b13c54c59d4fb"
 
 RUNS = {
     "em": "4ca6d67dd3d8f4ed1fea16334ef8edf2b41d7804ba352a6ef845a6bb5c456193",
@@ -66,12 +86,42 @@ def test_dataset_digest(dataset):
     assert sha256(dataset) == DATASET
 
 
+@pytest.mark.parametrize("model", sorted(GEN))
+def test_gen_digest(tmp_path, model):
+    args, digest = GEN[model]
+    out = tmp_path / f"{model}.csv"
+    invoke("gen", "--n", 150, "--d", 3, "--seed", 5, *args, "--out", out)
+    assert sha256(out) == digest
+
+
+def test_preprocess_digest(tmp_path):
+    rng = np.random.default_rng(17)
+    labels = rng.integers(0, 2, size=60)
+    feats = (2 * labels - 1)[:, None] * np.array([1.5, -0.5]) + rng.standard_normal((60, 2))
+    labeled = tmp_path / "labeled.csv"
+    labeled.write_text("f1,f2,label\n" + "".join(
+        f"{a!r},{b!r},{lab}\n" for (a, b), lab in zip(feats.tolist(), labels.tolist())))
+    out = tmp_path / "gmm.csv"
+    invoke("preprocess", "--data", labeled, "--out", out)
+    assert sha256(out) == PREPROCESSED
+
+
 @pytest.mark.parametrize("algorithm", sorted(RUNS))
 def test_run_digest(dataset, tmp_path, algorithm):
     out = tmp_path / "run.csv"
     invoke("run", "--algorithm", algorithm, "--data", dataset, "--seed", 3,
            "--n-seeds", 2, "--out", out)
     assert sha256(out) == RUNS[algorithm]
+
+
+@pytest.mark.parametrize("algorithm", sorted(REPORTS))
+def test_report_digest(dataset, tmp_path, algorithm):
+    runs, out = tmp_path / "run.csv", tmp_path / "summary.csv"
+    invoke("run", "--algorithm", algorithm, "--data", dataset, "--seed", 3,
+           "--n-seeds", 2, "--out", runs)
+    assert sha256(runs) == RUNS[algorithm]
+    invoke("report", "--data", runs, "--out", out)
+    assert sha256(out) == REPORTS[algorithm]
 
 
 @pytest.mark.parametrize("case", sorted(SWEEPS))

@@ -178,6 +178,56 @@ class TestRun:
         assert result.exit_code == 3
         assert "line" in result.stderr
 
+    @pytest.mark.parametrize("cell", ["nan", "1e400"])
+    @pytest.mark.parametrize("model", ["gmm", "rmc"])
+    def test_non_finite_cell_exits_3_with_line(self, runner, tmp_path, model, cell):
+        data = gen_dataset(runner, tmp_path, model=model, n=50, d=3)
+        lines = data.read_text().splitlines()
+        lines[5] = f"{cell}," + lines[5].split(",", 1)[1]
+        data.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(cli, [
+            "run", "--data", str(data), "--out", str(tmp_path / "o.csv"),
+        ])
+        assert result.exit_code == 3
+        assert "line 6" in result.stderr
+
+    @pytest.mark.parametrize("key", ["sigma", "n", "d", "beta_star"])
+    def test_metadata_missing_key_exits_3(self, runner, tmp_path, key):
+        data = gen_dataset(runner, tmp_path, n=50, d=3)
+        meta_path = tmp_path / "data.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        result = runner.invoke(cli, [
+            "run", "--data", str(data), "--meta", str(meta_path),
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert result.exit_code == 3
+        assert f"error: metadata: missing key '{key}'" in result.stderr
+
+    def test_metadata_bad_value_exits_3(self, runner, tmp_path):
+        data = gen_dataset(runner, tmp_path, n=50, d=3)
+        meta_path = tmp_path / "data.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["n"] = "abc"
+        meta_path.write_text(json.dumps(meta))
+        result = runner.invoke(cli, [
+            "run", "--data", str(data), "--out", str(tmp_path / "o.csv"),
+        ])
+        assert result.exit_code == 3
+        assert "error: metadata: bad n value 'abc'" in result.stderr
+
+    def test_metadata_not_an_object_exits_3(self, runner, tmp_path):
+        data = gen_dataset(runner, tmp_path, n=50, d=3)
+        meta_path = tmp_path / "list.json"
+        meta_path.write_text("[1, 2, 3]\n")
+        result = runner.invoke(cli, [
+            "run", "--data", str(data), "--meta", str(meta_path),
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert result.exit_code == 3
+        assert "error: metadata: expected a JSON object" in result.stderr
+
     def test_divergence_exits_4(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, model="mrm", n=200, d=5)
         result, runtime_warnings = invoke_quiet(runner, [
@@ -456,6 +506,15 @@ class TestPreprocess:
         assert result.exit_code == 3
         assert "line 3" in result.stderr
 
+    def test_non_finite_feature_exits_3_with_line(self, runner, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("f1,f2,label\n1.0,2.0,1\n-1.0,-2.0,0\n3.0,inf,1\n")
+        result = runner.invoke(cli, [
+            "preprocess", "--data", str(bad), "--out", str(tmp_path / "o.csv"),
+        ])
+        assert result.exit_code == 3
+        assert "line 4" in result.stderr
+
     def test_row_order_invariance(self, runner, tmp_path):
         feats = np.array(
             [[1.0, 2.0], [3.0, 4.0], [-1.0, 0.0], [5.0, -2.0]], dtype=float
@@ -516,6 +575,21 @@ class TestReport:
         ])
         assert result.exit_code == 3
         assert "line" in result.stderr
+
+
+    @pytest.mark.parametrize("cell", ["inf", "nan", ""])
+    def test_bad_error_cell_exits_3_with_line(self, runner, tmp_path, cell):
+        src = tmp_path / "r.csv"
+        write_results(src, self.make_rows([1.0, 2.0, 3.0]))
+        lines = src.read_text().splitlines()
+        lines[3] = lines[3].replace(",3.0,", f",{cell},")
+        src.write_text("\n".join(lines) + "\n")
+        result, runtime_warnings = invoke_quiet(runner, [
+            "report", "--data", str(src), "--out", str(tmp_path / "s.csv"),
+        ])
+        assert result.exit_code == 3
+        assert "line 4" in result.stderr
+        assert runtime_warnings == []
 
 
 class TestEndToEnd:

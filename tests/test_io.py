@@ -16,7 +16,7 @@ from dpem.io import (
     write_results,
     write_summary,
 )
-from dpem.models import ModelSpec, sample_observations
+from dpem.models import ModelSpec, ObservationSet, sample_observations
 from dpem.numeric import RngStream
 
 
@@ -64,8 +64,6 @@ def test_dataset_write_deterministic(tmp_path):
 
 
 def test_rmc_missing_cells_written_empty(tmp_path):
-    from dpem.models import ObservationSet
-
     mask = np.array([[True, False], [False, True]])
     xs = np.where(mask, np.array([[1.5, 2.5], [3.5, 4.5]]), 0.0)
     obs = ObservationSet("rmc", np.array([1.0, 2.0]), xs, mask)
@@ -117,6 +115,73 @@ class TestDatasetErrors:
         assert read_dataset(p, "rmc").mask.tolist() == [[True, False]]
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", "NaN"])
+    @pytest.mark.parametrize("kind", ["gmm", "mrm", "rmc"])
+    def test_non_finite_cell_reports_line(self, tmp_path, kind, cell):
+        p = tmp_path / "f.csv"
+        header = "y1,y2" if kind == "gmm" else "x1,y"
+        p.write_text(f"{header}\n1.0,2.0\n3.0,4.0\n{cell},5.0\n")
+        with pytest.raises(ParseError) as exc:
+            read_dataset(p, kind)
+        assert exc.value.line == 4
+
+    def test_non_finite_response_reports_line(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("x1,y\n1.0,2.0\n,1e400\n")
+        with pytest.raises(ParseError) as exc:
+            read_dataset(p, "rmc")
+        assert exc.value.line == 3
+
+    def test_only_empty_cell_marks_missing(self, tmp_path):
+        # an rmc covariate cell written as text nan is a fault, not a
+        # missing covariate, even beside genuinely empty cells
+        p = tmp_path / "f.csv"
+        p.write_text("x1,x2,y\n,1.0,2.0\n1.0,,2.0\nnan,1.0,3.0\n")
+        with pytest.raises(ParseError) as exc:
+            read_dataset(p, "rmc")
+        assert exc.value.line == 4
+
+    def test_empty_response_cell_in_rmc(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("x1,y\n1.0,2.0\n,\n")
+        with pytest.raises(ParseError) as exc:
+            read_dataset(p, "rmc")
+        assert exc.value.line == 3
+
+
+finite_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.225073858507201e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@given(kind=st.sampled_from(["gmm", "mrm", "rmc"]), n=st.integers(1, 4),
+       d=st.integers(1, 3), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_dataset_round_trip_bitwise(tmp_path_factory, kind, n, d, data):
+    cols = d if kind == "gmm" else d + 1
+    table = np.array(data.draw(st.lists(finite_cells, min_size=n * cols,
+                                        max_size=n * cols))).reshape(n, cols)
+    if kind == "gmm":
+        obs = ObservationSet("gmm", table)
+    elif kind == "mrm":
+        obs = ObservationSet("mrm", table[:, -1], table[:, :-1])
+    else:
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n * d,
+                                           max_size=n * d)), dtype=bool).reshape(n, d)
+        obs = ObservationSet("rmc", table[:, -1], np.where(mask, table[:, :-1], 0.0), mask)
+    path = tmp_path_factory.mktemp("round_trip") / "data.csv"
+    write_dataset(path, obs)
+    back = read_dataset(path, kind)
+    bits = lambda a: np.asarray(a).view(np.uint64)
+    assert np.array_equal(bits(back.ys), bits(obs.ys))
+    if kind != "gmm":
+        assert np.array_equal(bits(back.xs), bits(obs.xs))
+    if kind == "rmc":
+        assert np.array_equal(back.mask, obs.mask)
+
+
 class TestLabeled:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "l.csv"
@@ -138,6 +203,14 @@ class TestLabeled:
         with pytest.raises(ParseError):
             read_labeled(p)
 
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-1e400"])
+    def test_non_finite_feature_reports_line(self, tmp_path, cell):
+        p = tmp_path / "l.csv"
+        p.write_text(f"f1,f2,label\n1.0,2.0,1\n1.0,{cell},0\n")
+        with pytest.raises(ParseError) as exc:
+            read_labeled(p)
+        assert exc.value.line == 3
+
 
 class TestMetadata:
     def test_round_trip_sorted(self, tmp_path):
@@ -152,6 +225,12 @@ class TestMetadata:
         p = tmp_path / "m.json"
         p.write_text("{broken")
         with pytest.raises(ParseError):
+            read_metadata(p)
+
+    def test_top_level_must_be_object(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text("[1, 2]\n")
+        with pytest.raises(DataError, match="metadata: expected a JSON object"):
             read_metadata(p)
 
 
@@ -185,6 +264,30 @@ class TestResults:
         with pytest.raises(ParseError) as exc:
             read_results(p)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("cell", ["inf", "nan", "1e400"])
+    def test_non_finite_error_reports_line(self, tmp_path, cell):
+        p = tmp_path / "r.csv"
+        write_results(p, [self.row(), self.row(seed=8), self.row(seed=9)])
+        lines = p.read_text().splitlines()
+        lines[2] = lines[2].replace(",0.25,", f",{cell},")
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_results(p)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("key", ["error", "wall_ms"])
+    def test_empty_measurement_reports_line(self, tmp_path, key):
+        p = tmp_path / "r.csv"
+        write_results(p, [self.row(), self.row(**{key: ""})])
+        with pytest.raises(ParseError) as exc:
+            read_results(p)
+        assert exc.value.line == 3
+
+    def test_header_only_reads_empty(self, tmp_path):
+        p = tmp_path / "r.csv"
+        write_results(p, [])
+        assert read_results(p) == []
 
     def test_summary_write(self, tmp_path):
         p = tmp_path / "s.csv"
