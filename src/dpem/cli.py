@@ -193,8 +193,15 @@ def _meta_field(meta: dict, key: str, convert):
         return convert(meta[key])
     except KeyError:
         raise DataError(f"metadata: missing key {key!r}") from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DataError(f"metadata: bad {key} value {meta[key]!r}") from None
+
+
+def _whole(value) -> int:
+    """A JSON integer such as 50 or 50.0; not 50.7, "50", true or Infinity."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(value)
+    return int(value)
 
 
 # ------------------------------------------------------------------- running
@@ -319,7 +326,7 @@ def cmd_run(ctx, **_):
     algorithm = _check_algorithm(get("algorithm"), model_kind)
     data = io.read_dataset(data_path, model_kind)
     for key, value in (("n", data.n), ("d", data.d)):
-        if _meta_field(meta, key, int) != value:
+        if _meta_field(meta, key, _whole) != value:
             raise ConfigError(f"{key}: metadata says {meta[key]}, dataset has {value}")
     model = ModelSpec(model_kind, data.d, _meta_field(meta, "sigma", float),
                       _meta_field(meta, "p_m", float) if "p_m" in meta else 0.0)

@@ -110,29 +110,23 @@ def write_dataset(path, obs: ObservationSet) -> None:
 def read_dataset(path, kind: str) -> ObservationSet:
     """Inverse of write_dataset.  Every cell must be a finite number, except
     that an empty x-cell of an rmc file is a missing covariate (NaN)."""
-    header_for = lambda width: _dataset_columns(kind, width)
-    missing_ok = lambda c, name: not c and kind == "rmc" and name != "y"
-    # fast path: float() per cell, an empty cell read as NaN, then one
-    # finiteness check over the table.  Any fault, a ParseError included,
-    # sends the file to the slow path, which parses the cells one by one
-    # and raises at the first faulty line.
-    nan, rows, blanks = math.nan, [], 0
-    try:
-        for _, cells in _read_table(path, "dataset", header_for):
+    # an empty cell reads as NaN; the finiteness check below then allows
+    # exactly the empty cells of an rmc row, and none in the y column
+    nan, rows, blanks = math.nan, [], []
+    for lineno, cells in _read_table(path, "dataset", lambda w: _dataset_columns(kind, w)):
+        try:
             rows.append([float(c) if c else nan for c in cells])
-            blanks += cells.count("")
-        table = np.array(rows, dtype=float)
-        fast = not rows or (np.isfinite(table[:, -1]).all() and np.count_nonzero(
-            ~np.isfinite(table)) == (blanks if kind == "rmc" else 0))
-    except ValueError:
-        fast = False
-    if not fast:
-        table = np.array([
-            [nan if missing_ok(c, name) else _parse_float(c, lineno, name)
-             for name, c in zip(header_for(len(cells)), cells)]
-            for lineno, cells in _read_table(path, "dataset", header_for)], dtype=float)
-    if len(table) == 0:
+        except ValueError as exc:
+            raise ParseError(f"{exc} (expected a finite number)", lineno) from None
+        blanks.append(cells.count(""))
+    if not rows:
         raise ParseError("dataset has no rows", 2)
+    table = np.array(rows, dtype=float)
+    finite = np.isfinite(table)
+    bad = (np.count_nonzero(~finite, axis=1) != (blanks if kind == "rmc" else 0)) | ~finite[:, -1]
+    if bad.any():  # row i is line i + 2, after the header
+        raise ParseError("non-finite or empty cell (only an rmc x-cell may be empty)",
+                         int(bad.argmax()) + 2)
     if kind == "gmm":
         return ObservationSet.from_arrays(kind, table)
     return ObservationSet.from_arrays(kind, table[:, :-1], table[:, -1])

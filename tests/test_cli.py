@@ -205,17 +205,34 @@ class TestRun:
         assert result.exit_code == 3
         assert f"error: metadata: missing key '{key}'" in result.stderr
 
-    def test_metadata_bad_value_exits_3(self, runner, tmp_path):
+    @pytest.mark.parametrize("key, value, shown", [
+        ("n", "abc", "'abc'"), ("n", math.inf, "inf"), ("n", 1e400, "inf"),
+        ("n", math.nan, "nan"), ("n", 50.7, "50.7"), ("n", "50", "'50'"),
+        ("d", True, "True"), ("sigma", [1], "[1]"),
+    ])
+    def test_metadata_bad_value_exits_3(self, runner, tmp_path, key, value, shown):
         data = gen_dataset(runner, tmp_path, n=50, d=3)
         meta_path = tmp_path / "data.csv.meta.json"
         meta = json.loads(meta_path.read_text())
-        meta["n"] = "abc"
+        meta[key] = value
+        # json.dumps writes Infinity and NaN, which json.loads reads back
         meta_path.write_text(json.dumps(meta))
         result = runner.invoke(cli, [
             "run", "--data", str(data), "--out", str(tmp_path / "o.csv"),
         ])
         assert result.exit_code == 3
-        assert "error: metadata: bad n value 'abc'" in result.stderr
+        assert f"error: metadata: bad {key} value {shown}" in result.stderr
+
+    def test_metadata_whole_float_count_accepted(self, runner, tmp_path):
+        data = gen_dataset(runner, tmp_path, n=50, d=3)
+        meta_path = tmp_path / "data.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["n"] = 50.0
+        meta_path.write_text(json.dumps(meta))
+        result = runner.invoke(cli, [
+            "run", "--data", str(data), "--out", str(tmp_path / "o.csv"),
+        ])
+        assert result.exit_code == 0, result.stderr
 
     def test_metadata_not_an_object_exits_3(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, n=50, d=3)
