@@ -4,12 +4,11 @@ labeled data, and summarize result rows.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 non-convergence.  Any option can also be supplied from a ``--config`` file
 of ``key = value`` lines (dotted ``command.key`` entries bind to a single
-subcommand); explicit flags win over the file.
+subcommand); explicit flags win over the file, and both pass the same parser.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import time
@@ -30,6 +29,7 @@ from .estimators import (
 )
 from .models import (
     MODEL_KINDS,
+    SIGMA_FLOOR,
     GroundTruth,
     ModelSpec,
     preprocess_real_gmm,
@@ -38,43 +38,7 @@ from .models import (
 from .numeric import RngStream
 
 
-def _fail(message: str, code: int):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _guarded(func):
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except (ConfigError, DomainError) as exc:
-            _fail(str(exc), 2)
-        except (DataError, OSError) as exc:  # ParseError included
-            _fail(str(exc), 3)
-        except ConvergenceError as exc:
-            _fail(str(exc), 4)
-
-    return wrapper
-
-
 # ---------------------------------------------------------------- option glue
-
-
-def _load_config(config_path) -> dict:
-    return io.parse_config_file(config_path) if config_path else {}
-
-
-def _resolve(ctx, cfg: dict, command: str, name: str):
-    """Flag if given on the command line, else config file, else flag default."""
-    param = name.replace("-", "_")
-    source = ctx.get_parameter_source(param)
-    if source is not None and source.name == "COMMANDLINE":
-        return ctx.params[param]
-    for key in (f"{command}.{name}", name):
-        if key in cfg:
-            return cfg[key]
-    return ctx.params[param]
 
 
 def _as_int(name: str, value) -> int:
@@ -116,12 +80,57 @@ def _as_list(name: str, value, parse) -> tuple:
     return tuple(parse(name, p) for p in parts)
 
 
-def _auto_or_float(name: str, value):
-    return "auto" if str(value) == "auto" else _as_float(name, value)
+def _or_auto(parse):
+    """parse, except that the text auto stays "auto"."""
+    return lambda name, value: "auto" if str(value) == "auto" else parse(name, value)
 
 
-def _auto_or_int(name: str, value):
-    return "auto" if str(value) == "auto" else _as_int(name, value)
+def _flag(param) -> str:
+    """An option's flag name without its dashes: n-seeds for --n-seeds."""
+    return param.opts[0][2:]
+
+
+class _Parsed(click.ParamType):
+    """A click type that parses with one of the ``_as_*`` parsers above.  A
+    value from a flag, a config file or the declared default passes through
+    it, and a bad one raises ConfigError naming the flag."""
+
+    def __init__(self, name: str, parse):
+        self.name, self.parse = name, parse
+
+    def convert(self, value, param, ctx):
+        return self.parse(_flag(param), value)
+
+
+INT = _Parsed("integer", _as_int)
+COUNT = _Parsed("count", _as_count)
+FLOAT = _Parsed("number", _as_float)
+BOOL = _Parsed("boolean", _as_bool)
+AUTO_FLOAT = _Parsed("auto|number", _or_auto(_as_float))
+AUTO_INT = _Parsed("auto|integer", _or_auto(_as_int))
+INT_LIST = _Parsed("integers", lambda name, value: _as_list(name, value, _as_int))
+FLOAT_LIST = _Parsed("numbers", lambda name, value: _as_list(name, value, _as_float))
+
+
+def _config_defaults(ctx, param, path) -> None:
+    """Make the --config file click's default map.  Click ranks a flag on
+    the command line above the map and the map above the declared default;
+    a dotted ``command.key`` wins over the bare ``key``."""
+    if not path:
+        return
+    cfg = io.parse_config_file(path)
+    defaults = {}
+    for option in ctx.command.params:
+        for key in (_flag(option), f"{ctx.command.name}.{_flag(option)}"):
+            if option.expose_value and key in cfg:
+                defaults[option.name] = cfg[key]
+    ctx.default_map = defaults
+
+
+config_option = click.option(
+    "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+    expose_value=False, callback=_config_defaults,
+)
 
 
 def _check_model(value: str) -> str:
@@ -142,20 +151,22 @@ def _fit_flags(n_seeds: str):
     """The click options shared by run and sweep."""
     options = [
         click.option("--algorithm", default="dpgem", help=f"one of {'|'.join(ALGORITHMS)}"),
-        click.option("--delta", default="auto", help="'auto' means n^-1.1"),
-        click.option("--eta", default="1.0"),
-        click.option("--iters", default="auto", help="'auto' means ceil(ln n)"),
-        click.option("--tau", default="auto"),
-        click.option("--zeta", default="0.05"),
-        click.option("--shuffle", default="true"),
-        click.option("--seed", default="0"),
-        click.option("--n-seeds", default=n_seeds),
-        click.option("--threads", default="1"),
+        click.option("--delta", default="auto", type=AUTO_FLOAT, help="'auto' means n^-1.1"),
+        click.option("--eta", default="1.0", type=FLOAT),
+        click.option("--iters", default="auto", type=AUTO_INT,
+                     help="'auto' means ceil(ln n)"),
+        click.option("--tau", default="auto", type=AUTO_FLOAT),
+        click.option("--zeta", default="0.05", type=FLOAT),
+        click.option("--shuffle", default="true", type=BOOL),
+        click.option("--seed", default="0", type=INT),
+        click.option("--n-seeds", default=n_seeds, type=COUNT),
+        click.option("--threads", default="1", type=COUNT),
         click.option("--out", required=True, type=click.Path(dir_okay=False)),
-        click.option("--unsafe-no-noise", is_flag=True,
+        click.option("--unsafe-no-noise", is_flag=True, default=False, type=BOOL,
                      help="disable privacy noise; output is NOT private"),
-        click.option("--timing", is_flag=True, help="record real wall_ms (non-reproducible)"),
-        click.option("--config", type=click.Path(exists=True, dir_okay=False)),
+        click.option("--timing", is_flag=True, default=False, type=BOOL,
+                     help="record real wall_ms (non-reproducible)"),
+        config_option,
     ]
 
     def decorate(func):
@@ -166,25 +177,9 @@ def _fit_flags(n_seeds: str):
     return decorate
 
 
-def _fit_options(get) -> dict:
-    """Parse and check the fit options that run and sweep share; warn on
-    stderr when the privacy noise is disabled."""
-    opts = dict(
-        delta=_auto_or_float("delta", get("delta")),
-        eta=_as_float("eta", get("eta")),
-        iters=_auto_or_int("iters", get("iters")),
-        tau=_auto_or_float("tau", get("tau")),
-        zeta=_as_float("zeta", get("zeta")),
-        shuffle=_as_bool("shuffle", get("shuffle")),
-        seed=_as_int("seed", get("seed")),
-        n_seeds=_as_count("n-seeds", get("n-seeds")),
-        threads=_as_count("threads", get("threads")),
-        disable_noise=_as_bool("unsafe-no-noise", get("unsafe-no-noise")),
-        timing=_as_bool("timing", get("timing")),
-    )
-    if opts["disable_noise"]:
+def _warn_if_no_noise(fit: dict) -> None:
+    if fit["unsafe_no_noise"]:
         click.echo("NON-PRIVATE: noise injection disabled", err=True)
-    return opts
 
 
 def _meta_field(meta: dict, key: str, convert):
@@ -207,20 +202,20 @@ def _whole(value) -> int:
 # ------------------------------------------------------------------- running
 
 
-def _fit_rows(opts: dict, algorithm, data, model, beta0, rng, truth, *, eps, clip,
+def _fit_rows(fit: dict, algorithm, data, model, beta0, rng, truth, *, eps, clip,
               seed) -> list[dict]:
     """Fit one cell and return one result row per iterate.  eps is None for
     em and clip is None unless the algorithm is clipped; their columns are
-    then left empty."""
-    delta, T, tau = resolve_settings(algorithm, data.n, model, truth, delta=opts["delta"],
-                                     iters=opts["iters"], tau=opts["tau"])
+    then left empty.  fit holds the parsed options run and sweep share."""
+    delta, T, tau = resolve_settings(algorithm, data.n, model, truth, delta=fit["delta"],
+                                     iters=fit["iters"], tau=fit["tau"])
     started = time.perf_counter()
     trace = run_algorithm(
-        algorithm, data, model, beta0, rng, truth, T=T, eta=opts["eta"], eps=eps,
-        delta=delta, clip=clip, tau=tau, zeta=opts["zeta"], shuffle=opts["shuffle"],
-        disable_noise=opts["disable_noise"],
+        algorithm, data, model, beta0, rng, truth, T=T, eta=fit["eta"], eps=eps,
+        delta=delta, clip=clip, tau=tau, zeta=fit["zeta"], shuffle=fit["shuffle"],
+        disable_noise=fit["unsafe_no_noise"],
     )
-    wall_ms = (time.perf_counter() - started) * 1e3 if opts["timing"] else 0.0
+    wall_ms = (time.perf_counter() - started) * 1e3 if fit["timing"] else 0.0
     return [{
         "model": model.kind,
         "algorithm": algorithm,
@@ -254,36 +249,41 @@ def _run_parallel(tasks, worker, threads: int) -> dict:
 # ------------------------------------------------------------------ commands
 
 
-@click.group()
+# ParseError is a DataError
+_EXIT_CODES = {ConfigError: 2, DomainError: 2, DataError: 3, OSError: 3, ConvergenceError: 4}
+
+
+class _ExitCodes(click.Group):
+    """Print dpem's errors and exit with their codes.  Click parses a
+    subcommand's options inside Group.invoke, so a bad option value and a
+    fault met in a command body exit the same way."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(_EXIT_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)))
+
+
+@click.group(cls=_ExitCodes)
 def cli():
     """Differentially private EM benchmark harness."""
 
 
 @cli.command("gen")
 @click.option("--model", default="gmm", help=f"one of {'|'.join(MODEL_KINDS)}")
-@click.option("--n", default="2000")
-@click.option("--d", default="10")
-@click.option("--snr", default="3.0", help="||beta*||_2 / sigma")
-@click.option("--sigma", default="1.0")
-@click.option("--p-m", default="0.0", help="rmc missingness probability")
-@click.option("--seed", default="0")
+@click.option("--n", default="2000", type=INT)
+@click.option("--d", default="10", type=INT)
+@click.option("--snr", default="3.0", type=FLOAT, help="||beta*||_2 / sigma")
+@click.option("--sigma", default="1.0", type=FLOAT)
+@click.option("--p-m", default="0.0", type=FLOAT, help="rmc missingness probability")
+@click.option("--seed", default="0", type=INT)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--config", type=click.Path(exists=True, dir_okay=False))
-@click.pass_context
-@_guarded
-def cmd_gen(ctx, **_):
+@config_option
+def cmd_gen(model, n, d, snr, sigma, p_m, seed, out):
     """Generate a synthetic dataset plus its metadata sidecar."""
-    cfg = _load_config(ctx.params["config"])
-    get = lambda name: _resolve(ctx, cfg, "gen", name)
-    model_kind = _check_model(get("model"))
-    n = _as_int("n", get("n"))
-    d = _as_int("d", get("d"))
-    snr = _as_float("snr", get("snr"))
-    sigma = _as_float("sigma", get("sigma"))
-    p_m = _as_float("p-m", get("p-m"))
-    seed = _as_int("seed", get("seed"))
-    out = get("out")
-
+    model_kind = _check_model(model)
     model = ModelSpec(model_kind, d, sigma, p_m if model_kind == "rmc" else 0.0)
     root = RngStream(seed)
     beta_star = snr * sigma * initial_beta(d, root.split(0))
@@ -303,38 +303,33 @@ def cmd_gen(ctx, **_):
 
 
 @cli.command("run")
-@click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--meta", type=click.Path(exists=True, dir_okay=False))
-@click.option("--eps", default="1.0")
-@click.option("--clip", default="1.0")
+@click.option("--data", "data_path", required=True,
+              type=click.Path(exists=True, dir_okay=False))
+@click.option("--meta", "meta_path", type=click.Path(exists=True, dir_okay=False))
+@click.option("--eps", default="1.0", type=FLOAT)
+@click.option("--clip", default="1.0", type=FLOAT)
 @_fit_flags(n_seeds="1")
-@click.pass_context
-@_guarded
-def cmd_run(ctx, **_):
+def cmd_run(data_path, meta_path, eps, clip, algorithm, seed, n_seeds, threads, out,
+            **fit):
     """Run one algorithm on an existing dataset, once per seed."""
-    cfg = _load_config(ctx.params["config"])
-    get = lambda name: _resolve(ctx, cfg, "run", name)
-    data_path = get("data")
-    meta_path = get("meta") or f"{data_path}.meta.json"
-    eps = _as_float("eps", get("eps"))
-    clip = _as_float("clip", get("clip"))
-    opts = _fit_options(get)
-    out = get("out")
-
-    meta = io.read_metadata(meta_path)
-    model_kind = _check_model(meta.get("model"))
-    algorithm = _check_algorithm(get("algorithm"), model_kind)
+    _warn_if_no_noise(fit)
+    meta = io.read_metadata(meta_path or f"{data_path}.meta.json")
+    model_kind = _meta_field(meta, "model", _check_model)
+    algorithm = _check_algorithm(algorithm, model_kind)
     data = io.read_dataset(data_path, model_kind)
     for key, value in (("n", data.n), ("d", data.d)):
         if _meta_field(meta, key, _whole) != value:
             raise ConfigError(f"{key}: metadata says {meta[key]}, dataset has {value}")
-    model = ModelSpec(model_kind, data.d, _meta_field(meta, "sigma", float),
-                      _meta_field(meta, "p_m", float) if "p_m" in meta else 0.0)
-    beta_star = _meta_field(meta, "beta_star", lambda v: np.asarray(v, dtype=float))
-    if beta_star.shape != (data.d,):
-        raise ConfigError("beta_star: metadata dimension mismatch")
-    truth = GroundTruth(beta_star)
-    seed = opts["seed"]
+    try:
+        # the sidecar is data: a value out of its domain exits 3, not 2
+        model = ModelSpec(model_kind, data.d, _meta_field(meta, "sigma", float),
+                          _meta_field(meta, "p_m", float) if "p_m" in meta else 0.0)
+        beta_star = _meta_field(meta, "beta_star", lambda v: np.asarray(v, dtype=float))
+        if beta_star.shape != (data.d,):
+            raise ConfigError("beta_star: metadata dimension mismatch")
+        truth = GroundTruth(beta_star)
+    except DomainError as exc:
+        raise DataError(f"metadata: {exc}") from None
 
     def worker(k: int) -> list[dict]:
         root = RngStream(seed + k)
@@ -344,13 +339,12 @@ def cmd_run(ctx, **_):
             # error curves measure convergence, not the arbitrary sign
             beta0 = align_sign(beta0, beta_star)
         return _fit_rows(
-            opts, algorithm, data, model, beta0, root.split(1), truth,
+            fit, algorithm, data, model, beta0, root.split(1), truth,
             eps=None if algorithm == "em" else eps,
             clip=clip if algorithm == "clipped" else None, seed=seed + k,
         )
 
-    results = _run_parallel([(k, k) for k in range(opts["n_seeds"])], worker,
-                            opts["threads"])
+    results = _run_parallel([(k, k) for k in range(n_seeds)], worker, threads)
     rows = [row for k in sorted(results) for row in results[k]]
     io.write_results(out, rows)
     click.echo(f"wrote {len(rows)} rows to {out}")
@@ -358,43 +352,32 @@ def cmd_run(ctx, **_):
 
 @cli.command("sweep")
 @click.option("--model", default="gmm")
-@click.option("--n-list", default="2000")
-@click.option("--d-list", default="10")
-@click.option("--eps-list", default="0.2,0.5,1")
-@click.option("--clip-list", default="1.0")
-@click.option("--snr", default="3.0")
-@click.option("--sigma", default="1.0")
-@click.option("--p-m", default="0.0")
+@click.option("--n-list", default="2000", type=INT_LIST)
+@click.option("--d-list", default="10", type=INT_LIST)
+@click.option("--eps-list", default="0.2,0.5,1", type=FLOAT_LIST)
+@click.option("--clip-list", default="1.0", type=FLOAT_LIST)
+@click.option("--snr", default="3.0", type=FLOAT)
+@click.option("--sigma", default="1.0", type=FLOAT)
+@click.option("--p-m", default="0.0", type=FLOAT)
 @_fit_flags(n_seeds="20")
-@click.pass_context
-@_guarded
-def cmd_sweep(ctx, **_):
+def cmd_sweep(model, algorithm, n_list, d_list, eps_list, clip_list, snr, sigma, p_m,
+              seed, n_seeds, threads, out, **fit):
     """Run a Cartesian sweep over n, d, eps (and clip for the clipped
     algorithm).  Synthetic data is drawn once per (n, d, seed) and shared
     by that seed's eps x clip cells; rows come out in canonical order no
     matter how many threads execute the tasks."""
-    cfg = _load_config(ctx.params["config"])
-    get = lambda name: _resolve(ctx, cfg, "sweep", name)
-    model_kind = _check_model(get("model"))
-    algorithm = _check_algorithm(get("algorithm"), model_kind)
-    n_values = _as_list("n-list", get("n-list"), _as_int)
-    d_values = _as_list("d-list", get("d-list"), _as_int)
-    eps_values = (_as_list("eps-list", get("eps-list"), _as_float)
-                  if algorithm != "em" else (None,))
-    clip_values = (_as_list("clip-list", get("clip-list"), _as_float)
-                   if algorithm == "clipped" else (None,))
-    snr = _as_float("snr", get("snr"))
-    sigma = _as_float("sigma", get("sigma"))
-    p_m = _as_float("p-m", get("p-m"))
-    opts = _fit_options(get)
-    out = get("out")
-    master = opts["seed"]
+    model_kind = _check_model(model)
+    algorithm = _check_algorithm(algorithm, model_kind)
+    eps_values = eps_list if algorithm != "em" else (None,)
+    clip_values = clip_list if algorithm == "clipped" else (None,)
+    _warn_if_no_noise(fit)
+    master = seed
 
     tasks = [
         ((i_n, i_d, k), (n, d, k))
-        for i_n, n in enumerate(n_values)
-        for i_d, d in enumerate(d_values)
-        for k in range(opts["n_seeds"])
+        for i_n, n in enumerate(n_list)
+        for i_d, d in enumerate(d_list)
+        for k in range(n_seeds)
     ]
 
     def worker(spec) -> dict:
@@ -417,12 +400,12 @@ def cmd_sweep(ctx, **_):
                 noise_rng = (RngStream(master).split(3).split(n).split(d)
                              .split(i_eps).split(i_clip).split(k))
                 cells[i_eps, i_clip] = _fit_rows(
-                    opts, algorithm, data, model, beta0, noise_rng, truth,
+                    fit, algorithm, data, model, beta0, noise_rng, truth,
                     eps=eps, clip=clip, seed=master + k,
                 )
         return cells
 
-    results = _run_parallel(tasks, worker, opts["threads"])
+    results = _run_parallel(tasks, worker, threads)
     # canonical order: n, d, eps, clip, seed
     by_cell = {
         (i_n, i_d, *cell, k): cell_rows
@@ -437,17 +420,11 @@ def cmd_sweep(ctx, **_):
 @cli.command("preprocess")
 @click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--config", type=click.Path(exists=True, dir_okay=False))
-@click.pass_context
-@_guarded
-def cmd_preprocess(ctx, **_):
+@config_option
+def cmd_preprocess(data, out):
     """Turn labeled rows (f1..fd,label) into a centered two-cluster dataset."""
-    cfg = _load_config(ctx.params["config"])
-    get = lambda name: _resolve(ctx, cfg, "preprocess", name)
-    data_path = get("data")
-    out = get("out")
     try:
-        features, labels = io.read_labeled(data_path)
+        features, labels = io.read_labeled(data)
     except io.ParseError as exc:
         if exc.line == 1:
             # wrong file shape for this command, not corrupt data
@@ -461,10 +438,10 @@ def cmd_preprocess(ctx, **_):
         "d": obs.d,
         "sigma": sigma,
         "sigma_rule": "sqrt of max per-cluster covariance eigenvalue",
-        "sigma_floor_applied": sigma <= 1e-6,
+        "sigma_floor_applied": sigma <= SIGMA_FLOOR,
         "p_m": 0.0,
         "snr": float(np.linalg.norm(truth.beta_star) / sigma),
-        "source": str(data_path),
+        "source": str(data),
         "beta_star": [float(v) for v in truth.beta_star],
     })
     click.echo(f"wrote {out} and {out}.meta.json")
@@ -473,11 +450,9 @@ def cmd_preprocess(ctx, **_):
 @cli.command("report")
 @click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.pass_context
-@_guarded
-def cmd_report(ctx, **_):
+def cmd_report(data, out):
     """Summarize result rows: median and quartiles per cell per iteration."""
-    rows = io.read_results(ctx.params["data"])
+    rows = io.read_results(data)
     cell_columns = io.SUMMARY_COLUMNS[:9]  # model .. iter
     groups: dict[tuple, list[float]] = {}
     for row in rows:
@@ -498,8 +473,8 @@ def cmd_report(ctx, **_):
             q25_error=float(q25),
             q75_error=float(q75),
         ))
-    io.write_summary(ctx.params["out"], summary)
-    click.echo(f"wrote {len(summary)} summary rows to {ctx.params['out']}")
+    io.write_summary(out, summary)
+    click.echo(f"wrote {len(summary)} summary rows to {out}")
 
 
 def main():

@@ -234,6 +234,30 @@ class TestRun:
         ])
         assert result.exit_code == 0, result.stderr
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("sigma", -1.0, "sigma must be > 0, got -1.0"),
+        ("sigma", 0, "sigma must be > 0, got 0.0"),
+        ("beta_star", [math.inf, 0.0, 0.0], "beta_star must have finite entries"),
+        ("p_m", 0.3, "p_m applies to the rmc model only"),
+        ("model", "tree", "bad model value 'tree'"),
+        ("model", None, "missing key 'model'"),  # None removes the key
+    ])
+    def test_metadata_out_of_domain_exits_3(self, runner, tmp_path, key, value, message):
+        # a well-formed sidecar value outside its domain is a data fault
+        data = gen_dataset(runner, tmp_path, n=50, d=3)
+        meta_path = tmp_path / "data.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        out = tmp_path / "o.csv"
+        result = runner.invoke(cli, ["run", "--data", str(data), "--out", str(out)])
+        assert result.exit_code == 3
+        assert f"error: metadata: {message}" in result.stderr
+        assert not out.exists()
+
     def test_metadata_not_an_object_exits_3(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, n=50, d=3)
         meta_path = tmp_path / "list.json"
@@ -315,6 +339,64 @@ class TestOptionChecks:
         assert not out.exists()
 
 
+FIT_OPTIONS = ["delta", "eta", "iters", "tau", "zeta", "shuffle", "seed", "n-seeds",
+               "threads"]
+# every option of gen, run and sweep that is parsed beyond plain text; the
+# boolean flags take a bad value from a config file only
+TYPED_OPTIONS = {
+    "gen": ["n", "d", "snr", "sigma", "p-m", "seed"],
+    "run": ["eps", "clip", *FIT_OPTIONS],
+    "sweep": ["n-list", "d-list", "eps-list", "clip-list", "snr", "sigma", "p-m",
+              *FIT_OPTIONS],
+}
+FLAG_OPTIONS = {"gen": [], "run": ["unsafe-no-noise", "timing"],
+                "sweep": ["unsafe-no-noise", "timing"]}
+
+
+@pytest.fixture(scope="module")
+def shared_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("shared") / "data.csv"
+    result = invoke(CliRunner(), "gen", "--n", 50, "--d", 3, "--out", path)
+    assert result.exit_code == 0, result.output
+    return path
+
+
+class TestOptionMessages:
+    """A bad value names its flag and exits 2, from a flag or a config file."""
+
+    def base(self, name, dataset, out):
+        return [name, "--out", str(out)] + (["--data", str(dataset)] if name == "run" else [])
+
+    @pytest.mark.parametrize("name", sorted(TYPED_OPTIONS))
+    def test_table_lists_every_typed_option(self, name):
+        typed = {p.opts[0][2:] for p in cli.commands[name].params
+                 if isinstance(p.type, dpem.cli._Parsed)}
+        assert typed == set(TYPED_OPTIONS[name]) | set(FLAG_OPTIONS[name])
+
+    @pytest.mark.parametrize("name, option", [
+        (name, option) for name, options in TYPED_OPTIONS.items() for option in options])
+    def test_bad_flag_value(self, runner, tmp_path, shared_dataset, name, option):
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            cli, self.base(name, shared_dataset, out) + [f"--{option}", "bogus"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {option}: expected ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, option", [
+        (name, option) for name in TYPED_OPTIONS
+        for option in TYPED_OPTIONS[name] + FLAG_OPTIONS[name]])
+    def test_bad_config_value(self, runner, tmp_path, shared_dataset, name, option):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{option} = bogus\n")
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            cli, self.base(name, shared_dataset, out) + ["--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {option}: expected ")
+        assert not out.exists()
+
+
 class TestCrossPath:
     """An estimator class and ``dpem run`` at the same seed resolve the
     same settings, draw beta^0 from root.split(0) and the noise from
@@ -379,6 +461,52 @@ class TestConfigFile:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("prefix", ["", "run."], ids=["bare", "dotted"])
+    def test_out_and_data_from_file(self, runner, tmp_path, prefix):
+        data = gen_dataset(runner, tmp_path, n=60, d=3)
+        by_flags = tmp_path / "flags.csv"
+        invoke(runner, "run", "--n-seeds", 2, "--data", data, "--out", by_flags)
+        by_file = tmp_path / "file.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{prefix}data = {data}\n{prefix}out = {by_file}\n")
+        result = invoke(runner, "run", "--n-seeds", 2, "--config", cfg)
+        assert result.exit_code == 0, result.output
+        assert by_file.read_bytes() == by_flags.read_bytes()
+
+    def test_unsafe_no_noise_from_file(self, runner, tmp_path):
+        data = gen_dataset(runner, tmp_path, n=60, d=3)
+        by_flag = tmp_path / "flag.csv"
+        invoke(runner, "run", "--unsafe-no-noise", "--data", data, "--out", by_flag)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("unsafe-no-noise = true\n")
+        by_file = tmp_path / "file.csv"
+        result = invoke(runner, "run", "--config", cfg, "--data", data, "--out", by_file)
+        assert result.exit_code == 0
+        assert "NON-PRIVATE" in result.stderr
+        assert by_file.read_bytes() == by_flag.read_bytes()
+
+    @pytest.mark.parametrize("name", ["gen", "run", "sweep", "preprocess"])
+    def test_malformed_line_exits_3(self, runner, tmp_path, name):
+        data = gen_dataset(runner, tmp_path, n=60, d=3)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("# experiment\nseed = 1\nseed 2\n")
+        args = [name, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+        if name in ("run", "preprocess"):
+            args += ["--data", str(data)]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 3
+        assert "error: line 3:" in result.stderr
+
+    def test_dotted_key_of_another_command_ignored(self, runner, tmp_path):
+        data = gen_dataset(runner, tmp_path, n=60, d=3)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("sweep.eps = 0.1\nsweep.eps-list = bogus\n")
+        out = tmp_path / "r.csv"
+        result = invoke(runner, "run", "--algorithm", "dpgem", "--data", data,
+                        "--config", cfg, "--out", out)
+        assert result.exit_code == 0
+        assert all(r["eps"] == 1.0 for r in read_results(out))
+
 
 class TestSweep:
     def test_row_counting(self, runner, tmp_path):
@@ -426,6 +554,16 @@ class TestSweep:
         rows = read_results(out)
         assert len(rows) == 2 * 4
         assert all(r["eps"] == "" for r in rows)
+
+    def test_unused_eps_axis_still_checked(self, runner, tmp_path):
+        out = tmp_path / "em.csv"
+        result = runner.invoke(cli, [
+            "sweep", "--algorithm", "em", "--eps-list", "garbage", "--n-list", "100",
+            "--d-list", "2", "--n-seeds", "1", "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "error: eps-list:" in result.stderr
+        assert not out.exists()
 
     def test_empty_axis_exits_2(self, runner, tmp_path):
         result = runner.invoke(cli, [
