@@ -284,7 +284,7 @@ def cli():
 def cmd_gen(model, n, d, snr, sigma, p_m, seed, out):
     """Generate a synthetic dataset plus its metadata sidecar."""
     model_kind = _check_model(model)
-    model = ModelSpec(model_kind, d, sigma, p_m if model_kind == "rmc" else 0.0)
+    model = ModelSpec(model_kind, d, sigma, p_m)
     root = RngStream(seed)
     beta_star = snr * sigma * initial_beta(d, root.split(0))
     data = sample_observations(model, n, beta_star, root.split(1))
@@ -372,6 +372,7 @@ def cmd_sweep(model, algorithm, n_list, d_list, eps_list, clip_list, snr, sigma,
     clip_values = clip_list if algorithm == "clipped" else (None,)
     _warn_if_no_noise(fit)
     master = seed
+    models = {d: ModelSpec(model_kind, d, sigma, p_m) for d in d_list}
 
     tasks = [
         ((i_n, i_d, k), (n, d, k))
@@ -383,7 +384,7 @@ def cmd_sweep(model, algorithm, n_list, d_list, eps_list, clip_list, snr, sigma,
     def worker(spec) -> dict:
         """Every eps x clip cell of one (n, d, seed), keyed by (i_eps, i_clip)."""
         n, d, k = spec
-        model = ModelSpec(model_kind, d, sigma, p_m if model_kind == "rmc" else 0.0)
+        model = models[d]
         # data and init are shared across the eps and clip axes so cells
         # differ only in privacy noise
         beta_star = snr * sigma * initial_beta(

@@ -10,6 +10,7 @@ per-user release (local model).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +66,35 @@ _PANEL_WIDTH = 0.25
 # quadrature nodes, which bounds the temporaries however many entries are far.
 _WINDOW_CHUNK_NODES = 1 << 16
 
+# The kernel evaluates this many flat entries at a time, every intermediate
+# in the calling thread's scratch rows, which are allocated once and reused.
+# Per-call n*d temporaries make glibc return their pages to the OS and fault
+# them in again on the next call; blocks of 2**16 fault no more, yet each
+# numpy call stays long enough for two pool threads to overlap.
+_BLOCK = 1 << 16
+_FLOAT_ROWS = 16  # a and b, then _closed_form's 14
+_FLAG_ROWS = 3
+
+
+class _Scratch(threading.local):
+    """One thread's kernel buffers: float and boolean rows as long as the
+    largest block the thread has evaluated (at most _BLOCK entries, 8 MiB
+    in all), reused by every later block and call.  No result is left in
+    them."""
+
+    size = 0
+
+    def rows(self, m: int) -> tuple[list, list]:
+        """The first m entries of each float row and of each flag row."""
+        if m > self.size:
+            self.floats = np.empty((_FLOAT_ROWS, m))
+            self.flags = np.empty((_FLAG_ROWS, m), dtype=bool)
+            self.size = m
+        return list(self.floats[:, :m]), list(self.flags[:, :m])
+
+
+_SCRATCH = _Scratch()
+
 
 @dataclass(frozen=True)
 class RobustMeanParams:
@@ -107,53 +137,92 @@ def correction_C(a: float, b: float) -> float:
     b = check_finite_scalar("b", b)
     if b <= 0:
         raise DomainError(f"b must be > 0, got {b!r}")
-    a, b = np.asarray(a), np.asarray(b)
+    a, b = np.array([a]), np.array([b])
     v_minus, v_plus = _v_pair(a, b)
-    return float(_correction_vec(a, a * a, a * a * a / 6.0, b, b * b, v_minus, v_plus))
+    rows = list(np.empty((7, 1)))
+    return float(_correction_vec(a, a * a, a * a * a / 6.0, b, b * b, v_minus, v_plus, rows)[0])
 
 
-def _v_pair(a, b):
+def _v_pair(a, b, v_minus=None, v_plus=None):
     """Signed standardized distances V- = (sqrt2 - a)/b, V+ = (sqrt2 + a)/b
-    from the mean a to the truncation knots, for b > 0 (inf for subnormal b)."""
+    from the mean a to the truncation knots, for b > 0 (inf for subnormal b),
+    into new arrays or into v_minus and v_plus."""
     with np.errstate(over="ignore", divide="ignore"):
-        return (_SQRT2 - a) / b, (_SQRT2 + a) / b
+        v_minus = np.divide(np.subtract(_SQRT2, a, out=v_minus), b, out=v_minus)
+        v_plus = np.divide(np.add(_SQRT2, a, out=v_plus), b, out=v_plus)
+    return v_minus, v_plus
 
 
-def _correction_vec(a, a2, cubic, b, b2, v_minus, v_plus):
-    """C(a, b) elementwise, from a^2, a^3/6, b^2 and the unclipped V-, V+."""
-    v_minus = np.clip(v_minus, -_V_BOUND, _V_BOUND)
-    v_plus = np.clip(v_plus, -_V_BOUND, _V_BOUND)
-    vm2 = v_minus * v_minus
-    vp2 = v_plus * v_plus
-    f_minus = ndtr(-v_minus)
-    f_plus = ndtr(-v_plus)
-    e_minus = np.exp(-0.5 * vm2)
-    e_plus = np.exp(-0.5 * vp2)
-    t1 = PHI_BOUND * (f_minus - f_plus)
-    t2 = -(a - cubic) * (f_minus + f_plus)
-    t3 = b * _INV_SQRT_2PI * (1.0 - a2 / 2.0) * (e_plus - e_minus)
-    t4 = (a * b2 / 2.0) * (
-        f_plus + f_minus + _INV_SQRT_2PI * (v_plus * e_plus + v_minus * e_minus)
-    )
-    t5 = (b2 * b / 6.0) * _INV_SQRT_2PI * ((2.0 + vm2) * e_minus - (2.0 + vp2) * e_plus)
-    return t1 + t2 + t3 + t4 + t5
+def _correction_vec(a, a2, cubic, b, b2, v_minus, v_plus, rows):
+    """C(a, b) elementwise, from a^2, a^3/6, b^2 and the unclipped V-, V+, on
+    seven scratch rows of their length; the result is one of those rows.
+    a2, cubic, v_minus and v_plus are overwritten.  Every term is the same
+    sequence of operations as C(a, b) written out, so every bit is too."""
+    vm2, vp2, f_minus, f_plus, e_minus, e_plus, total = rows
+    np.clip(v_minus, -_V_BOUND, _V_BOUND, out=v_minus)
+    np.clip(v_plus, -_V_BOUND, _V_BOUND, out=v_plus)
+    np.multiply(v_minus, v_minus, out=vm2)
+    np.multiply(v_plus, v_plus, out=vp2)
+    ndtr(np.negative(v_minus, out=f_minus), out=f_minus)
+    ndtr(np.negative(v_plus, out=f_plus), out=f_plus)
+    np.exp(np.multiply(-0.5, vm2, out=e_minus), out=e_minus)
+    np.exp(np.multiply(-0.5, vp2, out=e_plus), out=e_plus)
+    # t1 = PHI_BOUND * (f_minus - f_plus)
+    np.multiply(PHI_BOUND, np.subtract(f_minus, f_plus, out=total), out=total)
+    # f_minus + f_plus, which is also t4's f_plus + f_minus: addition commutes
+    f_sum = np.add(f_minus, f_plus, out=f_minus)
+    # t2 = -(a - cubic) * (f_minus + f_plus)
+    term = np.negative(np.subtract(a, cubic, out=cubic), out=cubic)
+    total += np.multiply(term, f_sum, out=term)
+    # t3 = b * _INV_SQRT_2PI * (1.0 - a2 / 2.0) * (e_plus - e_minus)
+    np.multiply(b, _INV_SQRT_2PI, out=term)
+    term *= np.subtract(1.0, np.divide(a2, 2.0, out=a2), out=a2)
+    term *= np.subtract(e_plus, e_minus, out=a2)
+    total += term
+    # t4 = (a * b2 / 2.0) * (f_plus + f_minus
+    #                        + _INV_SQRT_2PI * (v_plus * e_plus + v_minus * e_minus))
+    np.divide(np.multiply(a, b2, out=term), 2.0, out=term)
+    inner = np.multiply(v_plus, e_plus, out=a2)
+    inner += np.multiply(v_minus, e_minus, out=f_plus)
+    inner *= _INV_SQRT_2PI
+    term *= np.add(f_sum, inner, out=f_sum)
+    total += term
+    # t5 = (b2 * b / 6.0) * _INV_SQRT_2PI * ((2.0 + vm2) * e_minus - (2.0 + vp2) * e_plus)
+    np.divide(np.multiply(b2, b, out=term), 6.0, out=term)
+    term *= _INV_SQRT_2PI
+    np.multiply(np.add(2.0, vm2, out=vm2), e_minus, out=vm2)
+    np.multiply(np.add(2.0, vp2, out=vp2), e_plus, out=vp2)
+    term *= np.subtract(vm2, vp2, out=vm2)
+    total += term
+    return total
 
 
-def _closed_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """E phi(a + b*xi) = (a(1 - b^2/2) - a^3/6) + C(a, b) over 1-d arrays, for
-    0 < b and |a|, b <= _CLOSED_FORM_LIMIT.  C is added only where it can be
-    nonzero, which leaves every value bit-identical to adding it everywhere."""
-    a2 = a * a
-    cubic = a2 * a / 6.0
-    b2 = b * b
-    value = a * (1.0 - b2 / 2.0) - cubic
-    v_minus, v_plus = _v_pair(a, b)
-    live = np.minimum(v_minus, v_plus) < _V_BOUND
+def _closed_form(a, b, value, rows, live):
+    """Write E phi(a + b*xi) = (a(1 - b^2/2) - a^3/6) + C(a, b) into value,
+    over 1-d arrays, for 0 < b and |a|, b <= _CLOSED_FORM_LIMIT, on 14 float
+    scratch rows and one flag row of their length.  C is added only where it
+    can be nonzero, which leaves every value bit-identical to adding it
+    everywhere."""
+    a2, cubic, b2, v_minus, v_plus, spare, *gather_rows = rows
+    np.multiply(a, a, out=a2)
+    np.divide(np.multiply(a2, a, out=cubic), 6.0, out=cubic)
+    np.multiply(b, b, out=b2)
+    # value = a * (1.0 - b2 / 2.0) - cubic
+    np.subtract(1.0, np.divide(b2, 2.0, out=value), out=value)
+    np.subtract(np.multiply(a, value, out=value), cubic, out=value)
+    _v_pair(a, b, v_minus, v_plus)
+    np.less(np.minimum(v_minus, v_plus, out=spare), _V_BOUND, out=live)
     idx = np.flatnonzero(live)  # integer gathers are ~6x faster than boolean ones
     if idx.size:
-        terms = (a, a2, cubic, b, b2, v_minus, v_plus)
-        value[idx] += _correction_vec(*(t[idx] for t in terms))
-    return value
+        # mode="clip" keeps take from buffering its output; idx is in range
+        terms = [np.take(t, idx, out=row[: idx.size], mode="clip")
+                 for t, row in zip((a, a2, cubic, b, b2, v_minus, v_plus), gather_rows)]
+        # gathered, the full-length rows are free for the correction
+        free = [row[: idx.size] for row in (a2, cubic, b2, v_minus, v_plus, spare, gather_rows[7])]
+        correction = _correction_vec(*terms, free)
+        # value[idx] += correction
+        current = np.take(value, idx, out=terms[0], mode="clip")
+        value[idx] = np.add(current, correction, out=current)
 
 
 def _window_expectation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,24 +264,44 @@ def _window_integral(a, b, lo, hi, panels: int) -> np.ndarray:
 
 
 def _smoothed_phi_array(x: np.ndarray, s: float, beta: float) -> np.ndarray:
-    """Vectorized smoothed truncation; x any shape, finite."""
+    """Vectorized smoothed truncation; x any shape, finite.  The result is a
+    new array, filled _BLOCK entries at a time."""
     x = np.asarray(x, dtype=float)
-    shape, x = x.shape, x.ravel()
-    a = x / s
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    scale = s * math.sqrt(beta)
+    for start in range(0, flat.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        _smoothed_phi_block(flat[block], s, scale, out[block])
+    return out.reshape(x.shape)
+
+
+def _smoothed_phi_block(x: np.ndarray, s: float, scale: float, out: np.ndarray) -> None:
+    """The smoothed truncation of the 1-d block x at truncation scale s,
+    with scale = s sqrt(beta), written into out on this thread's scratch rows."""
+    (a, b, *rows), (positive, near, flag) = _SCRATCH.rows(x.size)
+    np.divide(x, s, out=a)
     with np.errstate(over="ignore"):
-        b = np.abs(x) / (s * math.sqrt(beta))
-    near = (b > 0.0) & (np.abs(a) <= _CLOSED_FORM_LIMIT) & (b <= _CLOSED_FORM_LIMIT)
-    if near.all():
-        out = s * _closed_form(a, b)
-    else:
-        out = np.where(b == 0.0, x, 0.0)  # |x| << s underflows b; value is ~x
-        if near.any():
-            out[near] = s * _closed_form(a[near], b[near])
-        far = (b > 0.0) & ~near
-        if far.any():
-            out[far] = s * _window_expectation(a[far], b[far])
+        np.divide(np.abs(x, out=b), scale, out=b)
+    # The closed form runs on the whole block; outside its domain (b == 0,
+    # or the far regime) it may overflow, and those values are replaced below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _closed_form(a, b, out, rows, flag)
+    np.multiply(s, out, out=out)
+    np.greater(b, 0.0, out=positive)
+    np.less_equal(np.abs(a, out=rows[0]), _CLOSED_FORM_LIMIT, out=near)
+    near &= np.less_equal(b, _CLOSED_FORM_LIMIT, out=flag)
+    near &= positive
+    # outside the closed form: 0, then x where b == 0 (|x| << s underflows b;
+    # the value is ~x), then the far regime
+    outside = np.logical_not(near, out=near)
+    np.copyto(out, 0.0, where=outside)
+    np.copyto(out, x, where=np.equal(b, 0.0, out=flag))
+    far = np.flatnonzero(np.logical_and(outside, positive, out=positive))
+    if far.size:
+        out[far] = s * _window_expectation(a[far], b[far])
     bound = PHI_BOUND * s
-    return np.clip(out, -bound, bound).reshape(shape)
+    np.clip(out, -bound, bound, out=out)
 
 
 def smoothed_phi(x: float, p: RobustMeanParams) -> float:

@@ -77,6 +77,16 @@ class TestGen:
         assert result.exit_code == 2
         assert "model" in result.stderr
 
+    @pytest.mark.parametrize("model", ["gmm", "mrm"])
+    def test_p_m_on_other_model_exits_2(self, runner, tmp_path, model):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(
+            cli, ["gen", "--model", model, "--p-m", "0.5", "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "p_m applies to the rmc model only" in result.stderr
+        assert not out.exists()
+
 
 class TestRun:
     def test_em_zero_iterations_one_row_per_seed(self, runner, tmp_path):
@@ -509,6 +519,23 @@ class TestConfigFile:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("model", ["gmm", "mrm"])
+    def test_p_m_on_other_model_exits_2_before_any_task(
+        self, runner, tmp_path, monkeypatch, model
+    ):
+        def started(*args):
+            raise AssertionError("a sweep task started")
+
+        monkeypatch.setattr(dpem.cli, "_run_parallel", started)
+        out = tmp_path / "s.csv"
+        result = runner.invoke(cli, [
+            "sweep", "--model", model, "--algorithm", "dpgem", "--p-m", "0.5",
+            "--n-list", "200", "--d-list", "3", "--n-seeds", "1", "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "p_m applies to the rmc model only" in result.stderr
+        assert not out.exists()
+
     def test_row_counting(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"
         result = invoke(

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
+from dpem import robust
 from dpem.accounting import gaussian_sigma_for_zcdp, make_budget
 from dpem.errors import DomainError
 from dpem.numeric import RngStream, expectation_under_gaussian
@@ -268,6 +271,90 @@ class TestSmoothedPhi:
         # for |x| << s the estimator is nearly the identity
         p = RobustMeanParams(s=100.0, beta=9.0, tau=1.0, zeta=0.05)
         assert smoothed_phi(0.5, p) == pytest.approx(0.5, rel=1e-3)
+
+
+def interleaved_regimes():
+    """A (21, 20) matrix whose flat entries cycle through b == 0, near and far
+    kinds with period 3, so that every kind sits on both sides of the block
+    boundaries of any block size not divisible by 3."""
+    s, beta = FAR_S, FAR_BETA
+    zero = [0.0, 5e-324, -5e-324, -0.0]  # |x| / (s sqrt(beta)) underflows to 0
+    near = np.concatenate([[1e-320, 5.0 * s, -10.0 * s, 0.3],
+                           np.linspace(-9.9, 9.9, 136) * s])
+    far = mixed_far_row()[::29]
+    kinds = [zero, near, far]
+    flat = [kinds[i % 3][(i // 3) % len(kinds[i % 3])] for i in range(420)]
+    return np.array(flat).reshape(21, 20)
+
+
+class TestKernelBlocks:
+    P = RobustMeanParams(s=FAR_S, beta=FAR_BETA, tau=1.0, zeta=0.05)
+
+    def test_results_independent_of_block_size(self, monkeypatch):
+        mat = interleaved_regimes()
+        default = (robust._smoothed_phi_array(mat, FAR_S, FAR_BETA).tobytes(),
+                   robust_mean_columns(mat, self.P).tobytes())
+        for block in (1, 7, 64):
+            monkeypatch.setattr(robust, "_BLOCK", block)
+            got = (robust._smoothed_phi_array(mat, FAR_S, FAR_BETA).tobytes(),
+                   robust_mean_columns(mat, self.P).tobytes())
+            assert got == default, block
+        per_entry = np.array([[smoothed_phi(float(x), self.P) for x in r] for r in mat])
+        values = np.frombuffer(default[0]).reshape(mat.shape)
+        assert np.array_equal(values, per_entry)
+        assert np.array_equal(np.frombuffer(default[1]), per_entry.mean(axis=0))
+
+    def test_results_do_not_alias_scratch(self):
+        g = RngStream(11).generator
+        first, second = (g.standard_t(3, (700, 100)) * 4.0 for _ in range(2))
+        cols = robust_mean_columns(first, self.P)
+        values = robust._smoothed_phi_array(first, FAR_S, FAR_BETA)
+        local = local_dp_mean(first[:, 0], 700, 4.0, 1.0, 1e-5, 0.05, RngStream(5))
+        kept = cols.copy(), values.copy()
+        robust_mean_columns(second, self.P)
+        robust._smoothed_phi_array(second, FAR_S, FAR_BETA)
+        local_dp_mean(second[:, 0], 700, 4.0, 1.0, 1e-5, 0.05, RngStream(5))
+        assert cols.tobytes() == kept[0].tobytes()
+        assert values.tobytes() == kept[1].tobytes()
+        assert local == local_dp_mean(first[:, 0], 700, 4.0, 1.0, 1e-5, 0.05, RngStream(5))
+
+    def test_concurrent_calls_match_serial(self):
+        g = RngStream(12).generator
+        matrices = [g.standard_t(3, (1500, 50)) * 4.0 for _ in range(4)]
+        serial = [robust_mean_columns(m, self.P).tobytes() for m in matrices]
+        start = threading.Barrier(len(matrices))
+        got = [[] for _ in matrices]
+
+        def worker(k):
+            start.wait()
+            for _ in range(5):
+                got[k].append(robust_mean_columns(matrices[k], self.P).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(matrices))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[want] * 5 for want in serial]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RUSAGE_THREAD is Linux-only")
+    def test_repeated_calls_do_not_fault(self):
+        import resource
+
+        matrix = RngStream(13).generator.standard_normal((5000, 50)) * 3.0
+        p = RobustMeanParams(s=6.1, beta=2.6, tau=1.0, zeta=0.05)
+        robust_mean_columns(matrix, p)  # allocates this thread's scratch rows
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        for _ in range(10):
+            robust_mean_columns(matrix, p)
+        faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+        assert faults < 1000
 
 
 class TestRobustMean:
