@@ -165,9 +165,8 @@ def _iterate(beta, T, samples, estimate, truth, config, eta=None, sigma=0.0,
     betas = [beta]
     with _quiet_overflow():
         for t in range(1, T + 1):
-            # the previous matrix stays bound until the next one exists, so
-            # the allocator reuses its pages instead of returning them to
-            # the OS and faulting them back in every iteration
+            # the matrix is the fit's one buffer, overwritten every
+            # iteration, so estimate must return a new array, not a view
             matrix = samples(t, beta)
             released = estimate(matrix)
             if sigma > 0.0:
@@ -203,7 +202,8 @@ def gradient_em(
     eta = check_positive("eta", eta)
     T = check_count("T", T, minimum=0)
     config = {"algorithm": "em", "eta": eta, "T": T}
-    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b),
+    grads = np.empty((data.n, model.d))
+    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b, out=grads),
                     lambda grads: grads.mean(axis=0), truth, config, eta)
 
 
@@ -234,7 +234,8 @@ def clipped_dp_gradient_em(
         norms = np.linalg.norm(grads, axis=1)
         with np.errstate(divide="ignore"):
             scale = np.minimum(1.0, clip_C / np.where(norms > 0, norms, np.inf))
-        return (grads * scale[:, None]).mean(axis=0)
+        grads *= scale[:, None]
+        return grads.mean(axis=0)
 
     config = {
         "algorithm": "clipped",
@@ -246,7 +247,8 @@ def clipped_dp_gradient_em(
         "sigma_iter": sigma,
         "non_private_noise_disabled": bool(disable_noise),
     }
-    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b), clipped_mean,
+    grads = np.empty((n, model.d))
+    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b, out=grads), clipped_mean,
                     truth, config, eta, 0.0 if disable_noise else sigma, rng)
 
 
@@ -312,7 +314,9 @@ def dp_gradient_em(
         "shuffle": bool(shuffle),
         "non_private_noise_disabled": bool(disable_noise),
     }
-    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data.take(subsets[t - 1]), b),
+    grads = np.empty((m, d))
+    return _iterate(beta, T,
+                    lambda t, b: grad_q_batch(model, data.take(subsets[t - 1]), b, out=grads),
                     lambda grads: robust_mean_columns(grads, params), truth, config, eta,
                     0.0 if disable_noise else sigma, rng)
 
@@ -361,7 +365,8 @@ def dp_em_gmm(
         "sigma_coord": sigma,
         "non_private_noise_disabled": bool(disable_noise),
     }
-    return _iterate(beta, T, lambda t, b: f_gmm_batch(data, b, model.sigma),
+    fs = np.empty((n, d))
+    return _iterate(beta, T, lambda t, b: f_gmm_batch(data, b, model.sigma, out=fs),
                     lambda fs: robust_mean_columns(fs, params), truth, config, None,
                     0.0 if disable_noise else sigma, rng)
 

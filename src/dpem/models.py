@@ -212,6 +212,25 @@ def sample_observations(
     return sample_rmc(n, beta_star, model.sigma, model.p_m, rng)
 
 
+# Rows per block of grad_q_batch and f_gmm_batch, so that the allocator
+# reuses each block's temporaries instead of faulting n x d ones in again on
+# every call.  A multiple of 4: OpenBLAS's dgemv_t takes its dot products 4
+# rows at a time, and blocks that start elsewhere change last bits.
+_ROWS = 1024
+
+
+def _out_matrix(out, data: ObservationSet) -> np.ndarray:
+    """A batch function's (n, d) result: ``out`` itself, overwritten row
+    block by row block, or a new array when out is None."""
+    shape = (data.n, data.d)
+    if out is None:
+        return np.empty(shape)
+    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise DomainError(f"out must be a writeable C-contiguous float64 array of shape {shape}")
+    return out
+
+
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     # evaluate exp on negative arguments only
     t = np.asarray(t, dtype=float)
@@ -260,25 +279,34 @@ def grad_q(model: ModelSpec, sample, beta) -> np.ndarray:
     return y * m - K_beta(x_obs, mask, y, beta, model.sigma) @ beta
 
 
-def grad_q_batch(model: ModelSpec, data: ObservationSet, beta) -> np.ndarray:
-    """(n, d) matrix of per-sample gradients; same algebra as grad_q."""
+def grad_q_batch(model: ModelSpec, data: ObservationSet, beta, out=None) -> np.ndarray:
+    """(n, d) matrix of per-sample gradients; same algebra as grad_q.
+    Written into ``out`` when given (see _out_matrix), else into a new array."""
     if data.kind != model.kind:
         raise DomainError(f"data kind {data.kind!r} does not match model {model.kind!r}")
     beta = check_vector("beta", beta, d=model.d)
+    out = _out_matrix(out, data)
     s2 = model.sigma**2
-    if model.kind == "gmm":
-        return np.tanh(0.5 * (data.ys @ beta) / s2)[:, None] * data.ys - beta
-    if model.kind == "mrm":
-        xb = data.xs @ beta
-        t = np.tanh(0.5 * data.ys * xb / s2)
-        return (t * data.ys)[:, None] * data.xs - xb[:, None] * data.xs
-    miss = 1.0 - data.mask.astype(float)
-    dot_obs = data.xs @ beta  # sentinel entries are 0, so this is <beta, observed x>
-    denom = s2 + miss @ (beta * beta)
-    m = data.xs + ((data.ys - dot_obs) / denom)[:, None] * (miss * beta)
-    u = miss * m
-    k_beta = miss * beta + m * (m @ beta)[:, None] - u * (u @ beta)[:, None]
-    return data.ys[:, None] * m - k_beta
+    for i in range(0, data.n, _ROWS):
+        block, ys = out[i:i + _ROWS], data.ys[i:i + _ROWS]
+        if model.kind == "gmm":
+            _f_gmm_rows(ys, beta, s2, block)
+            block -= beta
+            continue
+        xs = data.xs[i:i + _ROWS]
+        if model.kind == "mrm":
+            xb = xs @ beta
+            t = np.tanh(0.5 * ys * xb / s2)
+            np.subtract((t * ys)[:, None] * xs, xb[:, None] * xs, out=block)
+            continue
+        miss = 1.0 - data.mask[i:i + _ROWS].astype(float)
+        dot_obs = xs @ beta  # sentinel entries are 0, so this is <beta, observed x>
+        denom = s2 + miss @ (beta * beta)
+        m = xs + ((ys - dot_obs) / denom)[:, None] * (miss * beta)
+        u = miss * m
+        k_beta = miss * beta + m * (m @ beta)[:, None] - u * (u @ beta)[:, None]
+        np.subtract(ys[:, None] * m, k_beta, out=block)
+    return out
 
 
 def q_value(model: ModelSpec, sample, beta, beta_prime) -> float:
@@ -336,11 +364,20 @@ def f_gmm(y, beta_prime, sigma: float) -> np.ndarray:
     return np.tanh(0.5 * np.dot(beta_prime, y) / sigma**2) * y
 
 
-def f_gmm_batch(data: ObservationSet, beta_prime, sigma: float) -> np.ndarray:
+def f_gmm_batch(data: ObservationSet, beta_prime, sigma: float, out=None) -> np.ndarray:
+    """(n, d) matrix of f_gmm values, written like grad_q_batch's."""
     if data.kind != "gmm":
         raise DomainError(f"f_gmm requires gmm observations, got {data.kind!r}")
     beta_prime = check_vector("beta_prime", beta_prime, d=data.d)
-    return np.tanh(0.5 * (data.ys @ beta_prime) / sigma**2)[:, None] * data.ys
+    sigma = check_positive("sigma", sigma)
+    out = _out_matrix(out, data)
+    for i in range(0, data.n, _ROWS):
+        _f_gmm_rows(data.ys[i:i + _ROWS], beta_prime, sigma**2, out[i:i + _ROWS])
+    return out
+
+
+def _f_gmm_rows(ys, beta_prime, s2, out):
+    np.multiply(np.tanh(0.5 * (ys @ beta_prime) / s2)[:, None], ys, out=out)
 
 
 def tau_bound(

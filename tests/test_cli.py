@@ -125,6 +125,18 @@ class TestRun:
             assert result.exit_code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_clipped_rmc_thread_count_does_not_change_output(self, runner, tmp_path):
+        # each fit spans several row blocks of the gradient buffer
+        data = gen_dataset(runner, tmp_path, model="rmc", n=3000, d=5, p_m=0.2)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out, threads in ((a, 1), (b, 2)):
+            result = invoke(
+                runner, "run", "--algorithm", "clipped", "--n-seeds", 4,
+                "--threads", threads, "--data", data, "--out", out,
+            )
+            assert result.exit_code == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_dpgem_improves_on_start(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, n=2000, d=10)
         out = tmp_path / "rows.csv"

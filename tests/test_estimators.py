@@ -205,6 +205,17 @@ class TestClippedDP:
         assert np.array_equal(a.betas, b.betas)
         assert not np.array_equal(a.betas, c.betas)
 
+    def test_successive_fits_identical(self):
+        # the fit's gradient buffer carries nothing from one fit to the next
+        model, beta_star, data, _, _ = make_problem("rmc", 5, 3000, 29, p_m=0.2)
+        X = np.where(data.mask, data.xs, np.nan)
+        est = ClippedDPGradientEM(model="rmc", p_m=0.2, n_iter=6, clip=2.0)
+        first = est.fit(X, data.ys, beta_star=beta_star).trace_
+        second = est.fit(X, data.ys, beta_star=beta_star).trace_
+        assert second is not first
+        assert second.betas.tobytes() == first.betas.tobytes()
+        assert second.errors.tobytes() == first.errors.tobytes()
+
     def test_config_echo(self):
         model, beta_star, data, beta0, rng = make_problem("gmm", 3, 200, 6)
         budget = make_budget(0.5, 1e-4)

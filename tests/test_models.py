@@ -1,9 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from dpem import models
+from dpem.accounting import make_budget
 from dpem.errors import DomainError
+from dpem.estimators import clipped_dp_gradient_em
 from dpem.models import (
     GroundTruth,
     K_beta,
@@ -370,6 +374,96 @@ class TestFGmm:
         data = sample_mrm(5, np.ones(2), 1.0, RngStream(4))
         with pytest.raises(DomainError):
             f_gmm_batch(data, np.zeros(2), 1.0)
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), 0.0])
+    def test_batch_rejects_bad_sigma(self, sigma):
+        data = sample_gmm(5, np.ones(2), 1.0, RngStream(4))
+        with pytest.raises(DomainError):
+            f_gmm(data.ys[0], np.ones(2), sigma)
+        with pytest.raises(DomainError):
+            f_gmm_batch(data, np.ones(2), sigma)
+
+
+def batch_problems(n=1003, d=20):
+    """One (model, data, beta) per model kind, rmc with p_m = 0.3."""
+    rng = np.random.default_rng(41)
+    for kind, p in (("gmm", 0.0), ("mrm", 0.0), ("rmc", 0.3)):
+        m = ModelSpec(kind, d, 1.2, p_m=p)
+        data = sample_observations(m, n, rng.standard_normal(d) * 2.0, RngStream(n))
+        yield m, data, rng.standard_normal(d) * 2.0
+
+
+def batch_calls(m, data, beta):
+    """grad_q_batch, and f_gmm_batch on gmm, each taking its out argument."""
+    calls = [lambda o: grad_q_batch(m, data, beta, out=o)]
+    if m.kind == "gmm":
+        calls.append(lambda o: f_gmm_batch(data, beta, m.sigma, out=o))
+    return calls
+
+
+class TestBatchBlocks:
+    # 1003 rows fit in one default block, 3003 span three; d = 20 because
+    # blocks that break OpenBLAS's groups of 4 rows change bits there
+    @pytest.mark.parametrize("n", [1003, 3003])
+    def test_results_independent_of_row_blocks(self, monkeypatch, n):
+        for m, data, beta in batch_problems(n):
+            arrays = [a for a in (data.ys, data.xs, data.mask) if a is not None]
+            kept = [a.tobytes() for a in arrays]
+            default = [f(None).tobytes() for f in batch_calls(m, data, beta)]
+            for rows in (4, 64, data.n + 1):
+                monkeypatch.setattr(models, "_ROWS", rows)
+                got = [f(None).tobytes() for f in batch_calls(m, data, beta)]
+                assert got == default, (m.kind, rows)
+            monkeypatch.undo()
+            assert [a.tobytes() for a in arrays] == kept
+
+    def test_out_is_overwritten_and_returned(self):
+        for m, data, beta in batch_problems(n=50, d=3):
+            for f in batch_calls(m, data, beta):
+                fresh = f(None)
+                again = f(None)
+                assert again is not fresh and not np.shares_memory(again, fresh)
+                out = np.full((data.n, data.d), np.nan)
+                assert f(out) is out
+                assert out.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("case", ["shape", "dtype", "order", "readonly", "list"])
+    def test_bad_out_rejected(self, case):
+        for m, data, beta in batch_problems(n=50, d=3):
+            shape = (data.n, data.d)
+            readonly = np.empty(shape)
+            readonly.setflags(write=False)
+            out = {
+                "shape": np.empty((data.n + 1, data.d)),
+                "dtype": np.empty(shape, dtype=np.float32),
+                "order": np.empty(shape, order="F"),
+                "readonly": readonly,
+                "list": np.empty(shape).tolist(),
+            }[case]
+            for f in batch_calls(m, data, beta):
+                with pytest.raises(DomainError):
+                    f(out)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RUSAGE_THREAD is Linux-only")
+    def test_repeated_fits_do_not_fault(self):
+        import resource
+
+        m = ModelSpec("rmc", 20, 1.0, p_m=0.2)
+        data = sample_observations(m, 25000, np.full(20, 0.5), RngStream(14))
+        budget = make_budget(1.0, 1e-5)
+
+        def fit():
+            clipped_dp_gradient_em(data, m, np.full(20, 0.1), 1.0, 1.0, 11, budget,
+                                   RngStream(15))
+
+        fit()  # warm-up
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        fit()
+        faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+        # about 2k at any T: the fit's buffer and the first iteration's clip
+        # temporaries; n x d temporaries faulted in again every iteration
+        # would add thousands per iteration
+        assert faults < 4000
 
 
 class TestTauBound:
