@@ -165,8 +165,9 @@ def _iterate(beta, T, samples, estimate, truth, config, eta=None, sigma=0.0,
     betas = [beta]
     with _quiet_overflow():
         for t in range(1, T + 1):
-            # the matrix is the fit's one buffer, overwritten every
-            # iteration, so estimate must return a new array, not a view
+            # the previous matrix stays bound until the next one exists, so
+            # the allocator reuses its pages instead of returning them to
+            # the OS and faulting them back in every iteration
             matrix = samples(t, beta)
             released = estimate(matrix)
             if sigma > 0.0:
@@ -202,8 +203,7 @@ def gradient_em(
     eta = check_positive("eta", eta)
     T = check_count("T", T, minimum=0)
     config = {"algorithm": "em", "eta": eta, "T": T}
-    grads = np.empty((data.n, model.d))
-    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b, out=grads),
+    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b),
                     lambda grads: grads.mean(axis=0), truth, config, eta)
 
 
@@ -234,8 +234,7 @@ def clipped_dp_gradient_em(
         norms = np.linalg.norm(grads, axis=1)
         with np.errstate(divide="ignore"):
             scale = np.minimum(1.0, clip_C / np.where(norms > 0, norms, np.inf))
-        grads *= scale[:, None]
-        return grads.mean(axis=0)
+        return (grads * scale[:, None]).mean(axis=0)
 
     config = {
         "algorithm": "clipped",
@@ -247,8 +246,7 @@ def clipped_dp_gradient_em(
         "sigma_iter": sigma,
         "non_private_noise_disabled": bool(disable_noise),
     }
-    grads = np.empty((n, model.d))
-    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b, out=grads), clipped_mean,
+    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b), clipped_mean,
                     truth, config, eta, 0.0 if disable_noise else sigma, rng)
 
 
@@ -314,9 +312,7 @@ def dp_gradient_em(
         "shuffle": bool(shuffle),
         "non_private_noise_disabled": bool(disable_noise),
     }
-    grads = np.empty((m, d))
-    return _iterate(beta, T,
-                    lambda t, b: grad_q_batch(model, data.take(subsets[t - 1]), b, out=grads),
+    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data.take(subsets[t - 1]), b),
                     lambda grads: robust_mean_columns(grads, params), truth, config, eta,
                     0.0 if disable_noise else sigma, rng)
 
@@ -365,8 +361,7 @@ def dp_em_gmm(
         "sigma_coord": sigma,
         "non_private_noise_disabled": bool(disable_noise),
     }
-    fs = np.empty((n, d))
-    return _iterate(beta, T, lambda t, b: f_gmm_batch(data, b, model.sigma, out=fs),
+    return _iterate(beta, T, lambda t, b: f_gmm_batch(data, b, model.sigma),
                     lambda fs: robust_mean_columns(fs, params), truth, config, None,
                     0.0 if disable_noise else sigma, rng)
 

@@ -212,23 +212,11 @@ def sample_observations(
     return sample_rmc(n, beta_star, model.sigma, model.p_m, rng)
 
 
-# Rows per block of grad_q_batch and f_gmm_batch, so that the allocator
-# reuses each block's temporaries instead of faulting n x d ones in again on
-# every call.  A multiple of 4: OpenBLAS's dgemv_t takes its dot products 4
-# rows at a time, and blocks that start elsewhere change last bits.
+# Rows per block of grad_q_batch, so that the allocator reuses each block's
+# temporaries instead of faulting n x d ones in again on every call.  A
+# multiple of 4: OpenBLAS's dgemv_t takes its dot products 4 rows at a time,
+# and blocks that start elsewhere change last bits.
 _ROWS = 1024
-
-
-def _out_matrix(out, data: ObservationSet) -> np.ndarray:
-    """A batch function's (n, d) result: ``out`` itself, overwritten row
-    block by row block, or a new array when out is None."""
-    shape = (data.n, data.d)
-    if out is None:
-        return np.empty(shape)
-    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
-            and out.flags.c_contiguous and out.flags.writeable):
-        raise DomainError(f"out must be a writeable C-contiguous float64 array of shape {shape}")
-    return out
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -279,18 +267,18 @@ def grad_q(model: ModelSpec, sample, beta) -> np.ndarray:
     return y * m - K_beta(x_obs, mask, y, beta, model.sigma) @ beta
 
 
-def grad_q_batch(model: ModelSpec, data: ObservationSet, beta, out=None) -> np.ndarray:
-    """(n, d) matrix of per-sample gradients; same algebra as grad_q.
-    Written into ``out`` when given (see _out_matrix), else into a new array."""
+def grad_q_batch(model: ModelSpec, data: ObservationSet, beta) -> np.ndarray:
+    """(n, d) matrix of per-sample gradients; same algebra as grad_q,
+    evaluated _ROWS rows at a time into one new array."""
     if data.kind != model.kind:
         raise DomainError(f"data kind {data.kind!r} does not match model {model.kind!r}")
     beta = check_vector("beta", beta, d=model.d)
-    out = _out_matrix(out, data)
     s2 = model.sigma**2
+    out = np.empty((data.n, model.d))
     for i in range(0, data.n, _ROWS):
         block, ys = out[i:i + _ROWS], data.ys[i:i + _ROWS]
         if model.kind == "gmm":
-            _f_gmm_rows(ys, beta, s2, block)
+            np.multiply(np.tanh(0.5 * (ys @ beta) / s2)[:, None], ys, out=block)
             block -= beta
             continue
         xs = data.xs[i:i + _ROWS]
@@ -364,20 +352,12 @@ def f_gmm(y, beta_prime, sigma: float) -> np.ndarray:
     return np.tanh(0.5 * np.dot(beta_prime, y) / sigma**2) * y
 
 
-def f_gmm_batch(data: ObservationSet, beta_prime, sigma: float, out=None) -> np.ndarray:
-    """(n, d) matrix of f_gmm values, written like grad_q_batch's."""
+def f_gmm_batch(data: ObservationSet, beta_prime, sigma: float) -> np.ndarray:
     if data.kind != "gmm":
         raise DomainError(f"f_gmm requires gmm observations, got {data.kind!r}")
     beta_prime = check_vector("beta_prime", beta_prime, d=data.d)
     sigma = check_positive("sigma", sigma)
-    out = _out_matrix(out, data)
-    for i in range(0, data.n, _ROWS):
-        _f_gmm_rows(data.ys[i:i + _ROWS], beta_prime, sigma**2, out[i:i + _ROWS])
-    return out
-
-
-def _f_gmm_rows(ys, beta_prime, s2, out):
-    np.multiply(np.tanh(0.5 * (ys @ beta_prime) / s2)[:, None], ys, out=out)
+    return np.tanh(0.5 * (data.ys @ beta_prime) / sigma**2)[:, None] * data.ys
 
 
 def tau_bound(

@@ -126,7 +126,7 @@ class TestRun:
         assert a.read_bytes() == b.read_bytes()
 
     def test_clipped_rmc_thread_count_does_not_change_output(self, runner, tmp_path):
-        # each fit spans several row blocks of the gradient buffer
+        # each fit spans several row blocks of the gradients
         data = gen_dataset(runner, tmp_path, model="rmc", n=3000, d=5, p_m=0.2)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out, threads in ((a, 1), (b, 2)):

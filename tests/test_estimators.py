@@ -206,7 +206,7 @@ class TestClippedDP:
         assert not np.array_equal(a.betas, c.betas)
 
     def test_successive_fits_identical(self):
-        # the fit's gradient buffer carries nothing from one fit to the next
+        # no state carries from one fit to the next
         model, beta_star, data, _, _ = make_problem("rmc", 5, 3000, 29, p_m=0.2)
         X = np.where(data.mask, data.xs, np.nan)
         est = ClippedDPGradientEM(model="rmc", p_m=0.2, n_iter=6, clip=2.0)
