@@ -380,7 +380,13 @@ def resolve_settings(algorithm: str, n: int, model: ModelSpec, truth, *,
     its one rule: delta = n^-1.1, T = max(1, ceil(ln n)), and tau =
     tau_bound at the ground truth.  tau is None for the algorithms that do
     not use it (em and clipped)."""
-    delta = float(n) ** -1.1 if _is_auto("delta", delta) else float(delta)
+    if not _is_auto("delta", delta):
+        delta = float(delta)
+    elif n < 2 and algorithm != "em":
+        raise ConfigError(f"delta='auto' is n^-1.1, which is not below 1 for n={n}; "
+                          "give delta in (0, 1)")
+    else:
+        delta = float(n) ** -1.1
     T = max(1, math.ceil(math.log(n))) if _is_auto("iters", iters) else iters
     if algorithm not in ("dpgem", "dpem"):
         tau = None

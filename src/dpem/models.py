@@ -149,12 +149,23 @@ class ObservationSet:
         return self.ys.shape[1] if self.kind == "gmm" else self.xs.shape[1]
 
     def take(self, indices) -> "ObservationSet":
+        """The rows at the 1-d indices, as a new set with frozen copies.  The
+        rows were checked when this set was built, so they are not checked
+        again (dp_gradient_em takes a subset every iteration)."""
         idx = np.asarray(indices)
-        if self.kind == "gmm":
-            return ObservationSet(self.kind, self.ys[idx])
-        if self.kind == "mrm":
-            return ObservationSet(self.kind, self.ys[idx], self.xs[idx])
-        return ObservationSet(self.kind, self.ys[idx], self.xs[idx], self.mask[idx])
+        if idx.ndim != 1:
+            raise DomainError(f"indices must be 1-d, got shape {idx.shape}")
+        subset = object.__new__(ObservationSet)
+        object.__setattr__(subset, "kind", self.kind)
+        for name in ("ys", "xs", "mask"):
+            rows = getattr(self, name)
+            if rows is not None:
+                rows = rows[idx]
+                rows.setflags(write=False)
+            object.__setattr__(subset, name, rows)
+        if subset.n == 0:
+            raise DomainError("indices select no rows")
+        return subset
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, roots_hermite
 
 from .errors import DomainError
 from .validation import check_finite_scalar, check_matrix
@@ -69,6 +68,8 @@ class RngStream:
 
 def std_normal_cdf(x) -> float:
     """CDF of N(0, 1), accurate enough to take differences of nearby values."""
+    from scipy.special import ndtr  # imported here: scipy loads only where it is called
+
     x = check_finite_scalar("x", x)
     return float(ndtr(x))
 
@@ -103,6 +104,8 @@ def max_eigenvalue(m) -> float:
 @lru_cache(maxsize=8)
 def _hermite_nodes(n: int):
     # scipy's nodes stay finite at high order; the naive recurrences overflow.
+    from scipy.special import roots_hermite
+
     return roots_hermite(n)
 
 

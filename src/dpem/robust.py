@@ -14,7 +14,6 @@ import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .accounting import gaussian_sigma_for_zcdp, make_budget
 from .errors import DomainError
@@ -158,6 +157,8 @@ def _correction_vec(a, a2, cubic, b, b2, v_minus, v_plus, rows):
     seven scratch rows of their length; the result is one of those rows.
     a2, cubic, v_minus and v_plus are overwritten.  Every term is the same
     sequence of operations as C(a, b) written out, so every bit is too."""
+    from scipy.special import ndtr  # imported here: scipy loads only where it is called
+
     vm2, vp2, f_minus, f_plus, e_minus, e_plus, total = rows
     np.clip(v_minus, -_V_BOUND, _V_BOUND, out=v_minus)
     np.clip(v_plus, -_V_BOUND, _V_BOUND, out=v_plus)
@@ -229,6 +230,8 @@ def _window_expectation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """E phi(a + b*xi), xi ~ N(0,1), over 1-d arrays, as saturated-tail mass plus
     the integral over the window where |a + b*xi| <= sqrt(2).  No
     large-argument cancellation, unlike the closed form."""
+    from scipy.special import ndtr
+
     v_minus, v_plus = _v_pair(a, b)
     out = PHI_BOUND * ((1.0 - ndtr(v_minus)) - ndtr(-v_plus))
     lo = np.maximum(-v_plus, -39.0)

@@ -159,6 +159,17 @@ class TestRun:
         for row in read_results(out):
             assert row["delta"] == 90.0 ** -1.1
 
+    def test_auto_delta_on_one_sample_exits_2(self, runner, tmp_path):
+        data = gen_dataset(runner, tmp_path, n=1, d=3)
+        for algorithm in ("clipped", "dpgem", "dpem"):
+            result = runner.invoke(cli, ["run", "--algorithm", algorithm, "--data", str(data),
+                                         "--out", str(tmp_path / "o.csv")])
+            assert result.exit_code == 2, result.output
+            assert "delta='auto'" in result.stderr and "n=1" in result.stderr
+        assert not (tmp_path / "o.csv").exists()
+        # em releases nothing, so it takes no delta and still runs
+        invoke(runner, "run", "--algorithm", "em", "--data", data, "--out", tmp_path / "o.csv")
+
     def test_metadata_mismatch_names_field(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, n=50, d=3)
         meta_path = tmp_path / "data.csv.meta.json"

@@ -494,6 +494,13 @@ class TestEstimatorClasses:
         assert est.n_iter_ == math.ceil(math.log(2000))
         assert est.trace_.config["delta"] == pytest.approx(2000.0 ** -1.1)
 
+    def test_auto_delta_needs_two_samples(self):
+        X = np.array([[0.5, -1.0]])
+        with pytest.raises(ConfigError, match="delta='auto'.*n=1"):
+            ClippedDPGradientEM(clip=1.0).fit(X)
+        est = ClippedDPGradientEM(clip=1.0, delta=1e-3, n_iter=2).fit(X)
+        assert est.trace_.config["delta"] == 1e-3
+
     def test_tau_auto_needs_truth(self):
         model, beta_star, data, _, _ = make_problem("gmm", 3, 100, 23)
         with pytest.raises(ConfigError):

@@ -1,0 +1,108 @@
+"""CLI behaviour that only a new interpreter shows.
+
+scipy is imported inside the functions that call it (the smoothed-truncation
+kernel and the quadrature helpers), so a command that runs no kernel never
+loads it, and the first kernel call of a process imports it.  The test
+process has long since imported scipy, so each case here runs in a fresh
+interpreter on this checkout's source.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+import dpem
+from dpem.cli import cli
+from dpem.io import write_results
+
+SRC = str(Path(dpem.__file__).resolve().parent.parent)
+
+# Runs the dpem CLI on its own arguments, then prints which scipy modules
+# the process loaded, as the last line of its output.
+PROBE = """\
+import sys
+from dpem.cli import cli
+try:
+    cli.main(args=sys.argv[1:], prog_name="dpem")
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(",".join(m for m in ("scipy", "scipy.special") if m in sys.modules))
+"""
+
+
+def fresh(args, cwd):
+    """Run a new interpreter with this checkout's dpem on its path; its stdout."""
+    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def scipy_loaded(args, cwd):
+    return fresh(["-c", PROBE, *args], cwd).splitlines()[-1].split(",")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A gmm dataset, a labelled file for preprocess and a result file for report."""
+    root = tmp_path_factory.mktemp("fresh")
+    result = CliRunner().invoke(cli, ["gen", "--n", "400", "--d", "3",
+                                      "--out", str(root / "gmm.csv")])
+    assert result.exit_code == 0, result.output
+    (root / "labeled.csv").write_text(
+        "f1,f2,label\n1.5,-0.5,1\n-1.4,0.6,0\n1.7,-0.2,1\n-1.3,0.4,0\n")
+    write_results(root / "rows.csv", [dict(
+        model="gmm", algorithm="em", eps="", delta="", d=3, n=400, T=1, C="", seed=seed,
+        iter=it, error=1.0 / (1 + seed + it), wall_ms=0.0) for seed in range(3) for it in (0, 1)])
+    return root
+
+
+NO_KERNEL = {
+    "help": ["--help"],
+    "gen-gmm": ["gen", "--n", "50", "--d", "3", "--out", "g.csv"],
+    "gen-rmc": ["gen", "--model", "rmc", "--p-m", "0.2", "--n", "50", "--d", "3",
+                "--out", "r.csv"],
+    "preprocess": ["preprocess", "--data", "labeled.csv", "--out", "p.csv"],
+    "report": ["report", "--data", "rows.csv", "--out", "s.csv"],
+    "run-em": ["run", "--algorithm", "em", "--data", "gmm.csv", "--out", "em.csv"],
+    "run-clipped": ["run", "--algorithm", "clipped", "--data", "gmm.csv", "--out", "c.csv"],
+}
+
+
+@pytest.mark.parametrize("module", ["dpem", "dpem.cli"])
+def test_import_loads_no_scipy(module, tmp_path):
+    loaded = fresh(["-c", f"import sys, {module}; print('scipy' in sys.modules)"], tmp_path)
+    assert loaded.strip() == "False"
+
+
+@pytest.mark.parametrize("command", sorted(NO_KERNEL))
+def test_command_without_kernel_loads_no_scipy(inputs, command):
+    assert scipy_loaded(NO_KERNEL[command], inputs) == [""]
+
+
+def test_kernel_loads_scipy_special(inputs):
+    args = ["run", "--algorithm", "dpgem", "--data", "gmm.csv", "--out", "dpgem.csv"]
+    assert scipy_loaded(args, inputs) == ["scipy", "scipy.special"]
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--algorithm", "dpem", "--data", "gmm.csv", "--n-seeds", "4"],
+    ["sweep", "--algorithm", "dpgem", "--model", "mrm", "--n-list", "200", "--d-list", "2",
+     "--eps-list", "0.5,1", "--n-seeds", "2"],
+], ids=["run-dpem", "sweep-dpgem"])
+def test_first_kernel_call_from_two_threads(inputs, tmp_path, command):
+    """Two workers make the process's first kernel calls, and with them its
+    scipy import, at once; the bytes must match a one-thread run."""
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}.csv"
+        fresh(["-m", "dpem.cli", *command, "--threads", str(threads), "--out", str(out)], inputs)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

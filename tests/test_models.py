@@ -9,6 +9,7 @@ from dpem.accounting import make_budget
 from dpem.errors import DomainError
 from dpem.estimators import clipped_dp_gradient_em
 from dpem.models import (
+    MODEL_KINDS,
     GroundTruth,
     K_beta,
     ModelSpec,
@@ -126,10 +127,28 @@ class TestObservationSet:
         ys[0], xs[0, 0], mask[0, 0] = 1.0, 2.0, False
 
     def test_take(self):
+        rows = np.array([7, 2, 5, 2])
+        for kind in MODEL_KINDS:
+            p_m = 0.3 if kind == "rmc" else 0.0
+            obs = sample_observations(ModelSpec(kind, 3, 1.0, p_m=p_m), 10, np.ones(3), RngStream(1))
+            sub = obs.take(rows)
+            assert sub.kind == obs.kind and sub.n == 4 and sub.d == 3
+            for name in ("ys", "xs", "mask"):
+                got, parent = getattr(sub, name), getattr(obs, name)
+                if parent is None:
+                    assert got is None
+                    continue
+                want = parent[rows]
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                with pytest.raises(ValueError):
+                    got[0] = got[0]
+
+    def test_take_rejects_bad_indices(self):
         obs = sample_mrm(10, np.ones(2), 1.0, RngStream(1))
-        sub = obs.take([2, 5, 7])
-        assert sub.n == 3
-        assert np.array_equal(sub.xs, obs.xs[[2, 5, 7]])
+        for bad in ([[1, 2]], 3, np.zeros(10, dtype=bool), np.array([], dtype=int)):
+            with pytest.raises(DomainError):
+                obs.take(bad)
 
 
 class TestSampling:
