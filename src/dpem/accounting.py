@@ -1,9 +1,11 @@
 """Privacy-budget arithmetic on the zero-concentrated DP scale.
 
 An (eps, delta) budget is converted to a zCDP level rho = eps_tilde^2 via
-eps_tilde = sqrt(log(1/delta) + eps) - sqrt(log(1/delta)); a rho-zCDP
-mechanism is (rho + 2 sqrt(rho log(1/delta)), delta)-DP, which makes the
-conversion exact in both directions.  Gaussian noise with std
+eps_tilde = sqrt(log(1/delta) + eps) - sqrt(log(1/delta)).  This inverts the
+Bun-Steinke bound, by which a rho-zCDP mechanism is
+(rho + 2 sqrt(rho log(1/delta)), delta)-DP: the two maps undo each other
+exactly.  The bound itself is not tight, so a Gaussian mechanism at this rho
+is (eps', delta)-DP for some eps' below eps.  Gaussian noise with std
 sensitivity / sqrt(2 rho) realizes rho-zCDP, and rho splits additively
 across sequentially composed releases.
 """

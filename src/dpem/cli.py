@@ -160,7 +160,8 @@ def _fit_flags(n_seeds: str):
         click.option("--shuffle", default="true", type=BOOL),
         click.option("--seed", default="0", type=INT),
         click.option("--n-seeds", default=n_seeds, type=COUNT),
-        click.option("--threads", default="1", type=COUNT),
+        click.option("--threads", default="1", type=COUNT,
+                     help="workers: threads for run, forked processes for sweep"),
         click.option("--out", required=True, type=click.Path(dir_okay=False)),
         click.option("--unsafe-no-noise", is_flag=True, default=False, type=BOOL,
                      help="disable privacy noise; output is NOT private"),
@@ -233,17 +234,48 @@ def _fit_rows(fit: dict, algorithm, data, model, beta0, rng, truth, *, eps, clip
 
 
 def _run_parallel(tasks, worker, threads: int) -> dict:
-    """Execute worker over keyed tasks, any order; return {key: result}."""
-    results = {}
+    """Execute worker over keyed tasks on threads, any order; return
+    {key: result}.  One thread runs them in order in this thread."""
     if threads <= 1:
-        for key, spec in tasks:
-            results[key] = worker(spec)
-        return results
+        return {key: worker(spec) for key, spec in tasks}
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {key: pool.submit(worker, spec) for key, spec in tasks}
-        for key, future in futures.items():
-            results[key] = future.result()
-    return results
+        return {key: future.result() for key, future in futures.items()}
+
+
+# the worker of a forked pool; set in each worker process by the pool's
+# initializer, and None in the process that forked them
+_forked_worker = None
+
+
+def _install_worker(worker) -> None:
+    global _forked_worker
+    _forked_worker = worker
+
+
+def _call_worker(spec):
+    return _forked_worker(spec)
+
+
+def _run_forked(tasks, worker, processes: int) -> dict:
+    """_run_parallel on min(processes, len(tasks)) forked worker processes,
+    for workers whose numpy calls are too short to overlap on threads.
+    worker, a closure, reaches the children by fork inheritance as the
+    pool's initializer argument and is never pickled; only the specs, the
+    results and a raised error cross the pipe.  One process runs the tasks
+    on _run_parallel's serial path."""
+    processes = min(processes, len(tasks))
+    if processes <= 1:
+        return _run_parallel(tasks, worker, 1)
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    # fork is safe here: the pool forks every worker before it starts its
+    # own threads, and OpenBLAS stops its threads across a fork
+    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_install_worker, initargs=(worker,)) as pool:
+        futures = {key: pool.submit(_call_worker, spec) for key, spec in tasks}
+        return {key: future.result() for key, future in futures.items()}
 
 
 # ------------------------------------------------------------------ commands
@@ -365,7 +397,7 @@ def cmd_sweep(model, algorithm, n_list, d_list, eps_list, clip_list, snr, sigma,
     """Run a Cartesian sweep over n, d, eps (and clip for the clipped
     algorithm).  Synthetic data is drawn once per (n, d, seed) and shared
     by that seed's eps x clip cells; rows come out in canonical order no
-    matter how many threads execute the tasks."""
+    matter how many worker processes execute the tasks."""
     model_kind = _check_model(model)
     algorithm = _check_algorithm(algorithm, model_kind)
     eps_values = eps_list if algorithm != "em" else (None,)
@@ -406,7 +438,7 @@ def cmd_sweep(model, algorithm, n_list, d_list, eps_list, clip_list, snr, sigma,
                 )
         return cells
 
-    results = _run_parallel(tasks, worker, threads)
+    results = _run_forked(tasks, worker, threads)
     # canonical order: n, d, eps, clip, seed
     by_cell = {
         (i_n, i_d, *cell, k): cell_rows

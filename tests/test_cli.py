@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from concurrent.futures import process
 
 import numpy as np
 import pytest
@@ -550,6 +551,7 @@ class TestSweep:
             raise AssertionError("a sweep task started")
 
         monkeypatch.setattr(dpem.cli, "_run_parallel", started)
+        monkeypatch.setattr(dpem.cli, "_run_forked", started)
         out = tmp_path / "s.csv"
         result = runner.invoke(cli, [
             "sweep", "--model", model, "--algorithm", "dpgem", "--p-m", "0.5",
@@ -640,29 +642,70 @@ class TestSweep:
                                            algorithm):
         # a cell's rows depend on its own coordinates only, and each
         # (n, d, seed) dataset is drawn once for all of its eps x clip cells
-        sampled = []
+        log = tmp_path / "sampled.log"
         real = dpem.cli.sample_observations
 
-        def counting(*args, **kwargs):
-            sampled.append(args[1:])
-            return real(*args, **kwargs)
+        def counting(model, n, *args, **kwargs):
+            # one appended line per call, so that forked workers report theirs
+            with open(log, "a") as fh:
+                fh.write(f"{n}\n")
+            return real(model, n, *args, **kwargs)
 
         monkeypatch.setattr(dpem.cli, "sample_observations", counting)
         files = {}
         for eps_list in ("0.2", "0.2,0.5,1"):
             out = tmp_path / f"{eps_list}.csv"
-            sampled.clear()
+            log.unlink(missing_ok=True)
             invoke(
                 runner, "sweep", "--model", "mrm", "--algorithm", algorithm,
                 "--n-list", "200,300", "--d-list", 3, "--eps-list", eps_list,
                 "--clip-list", "0.5,1", "--n-seeds", 3, "--threads", 2,
                 "--out", out,
             )
+            sampled = log.read_text().splitlines()
             assert len(sampled) == 2 * 1 * 3
             files[eps_list] = read_results(out)
         wide = [r for r in files["0.2,0.5,1"] if r["eps"] == 0.2]
         assert len(files["0.2,0.5,1"]) == 3 * len(wide)
         assert files["0.2"] == wide
+
+    def test_pool_never_outnumbers_tasks(self, runner, tmp_path, monkeypatch):
+        sizes = []
+
+        class Recording(process.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                # fail before forking, should the bound ever break
+                assert max_workers <= 2, f"pool of {max_workers} for 2 tasks"
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
+        out = tmp_path / "s.csv"
+        invoke(
+            runner, "sweep", "--model", "mrm", "--n-list", "200,300", "--d-list", 3,
+            "--eps-list", 1, "--n-seeds", 1, "--iters", 2, "--threads", 64, "--out", out,
+        )
+        assert sizes == [2]
+        assert len(read_results(out)) == 2 * 3
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["--model", "mrm", "--algorithm", "em", "--eta", "1e6", "--iters", "200",
+          "--n-list", "200,300", "--d-list", "5", "--n-seeds", "2"],
+         4, "diverged at iteration"),
+        (["--algorithm", "dpgem", "--iters", "10", "--n-list", "5,6", "--d-list", "2"],
+         2, "need n >= T, got n=5, T=10"),
+    ], ids=["diverged", "domain"])
+    def test_worker_error_keeps_exit_code(self, runner, tmp_path, args, code, message):
+        out = tmp_path / "e.csv"
+        stderr = set()
+        for threads in ("1", "2"):
+            result, _ = invoke_quiet(runner, ["sweep", *args, "--threads", threads,
+                                              "--out", str(out)])
+            assert result.exit_code == code, result.output
+            assert message in result.stderr
+            stderr.add(result.stderr)
+        assert len(stderr) == 1
+        assert not out.exists()
 
 
 class TestPreprocess:

@@ -2,9 +2,10 @@
 
 scipy is imported inside the functions that call it (the smoothed-truncation
 kernel and the quadrature helpers), so a command that runs no kernel never
-loads it, and the first kernel call of a process imports it.  The test
-process has long since imported scipy, so each case here runs in a fresh
-interpreter on this checkout's source.
+loads it, and the first kernel call of a process imports it.  Likewise the
+process pool is imported only by a sweep that forks workers.  The test
+process has long since imported all of these, so each case here runs in a
+fresh interpreter on this checkout's source.
 """
 
 import os
@@ -21,8 +22,8 @@ from dpem.io import write_results
 
 SRC = str(Path(dpem.__file__).resolve().parent.parent)
 
-# Runs the dpem CLI on its own arguments, then prints which scipy modules
-# the process loaded, as the last line of its output.
+# Runs the dpem CLI on its own arguments, then prints which scipy and
+# process-pool modules the process loaded, as the last line of its output.
 PROBE = """\
 import sys
 from dpem.cli import cli
@@ -31,7 +32,8 @@ try:
 except SystemExit as exc:
     if exc.code:
         raise
-print(",".join(m for m in ("scipy", "scipy.special") if m in sys.modules))
+print(",".join(m for m in ("scipy", "scipy.special", "multiprocessing",
+                            "concurrent.futures.process") if m in sys.modules))
 """
 
 
@@ -45,7 +47,7 @@ def fresh(args, cwd):
     return proc.stdout
 
 
-def scipy_loaded(args, cwd):
+def probed_modules(args, cwd):
     return fresh(["-c", PROBE, *args], cwd).splitlines()[-1].split(",")
 
 
@@ -84,12 +86,29 @@ def test_import_loads_no_scipy(module, tmp_path):
 
 @pytest.mark.parametrize("command", sorted(NO_KERNEL))
 def test_command_without_kernel_loads_no_scipy(inputs, command):
-    assert scipy_loaded(NO_KERNEL[command], inputs) == [""]
+    """Neither scipy nor the process pool."""
+    assert probed_modules(NO_KERNEL[command], inputs) == [""]
 
 
 def test_kernel_loads_scipy_special(inputs):
     args = ["run", "--algorithm", "dpgem", "--data", "gmm.csv", "--out", "dpgem.csv"]
-    assert scipy_loaded(args, inputs) == ["scipy", "scipy.special"]
+    assert probed_modules(args, inputs) == ["scipy", "scipy.special"]
+
+
+POOL = ["multiprocessing", "concurrent.futures.process"]
+SWEEP = ["sweep", "--algorithm", "em", "--n-list", "50", "--d-list", "2", "--n-seeds", "2",
+         "--iters", "2", "--out", "sweep.csv"]
+
+
+@pytest.mark.parametrize("args, pool", [
+    (["run", "--algorithm", "dpem", "--data", "gmm.csv", "--n-seeds", "2", "--threads", "2",
+      "--out", "dpem.csv"], False),
+    (SWEEP + ["--threads", "1"], False),
+    (SWEEP + ["--threads", "2"], True),
+], ids=["run-threads-2", "sweep-threads-1", "sweep-threads-2"])
+def test_only_a_parallel_sweep_loads_the_process_pool(inputs, args, pool):
+    loaded = probed_modules(args, inputs)
+    assert [m for m in POOL if m in loaded] == (POOL if pool else [])
 
 
 @pytest.mark.parametrize("command", [
