@@ -238,9 +238,18 @@ def _run_parallel(tasks, worker, threads: int) -> dict:
     {key: result}.  One thread runs them in order in this thread."""
     if threads <= 1:
         return {key: worker(spec) for key, spec in tasks}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {key: pool.submit(worker, spec) for key, spec in tasks}
+    return _collect(ThreadPoolExecutor(max_workers=threads), tasks, worker)
+
+
+def _collect(pool, tasks, fn) -> dict:
+    """{key: fn(spec)} over the keyed tasks on pool, read in task order.  At
+    the first failure in that order the tasks not yet started are cancelled
+    and the error is raised, the one the serial path raises."""
+    try:
+        futures = {key: pool.submit(fn, spec) for key, spec in tasks}
         return {key: future.result() for key, future in futures.items()}
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # the worker of a forked pool; set in each worker process by the pool's
@@ -272,10 +281,9 @@ def _run_forked(tasks, worker, processes: int) -> dict:
 
     # fork is safe here: the pool forks every worker before it starts its
     # own threads, and OpenBLAS stops its threads across a fork
-    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_install_worker, initargs=(worker,)) as pool:
-        futures = {key: pool.submit(_call_worker, spec) for key, spec in tasks}
-        return {key: future.result() for key, future in futures.items()}
+    pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_install_worker, initargs=(worker,))
+    return _collect(pool, tasks, _call_worker)
 
 
 # ------------------------------------------------------------------ commands

@@ -53,8 +53,42 @@ _CLOSED_FORM_LIMIT = 10.0
 # Past |V| = 38.6 the normal CDF and pdf in C(a, b) underflow to exactly 0.0.
 # V is clipped to +-_V_BOUND, which keeps V*V and V*E finite for subnormal b
 # without changing a value; where the signed V- and V+ are both >= _V_BOUND,
-# every term of C(a, b) is exactly 0.0, so the closed form skips it there.
+# every term of C(a, b) is exactly 0.0.
+#
+# The closed form adds C(a, b) only where V = min(V-, V+) < V*(beta), and
+# V*(beta) <= _V_BOUND.  Beyond V* the computed |C| is below |value| 2^-55,
+# under ulp(value)/4, so value + C rounds back to value: skipping C changes
+# no bit.  The bound, for V >= V* (> 8.9): the kernel has b = |a|/sqrt(beta),
+# so V = (sqrt2 - |a|)/b gives |a| = sqrt2 sqrt(beta)/(V + sqrt(beta)) < sqrt2,
+# b <= sqrt2/V and |value| = |a| (1 - b^2/2 - a^2/6) >= (2/3)|a|.  With
+# p = e^{-V^2/2}/sqrt(2 pi), both V+- >= V give F+- = ndtr(-V+-) <= p/V,
+# E+- = e^{-V+-^2/2} <= sqrt(2 pi) p, V+- E+- <= V sqrt(2 pi) p and
+# (2 + V+-^2) E+- <= (2 + V^2) sqrt(2 pi) p.  Each term of C, and its bound
+# over (2/3)|a|:
+#   t1 = PHI_BOUND (F- - F+)                 <= PHI_BOUND p/V  -> p (1/V + 1/sqrt(beta))
+#   t2 = -(a - a^3/6)(F- + F+)               <= 2|a| p/V      -> 3p/V
+#   t3 = b (1 - a^2/2)(E+ - E-)/sqrt(2 pi)   <= b p           -> (3/2) p/sqrt(beta)
+#   t4 = (a b^2/2)(F+ + F- + (V+ E+ + V- E-)/sqrt(2 pi))
+#                                            <= |a| b^2 (V + 1/V) p -> 3p (1/V + 1/V^3)
+#   t5 = b^3 ((2 + V-^2)E- - (2 + V+^2)E+)/(6 sqrt(2 pi))
+#                                            <= b^3 (2 + V^2) p/6  -> (1/2 + 1/V^2) p/sqrt(beta)
+# so |C|/|value| <= p (7/V + 3/V^3 + (3 + 1/V^2)/sqrt(beta))
+#                <= e^{-V^2/2} (10 + 4/sqrt(beta))/sqrt(2 pi)    (V >= 1).
+# The computed factors exceed their bounds by a few ulps at most, which a
+# factor 2 covers; V* is where twice the last line equals 2^-55.  It is 9.0
+# at beta >= 1 and grows as beta falls, to 28.7 at beta = 5e-324: the
+# 1/sqrt(beta) terms come from t1, which carries no factor a, and from t3
+# and t5, which carry b = |a|/sqrt(beta) in its place.
 _V_BOUND = 40.0
+
+
+def _correction_cutoff(beta: float) -> float:
+    """V*(beta), where e^{-V*^2/2} (10 + 4/sqrt(beta))/sqrt(2 pi) = 2^-56:
+    the closed form skips C(a, b) where min(V-, V+) >= V* (bound at
+    _V_BOUND)."""
+    scale = (10.0 + 4.0 / math.sqrt(beta)) * _INV_SQRT_2PI
+    return min(_V_BOUND, math.sqrt(2.0 * math.log(scale * 2.0**56)))
+
 
 # 32-point Gauss-Legendre panels, <= 0.25 std wide, resolve the window
 # integrand (cubic times normal pdf) to machine precision.
@@ -198,12 +232,12 @@ def _correction_vec(a, a2, cubic, b, b2, v_minus, v_plus, rows):
     return total
 
 
-def _closed_form(a, b, value, rows, live):
+def _closed_form(a, b, value, rows, live, v_cut):
     """Write E phi(a + b*xi) = (a(1 - b^2/2) - a^3/6) + C(a, b) into value,
     over 1-d arrays, for 0 < b and |a|, b <= _CLOSED_FORM_LIMIT, on 14 float
-    scratch rows and one flag row of their length.  C is added only where it
-    can be nonzero, which leaves every value bit-identical to adding it
-    everywhere."""
+    scratch rows and one flag row of their length.  C is added only where
+    min(V-, V+) < v_cut = V*(beta): beyond it |C| < ulp(value)/4 (bound at
+    _V_BOUND), so every value is bit-identical to adding C everywhere."""
     a2, cubic, b2, v_minus, v_plus, spare, *gather_rows = rows
     np.multiply(a, a, out=a2)
     np.divide(np.multiply(a2, a, out=cubic), 6.0, out=cubic)
@@ -212,7 +246,7 @@ def _closed_form(a, b, value, rows, live):
     np.subtract(1.0, np.divide(b2, 2.0, out=value), out=value)
     np.subtract(np.multiply(a, value, out=value), cubic, out=value)
     _v_pair(a, b, v_minus, v_plus)
-    np.less(np.minimum(v_minus, v_plus, out=spare), _V_BOUND, out=live)
+    np.less(np.minimum(v_minus, v_plus, out=spare), v_cut, out=live)
     idx = np.flatnonzero(live)  # integer gathers are ~6x faster than boolean ones
     if idx.size:
         # mode="clip" keeps take from buffering its output; idx is in range
@@ -273,15 +307,18 @@ def _smoothed_phi_array(x: np.ndarray, s: float, beta: float) -> np.ndarray:
     flat = x.ravel()
     out = np.empty(flat.size)
     scale = s * math.sqrt(beta)
+    v_cut = _correction_cutoff(beta)
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        _smoothed_phi_block(flat[block], s, scale, out[block])
+        _smoothed_phi_block(flat[block], s, scale, v_cut, out[block])
     return out.reshape(x.shape)
 
 
-def _smoothed_phi_block(x: np.ndarray, s: float, scale: float, out: np.ndarray) -> None:
+def _smoothed_phi_block(x: np.ndarray, s: float, scale: float, v_cut: float,
+                        out: np.ndarray) -> None:
     """The smoothed truncation of the 1-d block x at truncation scale s,
-    with scale = s sqrt(beta), written into out on this thread's scratch rows."""
+    with scale = s sqrt(beta) and v_cut = V*(beta), written into out on this
+    thread's scratch rows."""
     (a, b, *rows), (positive, near, flag) = _SCRATCH.rows(x.size)
     np.divide(x, s, out=a)
     with np.errstate(over="ignore"):
@@ -289,7 +326,7 @@ def _smoothed_phi_block(x: np.ndarray, s: float, scale: float, out: np.ndarray) 
     # The closed form runs on the whole block; outside its domain (b == 0,
     # or the far regime) it may overflow, and those values are replaced below.
     with np.errstate(over="ignore", invalid="ignore"):
-        _closed_form(a, b, out, rows, flag)
+        _closed_form(a, b, out, rows, flag, v_cut)
     np.multiply(s, out, out=out)
     np.greater(b, 0.0, out=positive)
     np.less_equal(np.abs(a, out=rows[0]), _CLOSED_FORM_LIMIT, out=near)

@@ -707,6 +707,33 @@ class TestSweep:
         assert len(stderr) == 1
         assert not out.exists()
 
+    def test_worker_error_cancels_queued_tasks(self, runner, tmp_path, monkeypatch):
+        # the first task fails, twelve slow ones follow; a parallel sweep
+        # must stop at that error as the serial one does, not run them all
+        log = tmp_path / "started.log"
+        real = dpem.cli.sample_observations
+
+        def counting(model, n, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{n}\n")
+            return real(model, n, *args, **kwargs)
+
+        monkeypatch.setattr(dpem.cli, "sample_observations", counting)
+        n_list = ",".join(["5"] + [str(n) for n in range(4000, 4012)])
+        outcomes = {}
+        for threads in (1, 2):
+            log.unlink(missing_ok=True)
+            result, _ = invoke_quiet(runner, [
+                "sweep", "--model", "mrm", "--algorithm", "dpgem", "--iters", "10",
+                "--n-list", n_list, "--d-list", "20", "--eps-list", "1", "--n-seeds", "1",
+                "--threads", str(threads), "--out", str(tmp_path / "e.csv")])
+            started = log.read_text().splitlines()
+            assert "5" in started
+            assert len(started) <= 2 * threads + 2, (threads, started)
+            outcomes[threads] = result.exit_code, result.stderr
+        assert outcomes[1] == (2, "error: need n >= T, got n=5, T=10\n")
+        assert outcomes[2] == outcomes[1]
+
 
 class TestPreprocess:
     def write_labeled(self, path, feats, labels):

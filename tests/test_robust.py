@@ -83,6 +83,18 @@ def kernel_args(x, s, beta):
     return x / s, abs(x) / (s * math.sqrt(beta))
 
 
+# smoothing concentrations at which the correction gate is checked, down to
+# the smallest positive double, where the gate is widest
+GATE_BETAS = (5e-324, 1e-300, 1e-30, 1.0, math.sqrt(math.log(1000.0)), 50.0)
+
+
+def gate_edge_a(v, beta):
+    """The a > 0 at which min(V-, V+) = (sqrt2 - a)/b equals v, with the
+    kernel's b = a / sqrt(beta)."""
+    root = math.sqrt(beta)
+    return SQRT2 * root / (v + root)
+
+
 FAR_S, FAR_BETA = 1.7, 25.0
 
 
@@ -222,22 +234,38 @@ class TestSmoothedPhi:
                 assert got == pytest.approx(want, abs=tol), (a, b)
 
     def test_correction_gate_is_exact(self):
-        # C(a, b) is skipped where min(V-, V+) >= 40; just either side of that
-        # bound the value must equal the ungated closed form bit for bit
+        # C(a, b) is skipped where min(V-, V+) >= V*(beta); just either side
+        # of V* the value must equal the ungated closed form bit for bit
         s = 1.5
-        for b0 in (1e-3, 0.01, 0.03):
-            edge = SQRT2 - 40.0 * b0  # |a| at which min(V-, V+) == 40
-            for a0 in (edge * (1 - 1e-9), edge * (1 + 1e-9)):
+        for beta in GATE_BETAS:
+            v_cut = robust._correction_cutoff(beta)
+            sides = set()
+            for v in (v_cut * (1 - 1e-9), v_cut * (1 + 1e-9), v_cut - 0.5, v_cut + 0.5):
                 for sign in (1.0, -1.0):
-                    x = sign * a0 * s
-                    beta = (a0 / b0) ** 2
+                    x = sign * gate_edge_a(v, beta) * s
                     a, b = kernel_args(x, s, beta)
+                    sides.add(min((SQRT2 - a) / b, (SQRT2 + a) / b) >= v_cut)
                     c = correction_C(a, b)
-                    if min((SQRT2 - a) / b, (SQRT2 + a) / b) >= 40.0:
-                        assert c == 0.0
                     want = s * ((a * (1.0 - b * b / 2.0) - a * a * a / 6.0) + c)
                     p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
-                    assert smoothed_phi(x, p) == want
+                    assert smoothed_phi(x, p) == want, (beta, v)
+            assert sides == {False, True}, beta
+
+    def test_correction_gate_matches_ungated_kernel(self, monkeypatch):
+        # 1.2M entries whose min(V-, V+) runs from 0.5 to 40, densest at V*:
+        # the gated kernel must equal one adding C on every entry
+        cases = [(beta, s) for beta in GATE_BETAS for s in (0.37, 3e5)]
+        gated = {}
+        for beta, s in cases:
+            v_cut = robust._correction_cutoff(beta)
+            v = np.concatenate([np.linspace(0.5, 40.0, 50_000),
+                                v_cut * (1.0 + np.linspace(-1e-3, 1e-3, 50_000))])
+            x = np.outer(gate_edge_a(v, beta) * s, [1.0, -1.0])
+            gated[beta, s] = x, robust._smoothed_phi_array(x, s, beta)
+        monkeypatch.setattr(robust, "_correction_cutoff", lambda beta: math.inf)
+        assert sum(x.size for x, _ in gated.values()) >= 10**6
+        for (beta, s), (x, got) in gated.items():
+            assert np.array_equal(got, robust._smoothed_phi_array(x, s, beta)), (beta, s)
 
     def test_columns_bitwise_equal_per_entry(self):
         s, beta = FAR_S, FAR_BETA
