@@ -84,8 +84,9 @@ _V_BOUND = 40.0
 
 def _correction_cutoff(beta: float) -> float:
     """V*(beta), where e^{-V*^2/2} (10 + 4/sqrt(beta))/sqrt(2 pi) = 2^-56:
-    the closed form skips C(a, b) where min(V-, V+) >= V* (bound at
-    _V_BOUND)."""
+    the closed form skips C(a, b) where min(V-, V+) >= V*.  V* < 28.7 for
+    every positive double beta; the clamp at _V_BOUND is a safety bound
+    that keeps V* inside the clip of V."""
     scale = (10.0 + 4.0 / math.sqrt(beta)) * _INV_SQRT_2PI
     return min(_V_BOUND, math.sqrt(2.0 * math.log(scale * 2.0**56)))
 

@@ -708,8 +708,13 @@ class TestSweep:
         assert not out.exists()
 
     def test_worker_error_cancels_queued_tasks(self, runner, tmp_path, monkeypatch):
-        # the first task fails, twelve slow ones follow; a parallel sweep
-        # must stop at that error as the serial one does, not run them all
+        # the first task fails, eight slow ones follow; a parallel sweep
+        # must stop at that error as the serial one does, not run them all.
+        # By the cancel the pool has started the failed task, one task per
+        # worker and threads + 1 in its call queue, which cannot be cancelled:
+        # the bound 2*threads + 2 is met exactly.  One more start needs a task
+        # (~0.4 s at d = 150, against ~20 ms at d = 20) to end before the
+        # cancel, which follows the failure at once.
         log = tmp_path / "started.log"
         real = dpem.cli.sample_observations
 
@@ -719,13 +724,13 @@ class TestSweep:
             return real(model, n, *args, **kwargs)
 
         monkeypatch.setattr(dpem.cli, "sample_observations", counting)
-        n_list = ",".join(["5"] + [str(n) for n in range(4000, 4012)])
+        n_list = ",".join(["5"] + [str(n) for n in range(4000, 4008)])
         outcomes = {}
         for threads in (1, 2):
             log.unlink(missing_ok=True)
             result, _ = invoke_quiet(runner, [
                 "sweep", "--model", "mrm", "--algorithm", "dpgem", "--iters", "10",
-                "--n-list", n_list, "--d-list", "20", "--eps-list", "1", "--n-seeds", "1",
+                "--n-list", n_list, "--d-list", "150", "--eps-list", "1", "--n-seeds", "1",
                 "--threads", str(threads), "--out", str(tmp_path / "e.csv")])
             started = log.read_text().splitlines()
             assert "5" in started

@@ -235,21 +235,31 @@ class TestSmoothedPhi:
 
     def test_correction_gate_is_exact(self):
         # C(a, b) is skipped where min(V-, V+) >= V*(beta); just either side
-        # of V* the value must equal the ungated closed form bit for bit
+        # of V*, and of _V_BOUND = 40 where every term of C is exactly 0.0,
+        # the value must equal the ungated closed form bit for bit
         s = 1.5
+        probes = []  # (x, beta, V the probe sits at)
         for beta in GATE_BETAS:
             v_cut = robust._correction_cutoff(beta)
-            sides = set()
             for v in (v_cut * (1 - 1e-9), v_cut * (1 + 1e-9), v_cut - 0.5, v_cut + 0.5):
-                for sign in (1.0, -1.0):
-                    x = sign * gate_edge_a(v, beta) * s
-                    a, b = kernel_args(x, s, beta)
-                    sides.add(min((SQRT2 - a) / b, (SQRT2 + a) / b) >= v_cut)
-                    c = correction_C(a, b)
-                    want = s * ((a * (1.0 - b * b / 2.0) - a * a * a / 6.0) + c)
-                    p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
-                    assert smoothed_phi(x, p) == want, (beta, v)
-            assert sides == {False, True}, beta
+                probes += [(sign * gate_edge_a(v, beta) * s, beta, v) for sign in (1.0, -1.0)]
+        for b0 in (1e-3, 0.01, 0.03):
+            edge = SQRT2 - 40.0 * b0  # |a| at which min(V-, V+) == 40
+            for a0 in (edge * (1 - 1e-9), edge * (1 + 1e-9)):
+                probes += [(sign * a0 * s, (a0 / b0) ** 2, 40.0) for sign in (1.0, -1.0)]
+        sides = set()
+        for x, beta, v in probes:
+            a, b = kernel_args(x, s, beta)
+            v_min = min((SQRT2 - a) / b, (SQRT2 + a) / b)
+            sides.add((beta, v_min >= robust._correction_cutoff(beta)))
+            c = correction_C(a, b)
+            if v_min >= 40.0:
+                assert c == 0.0, (beta, v)
+            want = s * ((a * (1.0 - b * b / 2.0) - a * a * a / 6.0) + c)
+            p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
+            assert smoothed_phi(x, p) == want, (beta, v)
+        for beta in GATE_BETAS:
+            assert {(beta, False), (beta, True)} <= sides, beta
 
     def test_correction_gate_matches_ungated_kernel(self, monkeypatch):
         # 1.2M entries whose min(V-, V+) runs from 0.5 to 40, densest at V*:
