@@ -28,7 +28,6 @@ from .estimators import (
     clipped_dp_gradient_em,
     dp_em_gmm,
     dp_gradient_em,
-    estimation_error,
     gradient_em,
     initial_beta,
 )
@@ -49,8 +48,6 @@ from .numeric import (
     expectation_under_gaussian,
     max_eigenvalue,
     sample_gaussian,
-    sample_rademacher,
-    std_normal_cdf,
 )
 from .robust import (
     PHI_BOUND,
@@ -92,7 +89,6 @@ __all__ = [
     "correction_C",
     "dp_em_gmm",
     "dp_gradient_em",
-    "estimation_error",
     "expectation_under_gaussian",
     "f_gmm",
     "gaussian_sigma_for_zcdp",
@@ -108,14 +104,12 @@ __all__ = [
     "robust_mean",
     "sample_gaussian",
     "sample_observations",
-    "sample_rademacher",
     "select_params_central",
     "select_params_nonprivate",
     "select_params_local",
     "smoothed_phi",
     "split_budget_alg1",
     "split_budget_alg2",
-    "std_normal_cdf",
     "tau_bound",
     "zcdp_to_approx_dp",
 ]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
 from .validation import check_count, check_positive, check_probability
 
 __all__ = [
@@ -30,23 +29,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """(eps, delta) plus the derived zCDP scale eps_tilde (rho = eps_tilde^2)."""
+    """(eps, delta) and the zCDP scale eps_tilde derived from it (rho = eps_tilde^2)."""
 
     eps: float
     delta: float
-    eps_tilde: float
 
     def __post_init__(self):
         object.__setattr__(self, "eps", check_positive("eps", self.eps))
         object.__setattr__(self, "delta", check_probability("delta", self.delta))
-        object.__setattr__(self, "eps_tilde", check_positive("eps_tilde", self.eps_tilde))
+        check_positive("eps_tilde", self.eps_tilde)
+
+    @property
+    def eps_tilde(self) -> float:
         log_delta = math.log(1.0 / self.delta)
-        expected = math.sqrt(log_delta + self.eps) - math.sqrt(log_delta)
-        if abs(self.eps_tilde - expected) > 1e-12 * max(1.0, expected):
-            raise DomainError(
-                f"eps_tilde={self.eps_tilde!r} does not match the budget "
-                f"(expected {expected!r})"
-            )
+        return math.sqrt(log_delta + self.eps) - math.sqrt(log_delta)
 
     @property
     def rho(self) -> float:
@@ -54,11 +50,7 @@ class PrivacyBudget:
 
 
 def make_budget(eps: float, delta: float) -> PrivacyBudget:
-    eps = check_positive("eps", eps)
-    delta = check_probability("delta", delta)
-    log_delta = math.log(1.0 / delta)
-    eps_tilde = math.sqrt(log_delta + eps) - math.sqrt(log_delta)
-    return PrivacyBudget(eps=eps, delta=delta, eps_tilde=eps_tilde)
+    return PrivacyBudget(eps=eps, delta=delta)
 
 
 def zcdp_to_approx_dp(rho: float, delta: float) -> float:

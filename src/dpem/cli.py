@@ -19,14 +19,7 @@ import numpy as np
 
 from . import io
 from .errors import ConfigError, ConvergenceError, DataError, DomainError
-from .estimators import (
-    ALGORITHMS,
-    SIGN_SYMMETRIC_KINDS,
-    align_sign,
-    initial_beta,
-    resolve_settings,
-    run_algorithm,
-)
+from .estimators import ALGORITHMS, initial_beta, run_algorithm
 from .models import (
     MODEL_KINDS,
     SIGMA_FLOOR,
@@ -208,23 +201,21 @@ def _fit_rows(fit: dict, algorithm, data, model, beta0, rng, truth, *, eps, clip
     """Fit one cell and return one result row per iterate.  eps is None for
     em and clip is None unless the algorithm is clipped; their columns are
     then left empty.  fit holds the parsed options run and sweep share."""
-    delta, T, tau = resolve_settings(algorithm, data.n, model, truth, delta=fit["delta"],
-                                     iters=fit["iters"], tau=fit["tau"])
     started = time.perf_counter()
     trace = run_algorithm(
-        algorithm, data, model, beta0, rng, truth, T=T, eta=fit["eta"], eps=eps,
-        delta=delta, clip=clip, tau=tau, zeta=fit["zeta"], shuffle=fit["shuffle"],
-        disable_noise=fit["unsafe_no_noise"],
+        algorithm, data, model, beta0, rng, truth, iters=fit["iters"], eta=fit["eta"],
+        eps=eps, delta=fit["delta"], clip=clip, tau=fit["tau"], zeta=fit["zeta"],
+        shuffle=fit["shuffle"], disable_noise=fit["unsafe_no_noise"],
     )
     wall_ms = (time.perf_counter() - started) * 1e3 if fit["timing"] else 0.0
     return [{
         "model": model.kind,
         "algorithm": algorithm,
         "eps": "" if eps is None else float(eps),
-        "delta": "" if eps is None else float(delta),
+        "delta": "" if eps is None else trace.config["delta"],
         "d": data.d,
         "n": data.n,
-        "T": T,
+        "T": trace.config["T"],
         "C": "" if clip is None else float(clip),
         "seed": seed,
         "iter": it,
@@ -373,14 +364,9 @@ def cmd_run(data_path, meta_path, eps, clip, algorithm, seed, n_seeds, threads, 
 
     def worker(k: int) -> list[dict]:
         root = RngStream(seed + k)
-        beta0 = initial_beta(data.d, root.split(0))
-        if model_kind in SIGN_SYMMETRIC_KINDS:
-            # beta -> -beta is a symmetry of these models; fix the gauge so
-            # error curves measure convergence, not the arbitrary sign
-            beta0 = align_sign(beta0, beta_star)
         return _fit_rows(
-            fit, algorithm, data, model, beta0, root.split(1), truth,
-            eps=None if algorithm == "em" else eps,
+            fit, algorithm, data, model, initial_beta(data.d, root.split(0)), root.split(1),
+            truth, eps=None if algorithm == "em" else eps,
             clip=clip if algorithm == "clipped" else None, seed=seed + k,
         )
 
@@ -432,16 +418,13 @@ def cmd_sweep(model, algorithm, n_list, d_list, eps_list, clip_list, snr, sigma,
         data = sample_observations(
             model, n, beta_star, RngStream(master).split(1).split(n).split(d).split(k))
         beta0 = initial_beta(d, RngStream(master).split(2).split(d).split(k))
-        if model_kind in SIGN_SYMMETRIC_KINDS:
-            beta0 = align_sign(beta0, beta_star)
-        truth = GroundTruth(beta_star)
         cells = {}
         for i_eps, eps in enumerate(eps_values):
             for i_clip, clip in enumerate(clip_values):
                 noise_rng = (RngStream(master).split(3).split(n).split(d)
                              .split(i_eps).split(i_clip).split(k))
                 cells[i_eps, i_clip] = _fit_rows(
-                    fit, algorithm, data, model, beta0, noise_rng, truth,
+                    fit, algorithm, data, model, beta0, noise_rng, beta_star,
                     eps=eps, clip=clip, seed=master + k,
                 )
         return cells

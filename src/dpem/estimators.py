@@ -4,9 +4,9 @@ Each algorithm is a release rule run by one loop, ``_iterate``: iteration t
 reduces a matrix of per-sample values at beta^{t-1} to a d-vector release,
 plus (private variants) one Gaussian vector drawn from child stream t of
 the caller's RngStream, so traces are bitwise reproducible no matter how
-the work is scheduled.  The
-CLI and the estimator classes share one settings resolver
-(``resolve_settings``) and one dispatcher (``run_algorithm``).
+the work is scheduled.  The CLI and the estimator classes share one entry
+point, ``run_algorithm``, which resolves the ``auto`` settings, and the
+private fits share one noise calibration, ``_calibrate``.
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ from .validation import check_count, check_positive, check_probability, check_ve
 __all__ = [
     "ALGORITHMS",
     "IterationTrace",
-    "estimation_error",
     "initial_beta",
     "gradient_em",
     "clipped_dp_gradient_em",
     "dp_gradient_em",
     "dp_em_gmm",
-    "resolve_settings",
     "run_algorithm",
     "GradientEM",
     "ClippedDPGradientEM",
@@ -93,13 +91,6 @@ class IterationTrace:
         return float(self.errors[-1])
 
 
-def estimation_error(beta, beta_star) -> float:
-    """Euclidean distance ||beta - beta_star||_2."""
-    beta = check_vector("beta", beta)
-    beta_star = check_vector("beta_star", beta_star, d=beta.size)
-    return float(np.linalg.norm(beta - beta_star))
-
-
 def initial_beta(d: int, rng: RngStream) -> np.ndarray:
     """Random unit-norm starting point: a seeded Gaussian direction."""
     d = check_count("d", d)
@@ -129,41 +120,20 @@ def align_sign(beta0: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return beta0
 
 
-def _quiet_overflow():
-    """Silence numpy's overflow/invalid warnings for one fit: a diverging
-    run is reported once, as a ConvergenceError from _iterate or
-    _finish_trace, not as a burst of RuntimeWarnings before it."""
-    return np.errstate(over="ignore", invalid="ignore")
-
-
-def _finish_trace(betas: list, truth, config: dict) -> IterationTrace:
-    stack = np.vstack(betas)
-    errors = None
-    if truth is not None:
-        beta_star = check_vector("beta_star", getattr(truth, "beta_star", truth))
-        with _quiet_overflow():
-            errors = np.linalg.norm(stack - beta_star, axis=1)
-        overflow = np.flatnonzero(~np.isfinite(errors))
-        if overflow.size:  # beta^t finite but so large that its error overflows
-            t = int(overflow[0])
-            raise ConvergenceError(
-                f"diverged at iteration {t}: estimation error overflows",
-                last_value=betas[max(t - 1, 0)],
-            )
-    return IterationTrace(stack, errors, config)
-
-
-def _iterate(beta, T, samples, estimate, truth, config, eta=None, sigma=0.0,
+def _iterate(beta, T, samples, estimate, beta_star, config, eta=None, sigma=0.0,
              rng=None):
     """The one iteration loop.  For t = 1..T, ``samples(t, beta^{t-1})``
     gives a matrix of per-sample values and ``estimate`` reduces it to the
     d-vector release; when sigma > 0 the Gaussian mechanism adds one
     N(0, sigma^2 I_d) draw from child stream t of rng.  beta^t is
     beta^{t-1} + eta * release, or the release itself when eta is None.  A
-    non-finite iterate means the run diverged, reported with the last
-    finite iterate."""
+    non-finite iterate, or an error against beta_star that overflows, means
+    the run diverged, reported with the last finite iterate."""
     betas = [beta]
-    with _quiet_overflow():
+    errors = None
+    # a diverging run is reported once, as a ConvergenceError, not as a
+    # burst of numpy's overflow/invalid RuntimeWarnings before it
+    with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             # the previous matrix stays bound until the next one exists, so
             # the allocator reuses its pages instead of returning them to
@@ -179,15 +149,54 @@ def _iterate(beta, T, samples, estimate, truth, config, eta=None, sigma=0.0,
                     last_value=betas[-1],
                 )
             betas.append(beta)
-    return _finish_trace(betas, truth, config)
+        stack = np.vstack(betas)
+        if beta_star is not None:
+            errors = np.linalg.norm(stack - beta_star, axis=1)
+    if errors is not None:
+        overflow = np.flatnonzero(~np.isfinite(errors))
+        if overflow.size:  # beta^t finite but so large that its error overflows
+            t = int(overflow[0])
+            raise ConvergenceError(
+                f"diverged at iteration {t}: estimation error overflows",
+                last_value=betas[max(t - 1, 0)],
+            )
+    return IterationTrace(stack, errors, config)
 
 
-def _check_run(data: ObservationSet, model: ModelSpec, beta0) -> np.ndarray:
+def _check_run(data: ObservationSet, model: ModelSpec, beta0, truth):
+    """beta0 and the truth's beta_star (None without a truth) as d-vectors,
+    checked with the data against the model before any iteration runs."""
     if data.kind != model.kind:
         raise DomainError(f"data kind {data.kind!r} does not match model {model.kind!r}")
     if data.d != model.d:
         raise DomainError(f"data dimension {data.d} does not match model d={model.d}")
-    return check_vector("beta0", beta0, d=model.d)
+    beta0 = check_vector("beta0", beta0, d=model.d)
+    if truth is None:
+        return beta0, None
+    return beta0, check_vector("beta_star", getattr(truth, "beta_star", truth), d=model.d)
+
+
+def _calibrate(config: dict, budget: PrivacyBudget, key: str, sensitivity: float,
+               rho: float, disable_noise: bool) -> float:
+    """The one noise calibration: sigma = sensitivity / sqrt(2 rho) for each
+    release, echoed in config under key beside the budget.  Returns the
+    sigma to add, 0 when the noise is disabled."""
+    sigma = gaussian_sigma_for_zcdp(sensitivity, rho)
+    config.update({"eps": budget.eps, "delta": budget.delta, key: sigma,
+                   "non_private_noise_disabled": bool(disable_noise)})
+    return 0.0 if disable_noise else sigma
+
+
+def _robust_schedule(count: int, tau: float, zeta: float, budget: PrivacyBudget,
+                     d: int):
+    """Per-coordinate robust means over count samples:
+    s = sqrt(count tau eps_tilde) / (2 ln(d/zeta)), smoothing sqrt(ln(d/zeta)).
+    Returns the params and one coordinate release's sensitivity
+    2 PHI_BOUND s / count."""
+    log_term = math.log(d / zeta)
+    s = math.sqrt(count * tau * budget.eps_tilde) / (2.0 * log_term)
+    params = RobustMeanParams(s=s, beta=math.sqrt(log_term), tau=tau, zeta=zeta)
+    return params, 2.0 * PHI_BOUND * s / count
 
 
 def gradient_em(
@@ -199,12 +208,12 @@ def gradient_em(
     truth=None,
 ) -> IterationTrace:
     """Non-private iteration beta^{t+1} = beta^t + eta * mean gradient."""
-    beta = _check_run(data, model, beta0)
+    beta, beta_star = _check_run(data, model, beta0, truth)
     eta = check_positive("eta", eta)
     T = check_count("T", T, minimum=0)
     config = {"algorithm": "em", "eta": eta, "T": T}
     return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b),
-                    lambda grads: grads.mean(axis=0), truth, config, eta)
+                    lambda grads: grads.mean(axis=0), beta_star, config, eta)
 
 
 def clipped_dp_gradient_em(
@@ -222,13 +231,10 @@ def clipped_dp_gradient_em(
     """Per-sample gradients rescaled to norm <= clip_C, averaged, plus
     N(0, sigma^2 I_d) noise; the full dataset is reused every iteration,
     so the T releases compose sequentially."""
-    beta = _check_run(data, model, beta0)
+    beta, beta_star = _check_run(data, model, beta0, truth)
     clip_C = check_positive("clip_C", clip_C)
     eta = check_positive("eta", eta)
     T = check_count("T", T)
-    n = data.n
-    # one averaged d-vector per iteration, L2 sensitivity 2 clip_C / n
-    sigma = gaussian_sigma_for_zcdp(2.0 * clip_C / n, split_budget_alg1(budget, T))
 
     def clipped_mean(grads):
         norms = np.linalg.norm(grads, axis=1)
@@ -241,13 +247,12 @@ def clipped_dp_gradient_em(
         "clip_C": clip_C,
         "eta": eta,
         "T": T,
-        "eps": budget.eps,
-        "delta": budget.delta,
-        "sigma_iter": sigma,
-        "non_private_noise_disabled": bool(disable_noise),
     }
+    # one averaged d-vector per iteration, L2 sensitivity 2 clip_C / n
+    sigma = _calibrate(config, budget, "sigma_iter", 2.0 * clip_C / data.n,
+                       split_budget_alg1(budget, T), disable_noise)
     return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b), clipped_mean,
-                    truth, config, eta, 0.0 if disable_noise else sigma, rng)
+                    beta_star, config, eta, sigma, rng)
 
 
 def dp_gradient_em(
@@ -276,20 +281,16 @@ def dp_gradient_em(
     has L2 sensitivity sqrt(d) Delta at the whole rho, and
     Delta / sqrt(2 rho / d) = sqrt(d) Delta / sqrt(2 rho), the same sigma.
     """
-    beta = _check_run(data, model, beta0)
+    beta, beta_star = _check_run(data, model, beta0, truth)
     tau = check_positive("tau", tau)
     eta = check_positive("eta", eta)
     T = check_count("T", T)
     zeta = check_probability("zeta", zeta)
-    n = data.n
+    n, d = data.n, model.d
     if n < T:
         raise DomainError(f"need n >= T, got n={n}, T={T}")
-    d = model.d
     m = n // T
-    log_term = math.log(d / zeta)
-    s = math.sqrt(m * tau * budget.eps_tilde) / (2.0 * log_term)
-    params = RobustMeanParams(s=s, beta=math.sqrt(log_term), tau=tau, zeta=zeta)
-    sigma = gaussian_sigma_for_zcdp(2.0 * PHI_BOUND * s / m, split_budget_alg2(budget, d, T))
+    params, sensitivity = _robust_schedule(m, tau, zeta, budget, d)
 
     if shuffle:
         order = rng.split(0).generator.permutation(n)
@@ -302,19 +303,17 @@ def dp_gradient_em(
         "tau": tau,
         "eta": eta,
         "T": T,
-        "eps": budget.eps,
-        "delta": budget.delta,
         "zeta": zeta,
-        "s": s,
+        "s": params.s,
         "smoothing_beta": params.beta,
         "m": m,
-        "sigma_coord": sigma,
         "shuffle": bool(shuffle),
-        "non_private_noise_disabled": bool(disable_noise),
     }
+    sigma = _calibrate(config, budget, "sigma_coord", sensitivity,
+                       split_budget_alg2(budget, d, T), disable_noise)
     return _iterate(beta, T, lambda t, b: grad_q_batch(model, data.take(subsets[t - 1]), b),
-                    lambda grads: robust_mean_columns(grads, params), truth, config, eta,
-                    0.0 if disable_noise else sigma, rng)
+                    lambda grads: robust_mean_columns(grads, params), beta_star, config,
+                    eta, sigma, rng)
 
 
 def dp_em_gmm(
@@ -338,32 +337,25 @@ def dp_em_gmm(
     sqrt(d) Delta and rho/T per iteration that is the same sigma."""
     if model.kind != "gmm":
         raise DomainError(f"dp_em_gmm requires the gmm model, got {model.kind!r}")
-    beta = _check_run(data, model, beta0)
+    beta, beta_star = _check_run(data, model, beta0, truth)
     tau = check_positive("tau", tau)
     T = check_count("T", T)
     zeta = check_probability("zeta", zeta)
-    n, d = data.n, model.d
-    log_term = math.log(d / zeta)
-    s = math.sqrt(n * tau * budget.eps_tilde) / (2.0 * log_term)
-    params = RobustMeanParams(s=s, beta=math.sqrt(log_term), tau=tau, zeta=zeta)
-    rho_release = split_budget_alg1(budget, T) / d
-    sigma = gaussian_sigma_for_zcdp(2.0 * PHI_BOUND * s / n, rho_release)
+    params, sensitivity = _robust_schedule(data.n, tau, zeta, budget, model.d)
 
     config = {
         "algorithm": "dpem",
         "tau": tau,
         "T": T,
-        "eps": budget.eps,
-        "delta": budget.delta,
         "zeta": zeta,
-        "s": s,
+        "s": params.s,
         "smoothing_beta": params.beta,
-        "sigma_coord": sigma,
-        "non_private_noise_disabled": bool(disable_noise),
     }
+    sigma = _calibrate(config, budget, "sigma_coord", sensitivity,
+                       split_budget_alg1(budget, T) / model.d, disable_noise)
     return _iterate(beta, T, lambda t, b: f_gmm_batch(data, b, model.sigma),
-                    lambda fs: robust_mean_columns(fs, params), truth, config, None,
-                    0.0 if disable_noise else sigma, rng)
+                    lambda fs: robust_mean_columns(fs, params), beta_star, config, None,
+                    sigma, rng)
 
 
 def _is_auto(name: str, value) -> bool:
@@ -374,87 +366,71 @@ def _is_auto(name: str, value) -> bool:
     return False
 
 
-def resolve_settings(algorithm: str, n: int, model: ModelSpec, truth, *,
-                     delta, iters, tau):
-    """(delta, T, tau) for one fit on n samples, each ``auto`` resolved by
-    its one rule: delta = n^-1.1, T = max(1, ceil(ln n)), and tau =
-    tau_bound at the ground truth.  tau is None for the algorithms that do
-    not use it (em and clipped)."""
-    if not _is_auto("delta", delta):
-        delta = float(delta)
-    elif n < 2 and algorithm != "em":
-        raise ConfigError(f"delta='auto' is n^-1.1, which is not below 1 for n={n}; "
-                          "give delta in (0, 1)")
-    else:
-        delta = float(n) ** -1.1
-    T = max(1, math.ceil(math.log(n))) if _is_auto("iters", iters) else iters
-    if algorithm not in ("dpgem", "dpem"):
-        tau = None
-    elif _is_auto("tau", tau):
-        if truth is None:
-            raise ConfigError("tau='auto' needs the ground truth beta_star")
-        beta_star = np.asarray(getattr(truth, "beta_star", truth), dtype=float)
-        tau = tau_bound(model, float(np.max(np.abs(beta_star))),
-                        float(np.linalg.norm(beta_star)))
-    else:
-        tau = float(tau)
-    return delta, T, tau
-
-
 def run_algorithm(algorithm: str, data: ObservationSet, model: ModelSpec, beta0,
-                  rng: RngStream, truth, *, T, eta=None, eps=None, delta=None,
-                  clip=None, tau=None, zeta=None, shuffle=True,
+                  rng: RngStream, truth, *, iters="auto", eta=None, eps=None,
+                  delta="auto", clip=None, tau="auto", zeta=None, shuffle=True,
                   disable_noise=False) -> IterationTrace:
-    """Run one algorithm with resolved settings (see resolve_settings).
-    The four functions are looked up by their module names at call time,
-    so anything rebound over those names also sees these calls."""
-    if algorithm == "em":
-        return gradient_em(data, model, beta0, eta, T, truth)
+    """The one entry point of a fit, for the CLI and the estimator classes.
+
+    Each ``auto`` setting is resolved by its one rule: delta = n^-1.1,
+    T = max(1, ceil(ln n)) iterations, and tau = tau_bound at the ground
+    truth (dpgem and dpem only).  With a truth on the sign-symmetric gmm
+    and mrm, beta0 is flipped into the truth's half-space: beta -> -beta is
+    a symmetry of those models, so fixing the gauge makes error curves
+    measure convergence, not the arbitrary sign.  The four functions are
+    looked up by their module names at call time, so anything rebound over
+    those names also sees these calls."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {algorithm!r}")
+    beta0, beta_star = _check_run(data, model, beta0, truth)
+    if beta_star is not None and model.kind in SIGN_SYMMETRIC_KINDS:
+        beta0 = align_sign(beta0, beta_star)
+    n = data.n
+    if _is_auto("delta", delta):
+        if n < 2 and algorithm != "em":
+            raise ConfigError(f"delta='auto' is n^-1.1, which is not below 1 for n={n}; "
+                              "give delta in (0, 1)")
+        delta = float(n) ** -1.1
+    T = max(1, math.ceil(math.log(n))) if _is_auto("iters", iters) else iters
+    if algorithm == "em":
+        return gradient_em(data, model, beta0, eta, T, beta_star)
     budget = make_budget(eps, delta)
     if algorithm == "clipped":
         return clipped_dp_gradient_em(data, model, beta0, clip, eta, T, budget, rng,
-                                      truth, disable_noise=disable_noise)
+                                      beta_star, disable_noise=disable_noise)
+    if _is_auto("tau", tau):
+        if beta_star is None:
+            raise ConfigError("tau='auto' needs the ground truth beta_star")
+        tau = tau_bound(model, float(np.max(np.abs(beta_star))),
+                        float(np.linalg.norm(beta_star)))
     if algorithm == "dpgem":
-        return dp_gradient_em(data, model, beta0, tau, eta, T, budget, zeta, rng, truth,
-                              shuffle=shuffle, disable_noise=disable_noise)
-    return dp_em_gmm(data, model, beta0, tau, T, budget, zeta, rng, truth,
+        return dp_gradient_em(data, model, beta0, tau, eta, T, budget, zeta, rng,
+                              beta_star, shuffle=shuffle, disable_noise=disable_noise)
+    return dp_em_gmm(data, model, beta0, tau, T, budget, zeta, rng, beta_star,
                      disable_noise=disable_noise)
 
 
 class _EMBase(BaseEstimator):
-    """Shared fit: settings from resolve_settings, the fit from
-    run_algorithm; subclasses set ``algorithm`` and declare their
-    hyperparameters in ``__init__``."""
+    """Shared fit, one run_algorithm call; subclasses set ``algorithm`` and
+    declare their hyperparameters in ``__init__``."""
 
     algorithm: str
 
-    def _model_spec(self, d: int) -> ModelSpec:
-        return ModelSpec(self.model, d, self.sigma, getattr(self, "p_m", 0.0))
-
-    def _beta0(self, d: int, root: RngStream) -> np.ndarray:
-        if isinstance(self.init, str):
-            if self.init != "random":
-                raise ConfigError(f"init must be 'random' or a vector, got {self.init!r}")
-            return initial_beta(d, root.split(0))
-        return check_vector("init", self.init, d=d)
-
     def fit(self, X, y=None, beta_star=None):
         data = ObservationSet.from_arrays(self.model, X, y)
-        model = self._model_spec(data.d)
+        model = ModelSpec(self.model, data.d, self.sigma, getattr(self, "p_m", 0.0))
         root = RngStream(self.random_state)
-        beta0 = self._beta0(data.d, root)
-        truth = None if beta_star is None else np.asarray(beta_star, dtype=float)
-        if truth is not None and model.kind in SIGN_SYMMETRIC_KINDS:
-            beta0 = align_sign(beta0, truth)
+        if not isinstance(self.init, str):
+            beta0 = check_vector("init", self.init, d=data.d)
+        elif self.init == "random":
+            beta0 = initial_beta(data.d, root.split(0))
+        else:
+            raise ConfigError(f"init must be 'random' or a vector, got {self.init!r}")
         p = self.get_params()
-        delta, T, tau = resolve_settings(self.algorithm, data.n, model, truth,
-                                         delta=p.get("delta", "auto"), iters=self.n_iter,
-                                         tau=p.get("tau"))
         trace = run_algorithm(
-            self.algorithm, data, model, beta0, root.split(1), truth, T=T, eta=p.get("eta"),
-            eps=p.get("eps"), delta=delta, clip=p.get("clip"), tau=tau, zeta=p.get("zeta"),
+            self.algorithm, data, model, beta0, root.split(1), beta_star, iters=self.n_iter,
+            eta=p.get("eta"), eps=p.get("eps"), delta=p.get("delta", "auto"),
+            clip=p.get("clip"), tau=p.get("tau"), zeta=p.get("zeta"),
             shuffle=p.get("shuffle"), disable_noise=p.get("unsafe_no_noise", False),
         )
         self.n_features_in_ = data.d

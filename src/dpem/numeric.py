@@ -1,8 +1,8 @@
 """Deterministic numerics shared by every module.
 
-Splittable RNG streams, the standard-normal CDF, seeded scalar sampling,
-the top eigenvalue of a symmetric PSD matrix, and a Gaussian-expectation
-quadrature used as the oracle for closed-form identities.
+Splittable RNG streams, seeded scalar sampling, the top eigenvalue of a
+symmetric PSD matrix, and a Gaussian-expectation quadrature used as the
+oracle for closed-form identities.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from .validation import check_finite_scalar, check_matrix
 
 __all__ = [
     "RngStream",
-    "std_normal_cdf",
     "sample_gaussian",
-    "sample_rademacher",
     "max_eigenvalue",
     "expectation_under_gaussian",
 ]
@@ -66,14 +64,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, path={self.path})"
 
 
-def std_normal_cdf(x) -> float:
-    """CDF of N(0, 1), accurate enough to take differences of nearby values."""
-    from scipy.special import ndtr  # imported here: scipy loads only where it is called
-
-    x = check_finite_scalar("x", x)
-    return float(ndtr(x))
-
-
 def sample_gaussian(rng: RngStream, mean: float, std: float) -> float:
     mean = check_finite_scalar("mean", mean)
     std = check_finite_scalar("std", std)
@@ -82,10 +72,6 @@ def sample_gaussian(rng: RngStream, mean: float, std: float) -> float:
     if std == 0.0:
         return mean
     return mean + std * float(rng.generator.standard_normal())
-
-
-def sample_rademacher(rng: RngStream) -> int:
-    return 1 if rng.generator.integers(0, 2) else -1
 
 
 def max_eigenvalue(m) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,9 +148,6 @@ class RobustMeanParams:
         object.__setattr__(self, "tau", check_positive("tau", self.tau))
         object.__setattr__(self, "zeta", check_probability("zeta", self.zeta))
         object.__setattr__(self, "sigma", check_positive("sigma", self.sigma, allow_zero=True))
-
-    def with_sigma(self, sigma: float) -> "RobustMeanParams":
-        return replace(self, sigma=sigma)
 
 
 def phi(x):
@@ -355,14 +352,21 @@ def smoothed_phi(x: float, p: RobustMeanParams) -> float:
     return float(_smoothed_phi_array(np.asarray(x), p.s, p.beta))
 
 
-def robust_mean(xs, p: RobustMeanParams) -> float:
-    """Average of per-sample smoothed truncations; deterministic."""
+def _check_samples(xs, n: int | None = None) -> np.ndarray:
+    """xs as a nonempty finite 1-d array, of n entries when n is given."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise DomainError(f"xs must be a nonempty 1-d sequence, got shape {xs.shape}")
     if not np.all(np.isfinite(xs)):
         raise DomainError("xs must have finite entries")
-    return float(np.mean(_smoothed_phi_array(xs, p.s, p.beta)))
+    if n is not None and xs.size != n:
+        raise DomainError(f"n={n} does not match len(xs)={xs.size}")
+    return xs
+
+
+def robust_mean(xs, p: RobustMeanParams) -> float:
+    """Average of per-sample smoothed truncations; deterministic."""
+    return float(np.mean(_smoothed_phi_array(_check_samples(xs), p.s, p.beta)))
 
 
 def robust_mean_columns(matrix, p: RobustMeanParams) -> np.ndarray:
@@ -390,13 +394,12 @@ def select_params_nonprivate(n: int, tau: float, zeta: float) -> RobustMeanParam
     )
 
 
-def select_params_central(
-    n: int, tau: float, eps: float, delta: float, zeta: float
-) -> RobustMeanParams:
-    """Central-model schedule: beta = sqrt(log(1/zeta)),
-    s = sqrt(n eps tau) / (log(1/zeta) log^(1/4)(1/delta)), and sigma
-    calibrated to the mean's sensitivity (4 sqrt(2)/3) s / n by the zCDP
-    Gaussian mechanism at the budget's rho, valid for every eps > 0."""
+def _private_params(n, tau, eps, delta, zeta, scale) -> RobustMeanParams:
+    """The private schedules' shared part: beta = sqrt(log(1/zeta)),
+    s = numerator / (log(1/zeta) log^(1/4)(1/delta)) and sigma calibrated
+    by the zCDP Gaussian mechanism at the budget's rho, valid for every
+    eps > 0, to one release's sensitivity (4 sqrt(2)/3) s / divisor, where
+    scale(n, eps, tau) gives (numerator, divisor)."""
     n = check_count("n", n, minimum=2)
     tau = check_positive("tau", tau)
     eps = check_positive("eps", eps)
@@ -404,8 +407,9 @@ def select_params_central(
     zeta = check_probability("zeta", zeta)
     log_zeta = math.log(1.0 / zeta)
     log_delta = math.log(1.0 / delta)
-    s = math.sqrt(n * eps * tau) / (log_zeta * log_delta**0.25)
-    sensitivity = (2.0 * PHI_BOUND) * s / n
+    numerator, divisor = scale(n, eps, tau)
+    s = numerator / (log_zeta * log_delta**0.25)
+    sensitivity = (2.0 * PHI_BOUND) * s / divisor
     return RobustMeanParams(
         s=s,
         beta=math.sqrt(log_zeta),
@@ -413,42 +417,27 @@ def select_params_central(
         zeta=zeta,
         sigma=gaussian_sigma_for_zcdp(sensitivity, make_budget(eps, delta).rho),
     )
+
+
+def select_params_central(
+    n: int, tau: float, eps: float, delta: float, zeta: float
+) -> RobustMeanParams:
+    """Central-model schedule: beta = sqrt(log(1/zeta)),
+    s = sqrt(n eps tau) / (log(1/zeta) log^(1/4)(1/delta)), and sigma
+    calibrated to the mean's sensitivity (4 sqrt(2)/3) s / n."""
+    return _private_params(n, tau, eps, delta, zeta,
+                           lambda n, eps, tau: (math.sqrt(n * eps * tau), n))
 
 
 def select_params_local(
     n: int, tau: float, eps: float, delta: float, zeta: float
 ) -> RobustMeanParams:
     """Local-model schedule: s = n^(1/4) sqrt(eps tau) / (log(1/zeta)
-    log^(1/4)(1/delta)); sigma is per user, calibrated (zCDP, as in the
-    central schedule) to one release's sensitivity (4 sqrt(2)/3) s, hence
+    log^(1/4)(1/delta)); sigma is per user, calibrated as in the central
+    schedule to one release's sensitivity (4 sqrt(2)/3) s, hence
     independent of n."""
-    n = check_count("n", n, minimum=2)
-    tau = check_positive("tau", tau)
-    eps = check_positive("eps", eps)
-    delta = check_probability("delta", delta)
-    zeta = check_probability("zeta", zeta)
-    log_zeta = math.log(1.0 / zeta)
-    log_delta = math.log(1.0 / delta)
-    s = n**0.25 * math.sqrt(eps * tau) / (log_zeta * log_delta**0.25)
-    sensitivity = (2.0 * PHI_BOUND) * s
-    return RobustMeanParams(
-        s=s,
-        beta=math.sqrt(log_zeta),
-        tau=tau,
-        zeta=zeta,
-        sigma=gaussian_sigma_for_zcdp(sensitivity, make_budget(eps, delta).rho),
-    )
-
-
-def _check_data(xs, n: int) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise DomainError(f"xs must be a nonempty 1-d sequence, got shape {xs.shape}")
-    if not np.all(np.isfinite(xs)):
-        raise DomainError("xs must have finite entries")
-    if xs.size != n:
-        raise DomainError(f"n={n} does not match len(xs)={xs.size}")
-    return xs
+    return _private_params(n, tau, eps, delta, zeta,
+                           lambda n, eps, tau: (n**0.25 * math.sqrt(eps * tau), 1))
 
 
 def central_dp_mean(
@@ -465,7 +454,7 @@ def central_dp_mean(
     sensitivity.  ``sigma_override`` is test-only (0 disables the noise and
     the output is then NOT private)."""
     p = select_params_central(n, tau, eps, delta, zeta)
-    xs = _check_data(xs, n)
+    xs = _check_samples(xs, n)
     sigma = p.sigma if sigma_override is None else check_positive(
         "sigma_override", sigma_override, allow_zero=True
     )
@@ -485,7 +474,7 @@ def local_dp_mean(
     """Each user releases their smoothed truncation plus N(0, sigma^2);
     the output is the average of the n releases."""
     p = select_params_local(n, tau, eps, delta, zeta)
-    xs = _check_data(xs, n)
+    xs = _check_samples(xs, n)
     sigma = p.sigma if sigma_override is None else check_positive(
         "sigma_override", sigma_override, allow_zero=True
     )

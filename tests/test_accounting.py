@@ -48,7 +48,8 @@ def test_budget_validation():
     with pytest.raises(DomainError):
         make_budget(1.0, 1.0)
     with pytest.raises(DomainError):
-        PrivacyBudget(eps=1.0, delta=1e-5, eps_tilde=0.5)  # inconsistent triple
+        PrivacyBudget(eps=1e-300, delta=1e-5)  # eps_tilde rounds to 0
+    assert make_budget(0.5, 1e-6) == PrivacyBudget(eps=0.5, delta=1e-6)
 
 
 def test_rho_is_eps_tilde_squared():

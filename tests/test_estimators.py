@@ -16,7 +16,6 @@ from dpem.estimators import (
     clipped_dp_gradient_em,
     dp_em_gmm,
     dp_gradient_em,
-    estimation_error,
     gradient_em,
     initial_beta,
 )
@@ -88,28 +87,6 @@ class TestIterationTrace:
         for arr in (tr.betas, tr.errors):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-
-
-class TestEstimationError:
-    def test_zero_at_equal(self):
-        assert estimation_error([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_pythagorean(self):
-        assert estimation_error([3.0, 4.0], [0.0, 0.0]) == 5.0
-
-    def test_rotation_invariance(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            d = int(rng.integers(2, 8))
-            a, b = rng.standard_normal(d), rng.standard_normal(d)
-            Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            assert estimation_error(Q @ a, Q @ b) == pytest.approx(
-                estimation_error(a, b), abs=1e-12
-            )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            estimation_error([1.0], [1.0, 2.0])
 
 
 class TestInit:
@@ -533,3 +510,51 @@ class TestEstimatorClasses:
         est = DPEMGaussianMixture(tau=1.0)
         assert est.model == "gmm"
         assert "model" not in est.get_params()
+
+
+def _fit_must_not_run(*args, **kwargs):
+    raise AssertionError("the fit ran before the truth was checked")
+
+
+class TestTruthLength:
+    """A beta_star of the wrong length is a DomainError naming it, raised
+    before any iteration runs."""
+
+    SHORT = [1.0, 2.0]
+
+    @pytest.fixture(autouse=True)
+    def no_iterations(self, monkeypatch):
+        monkeypatch.setattr("dpem.estimators.grad_q_batch", _fit_must_not_run)
+        monkeypatch.setattr("dpem.estimators.f_gmm_batch", _fit_must_not_run)
+
+    @pytest.mark.parametrize("estimator,kind", [
+        (GradientEM(model="mrm"), "mrm"),
+        (ClippedDPGradientEM(model="rmc"), "rmc"),
+        (DPGradientEM(), "gmm"),
+        (DPEMGaussianMixture(), "gmm"),
+    ], ids=["em-mrm", "clipped-rmc", "dpgem-gmm", "dpem-gmm"])
+    def test_classes(self, estimator, kind):
+        _, _, data, _, _ = make_problem(kind, 3, 200, 40)
+        X, y = (data.ys, None) if kind == "gmm" else (data.xs, data.ys)
+        if kind == "rmc":
+            X = np.where(data.mask, data.xs, np.nan)
+        with pytest.raises(DomainError, match="beta_star must have length 3, got 2"):
+            estimator.fit(X, y, beta_star=self.SHORT)
+
+    @pytest.mark.parametrize("fit", [
+        lambda data, model, beta0, rng: gradient_em(data, model, beta0, 1.0, 3,
+                                                    truth=TestTruthLength.SHORT),
+        lambda data, model, beta0, rng: clipped_dp_gradient_em(
+            data, model, beta0, 1.0, 1.0, 3, make_budget(1.0, 1e-3), rng,
+            truth=TestTruthLength.SHORT),
+        lambda data, model, beta0, rng: dp_gradient_em(
+            data, model, beta0, 5.0, 1.0, 3, make_budget(1.0, 1e-3), 0.05, rng,
+            truth=TestTruthLength.SHORT),
+        lambda data, model, beta0, rng: dp_em_gmm(
+            data, model, beta0, 5.0, 3, make_budget(1.0, 1e-3), 0.05, rng,
+            truth=TestTruthLength.SHORT),
+    ], ids=["gradient_em", "clipped_dp_gradient_em", "dp_gradient_em", "dp_em_gmm"])
+    def test_functions(self, fit):
+        model, _, data, beta0, rng = make_problem("gmm", 3, 200, 41)
+        with pytest.raises(DomainError, match="beta_star must have length 3, got 2"):
+            fit(data, model, beta0, rng)

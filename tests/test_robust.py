@@ -177,11 +177,6 @@ class TestRobustMeanParams:
         with pytest.raises(DomainError):
             RobustMeanParams(s=1.0, beta=1.0, tau=1.0, zeta=1.5)
 
-    def test_with_sigma(self):
-        p = RobustMeanParams(s=1.0, beta=1.0, tau=1.0, zeta=0.1)
-        q = p.with_sigma(0.5)
-        assert q.sigma == 0.5 and p.sigma == 0.0 and q.s == p.s
-
 
 class TestSmoothedPhi:
     def test_zero(self):
