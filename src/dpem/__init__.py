@@ -33,7 +33,6 @@ from .estimators import (
 )
 from .models import (
     MODEL_KINDS,
-    GroundTruth,
     ModelSpec,
     ObservationSet,
     f_gmm,
@@ -76,7 +75,6 @@ __all__ = [
     "DPEMGaussianMixture",
     "DPGradientEM",
     "GradientEM",
-    "GroundTruth",
     "IterationTrace",
     "ModelSpec",
     "ObservationSet",

@@ -75,11 +75,10 @@ def split_budget_alg1(budget: PrivacyBudget, T: int) -> float:
     return budget.rho / T
 
 
-def split_budget_alg2(budget: PrivacyBudget, d: int, T: int) -> float:
+def split_budget_alg2(budget: PrivacyBudget, d: int) -> float:
     """Per-coordinate rho when each iteration works on its own disjoint
     subset: iterations compose in parallel, so only the d coordinate
-    releases split the budget and rho_coord = eps_tilde^2 / d regardless
-    of T."""
+    releases split the budget and rho_coord = eps_tilde^2 / d, whatever
+    the number of iterations."""
     d = check_count("d", d)
-    check_count("T", T)
     return budget.rho / d

@@ -23,12 +23,12 @@ from .estimators import ALGORITHMS, initial_beta, run_algorithm
 from .models import (
     MODEL_KINDS,
     SIGMA_FLOOR,
-    GroundTruth,
     ModelSpec,
     preprocess_real_gmm,
     sample_observations,
 )
 from .numeric import RngStream
+from .validation import check_vector
 
 
 # ---------------------------------------------------------------- option glue
@@ -347,6 +347,11 @@ def cmd_run(data_path, meta_path, eps, clip, algorithm, seed, n_seeds, threads, 
     meta = io.read_metadata(meta_path or f"{data_path}.meta.json")
     model_kind = _meta_field(meta, "model", _check_model)
     algorithm = _check_algorithm(algorithm, model_kind)
+    if algorithm in ("dpgem", "dpem") and fit["tau"] == "auto" and "source" in meta:
+        # preprocess computes beta_star from the rows, so a tau set from it
+        # would spend no budget on private data
+        raise ConfigError("tau: 'auto' reads beta_star, which preprocess computed "
+                          "from the private data; give a number")
     data = io.read_dataset(data_path, model_kind)
     for key, value in (("n", data.n), ("d", data.d)):
         if _meta_field(meta, key, _whole) != value:
@@ -358,7 +363,7 @@ def cmd_run(data_path, meta_path, eps, clip, algorithm, seed, n_seeds, threads, 
         beta_star = _meta_field(meta, "beta_star", lambda v: np.asarray(v, dtype=float))
         if beta_star.shape != (data.d,):
             raise ConfigError("beta_star: metadata dimension mismatch")
-        truth = GroundTruth(beta_star)
+        check_vector("beta_star", beta_star)
     except DomainError as exc:
         raise DataError(f"metadata: {exc}") from None
 
@@ -366,7 +371,7 @@ def cmd_run(data_path, meta_path, eps, clip, algorithm, seed, n_seeds, threads, 
         root = RngStream(seed + k)
         return _fit_rows(
             fit, algorithm, data, model, initial_beta(data.d, root.split(0)), root.split(1),
-            truth, eps=None if algorithm == "em" else eps,
+            beta_star, eps=None if algorithm == "em" else eps,
             clip=clip if algorithm == "clipped" else None, seed=seed + k,
         )
 
@@ -454,7 +459,11 @@ def cmd_preprocess(data, out):
             # wrong file shape for this command, not corrupt data
             raise ConfigError(str(exc)) from None
         raise
-    obs, truth, sigma = preprocess_real_gmm(features, labels)
+    try:
+        obs, beta_star, sigma = preprocess_real_gmm(features, labels)
+    except DomainError as exc:
+        # the rows themselves are at fault: a data error, exit 3
+        raise DataError(str(exc)) from None
     io.write_dataset(out, obs)
     io.write_metadata(f"{out}.meta.json", {
         "model": "gmm",
@@ -464,9 +473,9 @@ def cmd_preprocess(data, out):
         "sigma_rule": "sqrt of max per-cluster covariance eigenvalue",
         "sigma_floor_applied": sigma <= SIGMA_FLOOR,
         "p_m": 0.0,
-        "snr": float(np.linalg.norm(truth.beta_star) / sigma),
+        "snr": float(np.linalg.norm(beta_star) / sigma),
         "source": str(data),
-        "beta_star": [float(v) for v in truth.beta_star],
+        "beta_star": [float(v) for v in beta_star],
     })
     click.echo(f"wrote {out} and {out}.meta.json")
 

@@ -164,7 +164,7 @@ def _iterate(beta, T, samples, estimate, beta_star, config, eta=None, sigma=0.0,
 
 
 def _check_run(data: ObservationSet, model: ModelSpec, beta0, truth):
-    """beta0 and the truth's beta_star (None without a truth) as d-vectors,
+    """beta0 and the truth beta_star (None without a truth) as d-vectors,
     checked with the data against the model before any iteration runs."""
     if data.kind != model.kind:
         raise DomainError(f"data kind {data.kind!r} does not match model {model.kind!r}")
@@ -173,7 +173,7 @@ def _check_run(data: ObservationSet, model: ModelSpec, beta0, truth):
     beta0 = check_vector("beta0", beta0, d=model.d)
     if truth is None:
         return beta0, None
-    return beta0, check_vector("beta_star", getattr(truth, "beta_star", truth), d=model.d)
+    return beta0, check_vector("beta_star", truth, d=model.d)
 
 
 def _calibrate(config: dict, budget: PrivacyBudget, key: str, sensitivity: float,
@@ -195,7 +195,7 @@ def _robust_schedule(count: int, tau: float, zeta: float, budget: PrivacyBudget,
     2 PHI_BOUND s / count."""
     log_term = math.log(d / zeta)
     s = math.sqrt(count * tau * budget.eps_tilde) / (2.0 * log_term)
-    params = RobustMeanParams(s=s, beta=math.sqrt(log_term), tau=tau, zeta=zeta)
+    params = RobustMeanParams(s=s, beta=math.sqrt(log_term))
     return params, 2.0 * PHI_BOUND * s / count
 
 
@@ -310,7 +310,7 @@ def dp_gradient_em(
         "shuffle": bool(shuffle),
     }
     sigma = _calibrate(config, budget, "sigma_coord", sensitivity,
-                       split_budget_alg2(budget, d, T), disable_noise)
+                       split_budget_alg2(budget, d), disable_noise)
     return _iterate(beta, T, lambda t, b: grad_q_batch(model, data.take(subsets[t - 1]), b),
                     lambda grads: robust_mean_columns(grads, params), beta_star, config,
                     eta, sigma, rng)

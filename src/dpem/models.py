@@ -30,10 +30,6 @@ __all__ = [
     "MODEL_KINDS",
     "ModelSpec",
     "ObservationSet",
-    "GroundTruth",
-    "sample_gmm",
-    "sample_mrm",
-    "sample_rmc",
     "sample_observations",
     "grad_q",
     "grad_q_batch",
@@ -168,59 +164,27 @@ class ObservationSet:
         return subset
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    beta_star: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta_star", check_vector("beta_star", self.beta_star))
-
-
-def sample_gmm(n: int, beta_star, sigma: float, rng: RngStream) -> ObservationSet:
-    n = check_count("n", n)
-    beta_star = check_vector("beta_star", beta_star)
-    sigma = check_positive("sigma", sigma)
-    gen = rng.generator
-    z = gen.integers(0, 2, size=n) * 2 - 1
-    v = gen.standard_normal((n, beta_star.size)) * sigma
-    return ObservationSet("gmm", z[:, None] * beta_star + v)
-
-
-def sample_mrm(n: int, beta_star, sigma: float, rng: RngStream) -> ObservationSet:
-    n = check_count("n", n)
-    beta_star = check_vector("beta_star", beta_star)
-    sigma = check_positive("sigma", sigma)
-    gen = rng.generator
-    z = gen.integers(0, 2, size=n) * 2 - 1
-    x = gen.standard_normal((n, beta_star.size))
-    y = z * (x @ beta_star) + sigma * gen.standard_normal(n)
-    return ObservationSet("mrm", y, x)
-
-
-def sample_rmc(n: int, beta_star, sigma: float, p_m: float, rng: RngStream) -> ObservationSet:
-    n = check_count("n", n)
-    beta_star = check_vector("beta_star", beta_star)
-    sigma = check_positive("sigma", sigma)
-    p_m = check_finite_scalar("p_m", p_m)
-    if not 0.0 <= p_m < 1.0:
-        raise DomainError(f"p_m must lie in [0, 1), got {p_m!r}")
-    gen = rng.generator
-    x = gen.standard_normal((n, beta_star.size))
-    # the response uses the full covariate; masking happens afterwards
-    y = x @ beta_star + sigma * gen.standard_normal(n)
-    mask = gen.random((n, beta_star.size)) >= p_m
-    return ObservationSet("rmc", y, np.where(mask, x, 0.0), mask)
-
-
 def sample_observations(
     model: ModelSpec, n: int, beta_star, rng: RngStream
 ) -> ObservationSet:
+    """n samples of the model at beta_star, drawn from rng's generator."""
+    n = check_count("n", n)
     beta_star = check_vector("beta_star", beta_star, d=model.d)
+    gen = rng.generator
     if model.kind == "gmm":
-        return sample_gmm(n, beta_star, model.sigma, rng)
+        z = gen.integers(0, 2, size=n) * 2 - 1
+        v = gen.standard_normal((n, model.d)) * model.sigma
+        return ObservationSet("gmm", z[:, None] * beta_star + v)
     if model.kind == "mrm":
-        return sample_mrm(n, beta_star, model.sigma, rng)
-    return sample_rmc(n, beta_star, model.sigma, model.p_m, rng)
+        z = gen.integers(0, 2, size=n) * 2 - 1
+        x = gen.standard_normal((n, model.d))
+        y = z * (x @ beta_star) + model.sigma * gen.standard_normal(n)
+        return ObservationSet("mrm", y, x)
+    x = gen.standard_normal((n, model.d))
+    # the response uses the full covariate; masking happens afterwards
+    y = x @ beta_star + model.sigma * gen.standard_normal(n)
+    mask = gen.random((n, model.d)) >= model.p_m
+    return ObservationSet("rmc", y, np.where(mask, x, 0.0), mask)
 
 
 # Rows per block of grad_q_batch, so that the allocator reuses each block's
@@ -371,14 +335,9 @@ def f_gmm_batch(data: ObservationSet, beta_prime, sigma: float) -> np.ndarray:
     return np.tanh(0.5 * (data.ys @ beta_prime) / sigma**2)[:, None] * data.ys
 
 
-def tau_bound(
-    model: ModelSpec,
-    beta_star_inf: float,
-    beta_star_l2: float,
-    multiplier: float = 4.0,
-) -> float:
+def tau_bound(model: ModelSpec, beta_star_inf: float, beta_star_l2: float) -> float:
     """Per-coordinate second-moment bound for the gradients at beta_star,
-    up to the configurable multiplier (unit leading constant otherwise).
+    4 times the base bound
 
     gmm: ||beta*||_inf^2 + sigma^2
     mrm: max{(||beta*||_2^2 + sigma^2)^2, d ||beta*||_2^2}
@@ -386,7 +345,6 @@ def tau_bound(
     """
     beta_star_inf = check_positive("beta_star_inf", beta_star_inf, allow_zero=True)
     beta_star_l2 = check_positive("beta_star_l2", beta_star_l2, allow_zero=True)
-    multiplier = check_positive("multiplier", multiplier)
     s2 = model.sigma**2
     if model.kind == "gmm":
         base = beta_star_inf**2 + s2
@@ -394,7 +352,7 @@ def tau_bound(
         base = max((beta_star_l2**2 + s2) ** 2, model.d * beta_star_l2**2)
     else:
         base = (math.sqrt(model.d) * beta_star_l2 + s2 + beta_star_l2**2) ** 2
-    return multiplier * base
+    return 4.0 * base
 
 
 def preprocess_real_gmm(features, labels):
@@ -406,7 +364,7 @@ def preprocess_real_gmm(features, labels):
     cluster-mean midpoint, and the target parameter is the translated mean
     of the label-1 cluster, (mu1 - mu0)/2.
 
-    Returns (ObservationSet, GroundTruth, sigma).
+    Returns (ObservationSet, beta_star, sigma).
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] == 0:
@@ -439,4 +397,4 @@ def preprocess_real_gmm(features, labels):
     midpoint = (mu1 + mu0) / 2.0
     ys = np.vstack([cluster1, cluster0]) - midpoint
     beta_star = mu1 - midpoint  # == (mu1 - mu0) / 2
-    return ObservationSet("gmm", ys), GroundTruth(beta_star), sigma
+    return ObservationSet("gmm", ys), beta_star, sigma

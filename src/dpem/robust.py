@@ -133,20 +133,16 @@ _SCRATCH = _Scratch()
 @dataclass(frozen=True)
 class RobustMeanParams:
     """Estimator parameters: truncation scale s, smoothing concentration beta
-    (multiplicative noise is N(0, 1/beta)), second-moment bound tau, failure
-    probability zeta, and Gaussian noise std sigma (0 for non-private use)."""
+    (multiplicative noise is N(0, 1/beta)), and Gaussian noise std sigma (0
+    for non-private use)."""
 
     s: float
     beta: float
-    tau: float
-    zeta: float
     sigma: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "s", check_positive("s", self.s))
         object.__setattr__(self, "beta", check_positive("beta", self.beta))
-        object.__setattr__(self, "tau", check_positive("tau", self.tau))
-        object.__setattr__(self, "zeta", check_probability("zeta", self.zeta))
         object.__setattr__(self, "sigma", check_positive("sigma", self.sigma, allow_zero=True))
 
 
@@ -352,15 +348,13 @@ def smoothed_phi(x: float, p: RobustMeanParams) -> float:
     return float(_smoothed_phi_array(np.asarray(x), p.s, p.beta))
 
 
-def _check_samples(xs, n: int | None = None) -> np.ndarray:
-    """xs as a nonempty finite 1-d array, of n entries when n is given."""
+def _check_samples(xs) -> np.ndarray:
+    """xs as a nonempty finite 1-d array."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise DomainError(f"xs must be a nonempty 1-d sequence, got shape {xs.shape}")
     if not np.all(np.isfinite(xs)):
         raise DomainError("xs must have finite entries")
-    if n is not None and xs.size != n:
-        raise DomainError(f"n={n} does not match len(xs)={xs.size}")
     return xs
 
 
@@ -388,8 +382,6 @@ def select_params_nonprivate(n: int, tau: float, zeta: float) -> RobustMeanParam
     return RobustMeanParams(
         s=math.sqrt(n * tau / (2.0 * log_term)),
         beta=2.0 * log_term,
-        tau=tau,
-        zeta=zeta,
         sigma=0.0,
     )
 
@@ -413,8 +405,6 @@ def _private_params(n, tau, eps, delta, zeta, scale) -> RobustMeanParams:
     return RobustMeanParams(
         s=s,
         beta=math.sqrt(log_zeta),
-        tau=tau,
-        zeta=zeta,
         sigma=gaussian_sigma_for_zcdp(sensitivity, make_budget(eps, delta).rho),
     )
 
@@ -440,45 +430,20 @@ def select_params_local(
                            lambda n, eps, tau: (n**0.25 * math.sqrt(eps * tau), 1))
 
 
-def central_dp_mean(
-    xs,
-    n: int,
-    tau: float,
-    eps: float,
-    delta: float,
-    zeta: float,
-    rng: RngStream,
-    sigma_override: float | None = None,
-) -> float:
-    """Robust mean plus one draw of N(0, sigma^2) calibrated to the mean's
-    sensitivity.  ``sigma_override`` is test-only (0 disables the noise and
-    the output is then NOT private)."""
-    p = select_params_central(n, tau, eps, delta, zeta)
-    xs = _check_samples(xs, n)
-    sigma = p.sigma if sigma_override is None else check_positive(
-        "sigma_override", sigma_override, allow_zero=True
-    )
-    return robust_mean(xs, p) + sample_gaussian(rng, 0.0, sigma)
+def central_dp_mean(xs, tau: float, eps: float, delta: float, zeta: float,
+                    rng: RngStream) -> float:
+    """Robust mean of the n = len(xs) samples plus one draw of N(0, sigma^2)
+    calibrated to the mean's sensitivity."""
+    xs = _check_samples(xs)
+    p = select_params_central(xs.size, tau, eps, delta, zeta)
+    return robust_mean(xs, p) + sample_gaussian(rng, 0.0, p.sigma)
 
 
-def local_dp_mean(
-    xs,
-    n: int,
-    tau: float,
-    eps: float,
-    delta: float,
-    zeta: float,
-    rng: RngStream,
-    sigma_override: float | None = None,
-) -> float:
-    """Each user releases their smoothed truncation plus N(0, sigma^2);
-    the output is the average of the n releases."""
-    p = select_params_local(n, tau, eps, delta, zeta)
-    xs = _check_samples(xs, n)
-    sigma = p.sigma if sigma_override is None else check_positive(
-        "sigma_override", sigma_override, allow_zero=True
-    )
+def local_dp_mean(xs, tau: float, eps: float, delta: float, zeta: float,
+                  rng: RngStream) -> float:
+    """Each of the n = len(xs) users releases their smoothed truncation plus
+    N(0, sigma^2); the output is the average of the n releases."""
+    xs = _check_samples(xs)
+    p = select_params_local(xs.size, tau, eps, delta, zeta)
     releases = _smoothed_phi_array(xs, p.s, p.beta)
-    if sigma > 0.0:
-        releases = releases + sigma * rng.generator.standard_normal(xs.size)
-    return float(np.mean(releases))
+    return float(np.mean(releases + p.sigma * rng.generator.standard_normal(xs.size)))

@@ -99,7 +99,7 @@ def test_01_smoothed_truncation_closed_form():
         s = 10.0 ** rng.uniform(-2, 3)
         beta = 10.0 ** rng.uniform(-1, 2)
         x = float(np.sign(rng.standard_normal()) * 10.0 ** rng.uniform(-3, 3) * s)
-        p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.5)
+        p = RobustMeanParams(s=s, beta=beta)
         oracle = s * _gauss_expectation(
             lambda e: _phi_ref((x + e * x) / s),
             1.0 / math.sqrt(beta),
@@ -115,7 +115,7 @@ def test_01_smoothed_truncation_closed_form():
 
 def test_02_sensitivity_audits():
     rng = np.random.default_rng(42)
-    p = RobustMeanParams(s=5.0, beta=16.0, tau=4.0, zeta=0.05)
+    p = RobustMeanParams(s=5.0, beta=16.0)
     t0 = time.perf_counter()
 
     # full-data mean: swap one sample, |release difference| <= bound / n.
@@ -240,7 +240,7 @@ def _dp_mean_median_error(fn, n, n_seeds=50):
     for seed in range(n_seeds):
         root = RngStream(700 + seed)
         xs = root.split(0).generator.standard_t(3, size=n) + 1.0
-        est = fn(xs, n, tau=4.0, eps=1.0, delta=1e-5, zeta=0.05, rng=root.split(1))
+        est = fn(xs, tau=4.0, eps=1.0, delta=1e-5, zeta=0.05, rng=root.split(1))
         errs.append(abs(est - 1.0))
     return float(np.median(errs))
 

@@ -78,7 +78,7 @@ def test_split_alg1_even_per_iteration():
 def test_split_alg2_per_coordinate():
     b = make_budget(0.5, 1e-4)
     # disjoint subsets: iterations compose in parallel, coordinates in series
-    assert split_budget_alg2(b, d=8, T=20) == pytest.approx(b.rho / 8)
+    assert split_budget_alg2(b, d=8) == pytest.approx(b.rho / 8)
 
 
 def test_split_validation():
@@ -86,9 +86,7 @@ def test_split_validation():
     with pytest.raises(DomainError):
         split_budget_alg1(b, 0)
     with pytest.raises(DomainError):
-        split_budget_alg2(b, 0, 5)
-    with pytest.raises(DomainError):
-        split_budget_alg2(b, 5, 0)
+        split_budget_alg2(b, 0)
 
 
 def test_example_noise_scale_clipped_iteration():

@@ -795,6 +795,40 @@ class TestPreprocess:
         assert result.exit_code == 3
         assert "line 4" in result.stderr
 
+    @pytest.mark.parametrize("labels, message", [
+        ([1, 1, 1, 1], "both labels must be present"),
+        ([1, 1, 0, 1], "each cluster needs at least 2 rows, got 1"),
+    ], ids=["one-label", "one-row-cluster"])
+    def test_label_faults_exit_3(self, runner, tmp_path, labels, message):
+        bad = tmp_path / "bad.csv"
+        self.write_labeled(bad, np.arange(8.0).reshape(4, 2), np.array(labels))
+        out = tmp_path / "o.csv"
+        result = runner.invoke(cli, ["preprocess", "--data", str(bad), "--out", str(out)])
+        assert result.exit_code == 3
+        assert f"error: {message}" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["dpgem", "dpem"])
+    def test_auto_tau_on_preprocessed_data_exits_2(self, runner, tmp_path, algorithm):
+        # preprocess computes beta_star from the rows: tau=auto would set s
+        # and sigma from the private data outside the budget
+        rng = np.random.default_rng(5)
+        labels = np.arange(40) % 2
+        feats = (2 * labels - 1)[:, None] * 2.0 + rng.standard_normal((40, 2))
+        self.write_labeled(tmp_path / "real.csv", feats, labels)
+        data = tmp_path / "gmm.csv"
+        invoke(runner, "preprocess", "--data", tmp_path / "real.csv", "--out", data)
+        out = tmp_path / "run.csv"
+        result = runner.invoke(cli, ["run", "--algorithm", algorithm, "--data", str(data),
+                                     "--out", str(out)])
+        assert result.exit_code == 2
+        assert "error: tau: " in result.stderr
+        assert not out.exists()
+        result = invoke(runner, "run", "--algorithm", algorithm, "--data", data,
+                        "--tau", "9", "--out", out)
+        assert result.exit_code == 0
+        assert out.exists()
+
     def test_row_order_invariance(self, runner, tmp_path):
         feats = np.array(
             [[1.0, 2.0], [3.0, 4.0], [-1.0, 0.0], [5.0, -2.0]], dtype=float

@@ -226,7 +226,7 @@ class TestDPGradientEM:
             shuffle=False, disable_noise=True,
         )
         s = math.sqrt(600 * tau * budget.eps_tilde) / (2 * math.log(4 / 0.05))
-        params = RobustMeanParams(s=s, beta=math.sqrt(math.log(4 / 0.05)), tau=tau, zeta=0.05)
+        params = RobustMeanParams(s=s, beta=math.sqrt(math.log(4 / 0.05)))
         expected = beta0 + robust_mean_columns(grad_q_batch(model, data, beta0), params)
         assert np.array_equal(tr.betas[1], expected)
 
@@ -249,9 +249,7 @@ class TestDPGradientEM:
             data, model, beta0, tau, 1.0, 3, budget, 0.05, rng, disable_noise=True
         )
         s, m = tr.config["s"], tr.config["m"]
-        params = RobustMeanParams(
-            s=s, beta=tr.config["smoothing_beta"], tau=tau, zeta=0.05
-        )
+        params = RobustMeanParams(s=s, beta=tr.config["smoothing_beta"])
         bound = 2.0 * PHI_BOUND * s / m
         gen = np.random.default_rng(0)
         grads = gen.standard_normal((m, 3)) * 3.0
@@ -268,8 +266,7 @@ class TestDPGradientEM:
         tau = auto_tau(model, beta_star)
         tr = dp_gradient_em(data, model, beta0, tau, 0.5, 2, budget, 0.05, rng,
                             shuffle=False)
-        params = RobustMeanParams(s=tr.config["s"], beta=tr.config["smoothing_beta"],
-                                  tau=tau, zeta=0.05)
+        params = RobustMeanParams(s=tr.config["s"], beta=tr.config["smoothing_beta"])
         released = robust_mean_columns(
             grad_q_batch(model, data.take(np.arange(tr.config["m"])), beta0), params)
         noise = tr.config["sigma_coord"] * rng.split(1).generator.standard_normal(6)
@@ -392,8 +389,7 @@ class TestDPEMGmm:
         model, beta_star, data, beta0, rng = make_problem("gmm", 6, 500, 16)
         budget = make_budget(1.0, 1e-4)
         tr = dp_em_gmm(data, model, beta0, 4.0, 2, budget, 0.05, rng)
-        params = RobustMeanParams(s=tr.config["s"], beta=tr.config["smoothing_beta"],
-                                  tau=4.0, zeta=0.05)
+        params = RobustMeanParams(s=tr.config["s"], beta=tr.config["smoothing_beta"])
         released = robust_mean_columns(f_gmm_batch(data, beta0, model.sigma), params)
         noise = tr.config["sigma_coord"] * rng.split(1).generator.standard_normal(6)
         assert np.array_equal(tr.betas[1], released + noise)

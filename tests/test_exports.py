@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -12,4 +14,19 @@ MODULES = ["dpem"] + [f"dpem.{info.name}" for info in pkgutil.iter_modules(dpem.
 def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing
+
+
+def test_every_traced_name_resolves():
+    """Each function and method the benchmark's tracer wraps exists in dpem,
+    so an API change that drops one fails here, not only in the bench suite."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("dpem_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{mod}.{attr}" for _, mod, attr in tracer.FUNCTIONS
+               if not callable(getattr(importlib.import_module(mod), attr, None))]
+    missing += [f"{mod}.{cls}.{attr}" for _, mod, cls, attr in tracer.METHODS
+                if not hasattr(getattr(importlib.import_module(mod), cls, None), attr)]
+    assert tracer.FUNCTIONS and tracer.METHODS
     assert not missing

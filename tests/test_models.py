@@ -10,7 +10,6 @@ from dpem.errors import DomainError
 from dpem.estimators import clipped_dp_gradient_em
 from dpem.models import (
     MODEL_KINDS,
-    GroundTruth,
     K_beta,
     ModelSpec,
     ObservationSet,
@@ -21,10 +20,7 @@ from dpem.models import (
     m_beta,
     preprocess_real_gmm,
     q_value,
-    sample_gmm,
-    sample_mrm,
     sample_observations,
-    sample_rmc,
     tau_bound,
 )
 from dpem.numeric import RngStream
@@ -110,7 +106,7 @@ class TestObservationSet:
         obs = ObservationSet("gmm", np.zeros((3, 2)))
         with pytest.raises(ValueError):
             obs.ys[0, 0] = 1.0
-        obs2 = sample_rmc(5, np.ones(3), 1.0, 0.3, RngStream(0))
+        obs2 = sample_observations(ModelSpec("rmc", 3, 1.0, 0.3), 5, np.ones(3), RngStream(0))
         for arr in (obs2.ys, obs2.xs, obs2.mask):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
@@ -145,7 +141,7 @@ class TestObservationSet:
                     got[0] = got[0]
 
     def test_take_rejects_bad_indices(self):
-        obs = sample_mrm(10, np.ones(2), 1.0, RngStream(1))
+        obs = sample_observations(ModelSpec("mrm", 2, 1.0), 10, np.ones(2), RngStream(1))
         for bad in ([[1, 2]], 3, np.zeros(10, dtype=bool), np.array([], dtype=int)):
             with pytest.raises(DomainError):
                 obs.take(bad)
@@ -163,7 +159,7 @@ class TestSampling:
 
     def test_gmm_degenerate_mixture(self):
         beta = np.array([2.0, -1.0, 0.5])
-        obs = sample_gmm(200, beta, 1e-12, RngStream(5))
+        obs = sample_observations(ModelSpec("gmm", beta.size, 1e-12), 200, beta, RngStream(5))
         dist = np.minimum(
             np.linalg.norm(obs.ys - beta, axis=1), np.linalg.norm(obs.ys + beta, axis=1)
         )
@@ -173,7 +169,7 @@ class TestSampling:
         beta = np.array([1.0, 2.0, -1.0])
         sigma = 1.5
         n = 100_000
-        obs = sample_gmm(n, beta, sigma, RngStream(11))
+        obs = sample_observations(ModelSpec("gmm", beta.size, sigma), n, beta, RngStream(11))
         d = beta.size
         # EY = 0; per-coordinate sd of the mean is sqrt(beta_j^2+sigma^2)/sqrt(n)
         assert np.linalg.norm(obs.ys.mean(axis=0)) < 5 * sigma * math.sqrt(d / n) + 5 * np.linalg.norm(beta) / math.sqrt(n)
@@ -186,7 +182,7 @@ class TestSampling:
         beta = np.array([0.8, -0.6])
         sigma = 0.7
         n = 100_000
-        obs = sample_mrm(n, beta, sigma, RngStream(12))
+        obs = sample_observations(ModelSpec("mrm", beta.size, sigma), n, beta, RngStream(12))
         want = float(beta @ beta) + sigma**2
         se = float(np.std(obs.ys**2)) / math.sqrt(n)
         assert abs(float(np.mean(obs.ys**2)) - want) < 5 * se
@@ -195,12 +191,12 @@ class TestSampling:
         assert np.all(np.abs(cross) < 5 * math.sqrt(want) / math.sqrt(n))
 
     def test_mrm_degenerate(self):
-        obs = sample_mrm(50_000, np.zeros(3), 2.0, RngStream(13))
+        obs = sample_observations(ModelSpec("mrm", 3, 2.0), 50_000, np.zeros(3), RngStream(13))
         assert float(np.var(obs.ys)) == pytest.approx(4.0, rel=0.1)
 
     def test_rmc_missing_fraction(self):
         p = 0.35
-        obs = sample_rmc(20_000, np.ones(5), 1.0, p, RngStream(14))
+        obs = sample_observations(ModelSpec("rmc", 5, 1.0, p), 20_000, np.ones(5), RngStream(14))
         frac = 1.0 - float(obs.mask.mean())
         se = math.sqrt(p * (1 - p) / obs.mask.size)
         assert abs(frac - p) < 5 * se
@@ -209,12 +205,13 @@ class TestSampling:
         # with sigma tiny and heavy masking the response still reflects the
         # unmasked covariate, so residuals vs the masked x are far from 0
         beta = np.array([3.0, 3.0, 3.0])
-        obs = sample_rmc(2000, beta, 1e-6, 0.5, RngStream(15))
+        obs = sample_observations(ModelSpec("rmc", beta.size, 1e-6, 0.5), 2000, beta,
+                                  RngStream(15))
         resid_masked = obs.ys - obs.xs @ beta
         assert float(np.mean(resid_masked**2)) > 1.0
 
     def test_rmc_p0_mask_all_true(self):
-        obs = sample_rmc(100, np.ones(3), 1.0, 0.0, RngStream(16))
+        obs = sample_observations(ModelSpec("rmc", 3, 1.0, 0.0), 100, np.ones(3), RngStream(16))
         assert obs.mask.all()
 
 
@@ -292,7 +289,7 @@ class TestGradQ:
 
     def test_batch_kind_mismatch(self):
         m = ModelSpec("gmm", 2, 1.0)
-        data = sample_mrm(5, np.ones(2), 1.0, RngStream(3))
+        data = sample_observations(ModelSpec("mrm", 2, 1.0), 5, np.ones(2), RngStream(3))
         with pytest.raises(DomainError):
             grad_q_batch(m, data, np.zeros(2))
 
@@ -385,18 +382,18 @@ class TestFGmm:
 
     def test_fixed_point_near_truth(self):
         beta = np.array([3.0, -2.0, 1.0])
-        obs = sample_gmm(100_000, beta, 0.5, RngStream(31))
+        obs = sample_observations(ModelSpec("gmm", beta.size, 0.5), 100_000, beta, RngStream(31))
         avg = f_gmm_batch(obs, beta, 0.5).mean(axis=0)
         assert np.linalg.norm(avg - beta) < 0.02
 
     def test_batch_requires_gmm(self):
-        data = sample_mrm(5, np.ones(2), 1.0, RngStream(4))
+        data = sample_observations(ModelSpec("mrm", 2, 1.0), 5, np.ones(2), RngStream(4))
         with pytest.raises(DomainError):
             f_gmm_batch(data, np.zeros(2), 1.0)
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan"), 0.0])
     def test_batch_rejects_bad_sigma(self, sigma):
-        data = sample_gmm(5, np.ones(2), 1.0, RngStream(4))
+        data = sample_observations(ModelSpec("gmm", 2, 1.0), 5, np.ones(2), RngStream(4))
         with pytest.raises(DomainError):
             f_gmm(data.ys[0], np.ones(2), sigma)
         with pytest.raises(DomainError):
@@ -454,16 +451,16 @@ class TestTauBound:
     def test_gmm_example(self):
         m = ModelSpec("gmm", 4, 1.0)
         assert tau_bound(m, 1.0, 2.0) == pytest.approx(4.0 * 2.0)
-        assert tau_bound(m, 1.0, 2.0, multiplier=1.0) == pytest.approx(2.0)
+        assert tau_bound(m, 1.0, 2.0) == pytest.approx(4.0 * 2.0)
 
     def test_mrm_example(self):
         m = ModelSpec("mrm", 10, 1.0)
-        assert tau_bound(m, 1.0, 1.0, multiplier=1.0) == pytest.approx(10.0)
+        assert tau_bound(m, 1.0, 1.0) == pytest.approx(4.0 * 10.0)
 
     def test_rmc_formula(self):
         m = ModelSpec("rmc", 4, 1.0, p_m=0.1)
         want = (math.sqrt(4) * 2.0 + 1.0 + 4.0) ** 2
-        assert tau_bound(m, 2.0, 2.0, multiplier=1.0) == pytest.approx(want)
+        assert tau_bound(m, 2.0, 2.0) == pytest.approx(4.0 * want)
 
     @pytest.mark.parametrize("kind,p_m", [("gmm", 0.0), ("mrm", 0.0), ("rmc", 0.2)])
     def test_bounds_empirical_second_moment(self, kind, p_m):
@@ -560,8 +557,8 @@ class TestPreprocess:
     def test_two_point_clusters(self):
         feats = np.array([[2.0], [2.0], [-2.0], [-2.0]])
         labels = np.array([1, 1, 0, 0])
-        obs, truth, sigma = preprocess_real_gmm(feats, labels)
-        assert truth.beta_star == pytest.approx([2.0])
+        obs, beta_star, sigma = preprocess_real_gmm(feats, labels)
+        assert beta_star == pytest.approx([2.0])
         assert sigma == 1e-6  # zero within-cluster spread hits the floor
         assert obs.kind == "gmm" and obs.n == 4
 
@@ -570,10 +567,10 @@ class TestPreprocess:
             [[0.0, 0.0], [10.0, 0.0], [2.0, 0.0], [12.0, 0.0], [99.0, 99.0]]
         )
         labels = np.array([1, 0, 1, 0, 1])
-        obs, truth, sigma = preprocess_real_gmm(feats, labels)
+        obs, beta_star, sigma = preprocess_real_gmm(feats, labels)
         # the third label-1 row is dropped, so the outlier never enters
         assert obs.n == 4
-        assert truth.beta_star == pytest.approx([-5.0, 0.0])
+        assert beta_star == pytest.approx([-5.0, 0.0])
         assert sigma == pytest.approx(math.sqrt(2.0))
 
     def test_needs_both_labels(self):
@@ -594,8 +591,8 @@ class TestPreprocess:
         z = rng.integers(0, 2, size=n) * 2 - 1
         feats = z[:, None] * beta + sigma * rng.standard_normal((n, d))
         labels = (z > 0).astype(int)
-        obs, truth, sig = preprocess_real_gmm(feats, labels)
-        assert np.linalg.norm(truth.beta_star - beta) < 5 * sigma * math.sqrt(d / n)
+        obs, beta_star, sig = preprocess_real_gmm(feats, labels)
+        assert np.linalg.norm(beta_star - beta) < 5 * sigma * math.sqrt(d / n)
         assert sig**2 == pytest.approx(sigma**2, rel=0.10)
 
     def test_translation_invariance_exact_on_representable_inputs(self):
@@ -605,7 +602,7 @@ class TestPreprocess:
         obs1, t1, s1 = preprocess_real_gmm(feats, labels)
         shift = np.array([128.0, -64.0])
         obs2, t2, s2 = preprocess_real_gmm(feats + shift, labels)
-        assert np.array_equal(t1.beta_star, t2.beta_star)
+        assert np.array_equal(t1, t2)
         assert s1 == s2
         assert np.array_equal(obs1.ys, obs2.ys)
 
@@ -617,9 +614,5 @@ class TestPreprocess:
         obs1, t1, s1 = preprocess_real_gmm(feats, labels)
         shift = rng.standard_normal(3) * 5
         obs2, t2, s2 = preprocess_real_gmm(feats + shift, labels)
-        assert np.allclose(t1.beta_star, t2.beta_star, atol=1e-10)
+        assert np.allclose(t1, t2, atol=1e-10)
         assert s1 == pytest.approx(s2, abs=1e-10)
-
-    def test_ground_truth_validation(self):
-        with pytest.raises(DomainError):
-            GroundTruth(np.array([np.inf, 1.0]))

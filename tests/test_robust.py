@@ -171,16 +171,16 @@ class TestCorrectionC:
 class TestRobustMeanParams:
     def test_validation(self):
         with pytest.raises(DomainError):
-            RobustMeanParams(s=0.0, beta=1.0, tau=1.0, zeta=0.1)
+            RobustMeanParams(s=0.0, beta=1.0)
         with pytest.raises(DomainError):
-            RobustMeanParams(s=1.0, beta=-1.0, tau=1.0, zeta=0.1)
+            RobustMeanParams(s=1.0, beta=-1.0)
         with pytest.raises(DomainError):
-            RobustMeanParams(s=1.0, beta=1.0, tau=1.0, zeta=1.5)
+            RobustMeanParams(s=1.0, beta=1.0, sigma=-0.5)
 
 
 class TestSmoothedPhi:
     def test_zero(self):
-        p = RobustMeanParams(s=2.0, beta=4.0, tau=1.0, zeta=0.05)
+        p = RobustMeanParams(s=2.0, beta=4.0)
         assert smoothed_phi(0.0, p) == 0.0
 
     @given(st.floats(min_value=-1e6, max_value=1e6),
@@ -188,7 +188,7 @@ class TestSmoothedPhi:
            st.floats(min_value=0.2, max_value=50))
     @settings(max_examples=300, deadline=None)
     def test_odd_and_bounded(self, x, s, beta):
-        p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
+        p = RobustMeanParams(s=s, beta=beta)
         v = smoothed_phi(x, p)
         assert abs(v) <= PHI_BOUND * s * (1 + 1e-12)
         assert smoothed_phi(-x, p) == pytest.approx(-v, abs=1e-13 * max(1, s))
@@ -201,13 +201,13 @@ class TestSmoothedPhi:
             (1e6, 2.0, 4.0),      # deep saturation
         ]
         for x, s, beta in cases:
-            p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
+            p = RobustMeanParams(s=s, beta=beta)
             assert smoothed_phi(x, p) == pytest.approx(oracle(x, s, beta), abs=1e-8)
 
     def test_regime_boundary_continuity(self):
         # the evaluator switches strategies; values must agree across the seam
         s, beta = 1.0, 1.0
-        p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
+        p = RobustMeanParams(s=s, beta=beta)
         for x in (9.999, 10.0, 10.001):
             assert smoothed_phi(x, p) == pytest.approx(oracle(x, s, beta), abs=1e-9)
 
@@ -224,7 +224,7 @@ class TestSmoothedPhi:
                 beta = (a0 / b0) ** 2
                 a, b = kernel_args(x, s, beta)
                 want = min(max(s * pow_closed_form(a, b), -PHI_BOUND * s), PHI_BOUND * s)
-                got = smoothed_phi(x, RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05))
+                got = smoothed_phi(x, RobustMeanParams(s=s, beta=beta))
                 tol = s * max(1e-13, 2.0 * eps * (1.0 + abs(a) ** 3 + b**3))
                 assert got == pytest.approx(want, abs=tol), (a, b)
 
@@ -251,7 +251,7 @@ class TestSmoothedPhi:
             if v_min >= 40.0:
                 assert c == 0.0, (beta, v)
             want = s * ((a * (1.0 - b * b / 2.0) - a * a * a / 6.0) + c)
-            p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
+            p = RobustMeanParams(s=s, beta=beta)
             assert smoothed_phi(x, p) == want, (beta, v)
         for beta in GATE_BETAS:
             assert {(beta, False), (beta, True)} <= sides, beta
@@ -277,7 +277,7 @@ class TestSmoothedPhi:
         row = np.concatenate([[0.0, 1e-320, -1e-320, 0.3, -2.5, 5.0 * s],
                               mixed_far_row()])
         mat = np.vstack([row, row[::-1]])
-        p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
+        p = RobustMeanParams(s=s, beta=beta)
         per_entry = np.array([[smoothed_phi(float(x), p) for x in r] for r in mat])
         got = robust_mean_columns(mat, p)
         assert np.array_equal(got, per_entry.mean(axis=0))
@@ -285,7 +285,7 @@ class TestSmoothedPhi:
     def test_far_regime_bitwise_equal_to_one_at_a_time(self):
         s, beta = FAR_S, FAR_BETA
         row = mixed_far_row()
-        p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
+        p = RobustMeanParams(s=s, beta=beta)
         got = robust_mean_columns(row[None, :], p)
         bound = PHI_BOUND * s
         want = np.array([min(max(s * single_window_expectation(*kernel_args(x, s, beta)),
@@ -295,14 +295,14 @@ class TestSmoothedPhi:
     def test_far_regime_matches_quadrature(self):
         s, beta = FAR_S, FAR_BETA
         row = mixed_far_row()[::97]
-        p = RobustMeanParams(s=s, beta=beta, tau=1.0, zeta=0.05)
+        p = RobustMeanParams(s=s, beta=beta)
         got = robust_mean_columns(row[None, :], p)
         for x, v in zip(row, got):
             assert v == pytest.approx(oracle(float(x), s, beta), abs=1e-8), x
 
     def test_small_x_linearity(self):
         # for |x| << s the estimator is nearly the identity
-        p = RobustMeanParams(s=100.0, beta=9.0, tau=1.0, zeta=0.05)
+        p = RobustMeanParams(s=100.0, beta=9.0)
         assert smoothed_phi(0.5, p) == pytest.approx(0.5, rel=1e-3)
 
 
@@ -321,7 +321,7 @@ def interleaved_regimes():
 
 
 class TestKernelBlocks:
-    P = RobustMeanParams(s=FAR_S, beta=FAR_BETA, tau=1.0, zeta=0.05)
+    P = RobustMeanParams(s=FAR_S, beta=FAR_BETA)
 
     def test_results_independent_of_block_size(self, monkeypatch):
         mat = interleaved_regimes()
@@ -342,14 +342,14 @@ class TestKernelBlocks:
         first, second = (g.standard_t(3, (700, 100)) * 4.0 for _ in range(2))
         cols = robust_mean_columns(first, self.P)
         values = robust._smoothed_phi_array(first, FAR_S, FAR_BETA)
-        local = local_dp_mean(first[:, 0], 700, 4.0, 1.0, 1e-5, 0.05, RngStream(5))
+        local = local_dp_mean(first[:, 0], 4.0, 1.0, 1e-5, 0.05, RngStream(5))
         kept = cols.copy(), values.copy()
         robust_mean_columns(second, self.P)
         robust._smoothed_phi_array(second, FAR_S, FAR_BETA)
-        local_dp_mean(second[:, 0], 700, 4.0, 1.0, 1e-5, 0.05, RngStream(5))
+        local_dp_mean(second[:, 0], 4.0, 1.0, 1e-5, 0.05, RngStream(5))
         assert cols.tobytes() == kept[0].tobytes()
         assert values.tobytes() == kept[1].tobytes()
-        assert local == local_dp_mean(first[:, 0], 700, 4.0, 1.0, 1e-5, 0.05, RngStream(5))
+        assert local == local_dp_mean(first[:, 0], 4.0, 1.0, 1e-5, 0.05, RngStream(5))
 
     def test_concurrent_calls_match_serial(self):
         g = RngStream(12).generator
@@ -381,7 +381,7 @@ class TestKernelBlocks:
         import resource
 
         matrix = RngStream(13).generator.standard_normal((5000, 50)) * 3.0
-        p = RobustMeanParams(s=6.1, beta=2.6, tau=1.0, zeta=0.05)
+        p = RobustMeanParams(s=6.1, beta=2.6)
         robust_mean_columns(matrix, p)  # allocates this thread's scratch rows
         before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
         for _ in range(10):
@@ -392,19 +392,19 @@ class TestKernelBlocks:
 
 class TestRobustMean:
     def test_rejects_empty_and_nonfinite(self):
-        p = RobustMeanParams(s=1.0, beta=1.0, tau=1.0, zeta=0.1)
+        p = RobustMeanParams(s=1.0, beta=1.0)
         with pytest.raises(DomainError):
             robust_mean(np.array([]), p)
         with pytest.raises(DomainError):
             robust_mean(np.array([1.0, float("nan")]), p)
 
     def test_near_identity_on_small_data(self):
-        p = RobustMeanParams(s=1000.0, beta=16.0, tau=1.0, zeta=0.05)
+        p = RobustMeanParams(s=1000.0, beta=16.0)
         xs = np.array([1.0, 2.0, 3.0])
         assert robust_mean(xs, p) == pytest.approx(2.0, rel=1e-4)
 
     def test_outlier_influence_is_bounded(self):
-        p = RobustMeanParams(s=5.0, beta=9.0, tau=1.0, zeta=0.05)
+        p = RobustMeanParams(s=5.0, beta=9.0)
         xs = np.ones(100)
         ys = xs.copy()
         ys[0] = 1e9
@@ -412,7 +412,7 @@ class TestRobustMean:
         assert shift <= 2 * PHI_BOUND * p.s / 100 + 1e-12
 
     def test_columns_matches_per_column(self):
-        p = RobustMeanParams(s=3.0, beta=4.0, tau=1.0, zeta=0.05)
+        p = RobustMeanParams(s=3.0, beta=4.0)
         mat = RngStream(4).generator.standard_normal((40, 3)) * 2.0
         cols = robust_mean_columns(mat, p)
         for j in range(3):
@@ -425,8 +425,7 @@ class TestRobustMean:
         g = RngStream(seed % 2**64).generator
         n = 30
         p = RobustMeanParams(s=float(10 ** g.uniform(-1, 2)),
-                             beta=float(10 ** g.uniform(-1, 2)),
-                             tau=1.0, zeta=0.05)
+                             beta=float(10 ** g.uniform(-1, 2)))
         xs = g.standard_t(3, n) * 10 ** g.uniform(-2, 4)
         ys = xs.copy()
         ys[int(g.integers(n))] = g.standard_t(3) * 10 ** g.uniform(-2, 8)
@@ -475,30 +474,42 @@ class TestParamSchedules:
 class TestDpMeans:
     def test_central_deterministic(self):
         xs = RngStream(1).generator.standard_t(3, 500) + 1.0
-        a = central_dp_mean(xs, 500, 4.0, 1.0, 1e-5, 0.05, RngStream(9))
-        b = central_dp_mean(xs, 500, 4.0, 1.0, 1e-5, 0.05, RngStream(9))
+        a = central_dp_mean(xs, 4.0, 1.0, 1e-5, 0.05, RngStream(9))
+        b = central_dp_mean(xs, 4.0, 1.0, 1e-5, 0.05, RngStream(9))
         assert a == b
 
-    def test_central_noise_matches_sigma_override(self):
-        xs = np.ones(100)
-        quiet = central_dp_mean(xs, 100, 4.0, 1.0, 1e-5, 0.05, RngStream(3),
-                                sigma_override=0.0)
+    def test_central_is_robust_mean_plus_one_draw(self):
+        xs = RngStream(3).generator.standard_t(3, 100) + 1.0
         p = select_params_central(100, 4.0, 1.0, 1e-5, 0.05)
-        assert quiet == pytest.approx(robust_mean(xs, p), abs=1e-15)
+        want = robust_mean(xs, p) + p.sigma * RngStream(8).generator.standard_normal()
+        assert central_dp_mean(xs, 4.0, 1.0, 1e-5, 0.05, RngStream(8)) == want
+
+    def test_local_is_mean_of_noised_releases(self):
+        xs = RngStream(3).generator.standard_t(3, 100) + 1.0
+        p = select_params_local(100, 4.0, 1.0, 1e-5, 0.05)
+        releases = robust._smoothed_phi_array(xs, p.s, p.beta)
+        noise = p.sigma * RngStream(8).generator.standard_normal(100)
+        want = float(np.mean(releases + noise))
+        assert local_dp_mean(xs, 4.0, 1.0, 1e-5, 0.05, RngStream(8)) == want
+
+    @pytest.mark.parametrize("fn", [central_dp_mean, local_dp_mean])
+    def test_one_sample_rejected(self, fn):
+        with pytest.raises(DomainError):
+            fn([1.0], 4.0, 1.0, 1e-5, 0.05, RngStream(0))
 
     def test_local_more_noise_than_central(self):
         xs = RngStream(2).generator.standard_t(3, 2000) + 1.0
         errs_c, errs_l = [], []
         for seed in range(30):
             root = RngStream(100 + seed)
-            errs_c.append(abs(central_dp_mean(xs, 2000, 4.0, 1.0, 1e-5, 0.05,
+            errs_c.append(abs(central_dp_mean(xs, 4.0, 1.0, 1e-5, 0.05,
                                               root.split(0)) - 1.0))
-            errs_l.append(abs(local_dp_mean(xs, 2000, 4.0, 1.0, 1e-5, 0.05,
+            errs_l.append(abs(local_dp_mean(xs, 4.0, 1.0, 1e-5, 0.05,
                                             root.split(1)) - 1.0))
         assert float(np.median(errs_l)) > float(np.median(errs_c))
 
     def test_local_deterministic(self):
         xs = RngStream(6).generator.standard_normal(200)
-        a = local_dp_mean(xs, 200, 4.0, 1.0, 1e-5, 0.05, RngStream(4))
-        b = local_dp_mean(xs, 200, 4.0, 1.0, 1e-5, 0.05, RngStream(4))
+        a = local_dp_mean(xs, 4.0, 1.0, 1e-5, 0.05, RngStream(4))
+        b = local_dp_mean(xs, 4.0, 1.0, 1e-5, 0.05, RngStream(4))
         assert a == b
