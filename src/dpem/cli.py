@@ -70,7 +70,10 @@ def _as_list(name: str, value, parse) -> tuple:
     parts = [p.strip() for p in str(value).split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"{name}: expected a nonempty comma-separated list")
-    return tuple(parse(name, p) for p in parts)
+    values = tuple(parse(name, p) for p in parts)
+    if len(set(values)) < len(values):  # after parsing, so 1,1.0 is a repeat
+        raise ConfigError(f"{name}: expected distinct values, got {value!r}")
+    return values
 
 
 def _or_auto(parse):
@@ -184,6 +187,20 @@ def _meta_field(meta: dict, key: str, convert):
         raise DataError(f"metadata: missing key {key!r}") from None
     except (TypeError, ValueError, OverflowError):
         raise DataError(f"metadata: bad {key} value {meta[key]!r}") from None
+
+
+def _number(value) -> float:
+    """A JSON number such as 1 or 1.5 as a float; not true, "1.0" or null."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
+def _vector(value) -> np.ndarray:
+    """A flat JSON list of numbers as a float array."""
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return np.array([_number(v) for v in value])
 
 
 def _whole(value) -> int:
@@ -358,9 +375,9 @@ def cmd_run(data_path, meta_path, eps, clip, algorithm, seed, n_seeds, threads, 
             raise ConfigError(f"{key}: metadata says {meta[key]}, dataset has {value}")
     try:
         # the sidecar is data: a value out of its domain exits 3, not 2
-        model = ModelSpec(model_kind, data.d, _meta_field(meta, "sigma", float),
-                          _meta_field(meta, "p_m", float) if "p_m" in meta else 0.0)
-        beta_star = _meta_field(meta, "beta_star", lambda v: np.asarray(v, dtype=float))
+        model = ModelSpec(model_kind, data.d, _meta_field(meta, "sigma", _number),
+                          _meta_field(meta, "p_m", _number) if "p_m" in meta else 0.0)
+        beta_star = _meta_field(meta, "beta_star", _vector)
         if beta_star.shape != (data.d,):
             raise ConfigError("beta_star: metadata dimension mismatch")
         check_vector("beta_star", beta_star)

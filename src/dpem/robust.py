@@ -10,7 +10,6 @@ per-user release (local model).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,33 +100,14 @@ _PANEL_WIDTH = 0.25
 _WINDOW_CHUNK_NODES = 1 << 16
 
 # The kernel evaluates this many flat entries at a time, every intermediate
-# in the calling thread's scratch rows, which are allocated once and reused.
-# Per-call n*d temporaries make glibc return their pages to the OS and fault
-# them in again on the next call; blocks of 2**16 fault no more, yet each
-# numpy call stays long enough for two pool threads to overlap.
+# in scratch rows that each call allocates once and reuses for all its blocks.
+# Whole-array n*d temporaries make glibc return their pages to the OS and
+# fault them in again on the next call; blocks of 2**16 fault no more, yet
+# each numpy call stays long enough for two pool threads to overlap.  Nothing
+# is held once a call returns.
 _BLOCK = 1 << 16
 _FLOAT_ROWS = 16  # a and b, then _closed_form's 14
 _FLAG_ROWS = 3
-
-
-class _Scratch(threading.local):
-    """One thread's kernel buffers: float and boolean rows as long as the
-    largest block the thread has evaluated (at most _BLOCK entries, 8 MiB
-    in all), reused by every later block and call.  No result is left in
-    them."""
-
-    size = 0
-
-    def rows(self, m: int) -> tuple[list, list]:
-        """The first m entries of each float row and of each flag row."""
-        if m > self.size:
-            self.floats = np.empty((_FLOAT_ROWS, m))
-            self.flags = np.empty((_FLAG_ROWS, m), dtype=bool)
-            self.size = m
-        return list(self.floats[:, :m]), list(self.flags[:, :m])
-
-
-_SCRATCH = _Scratch()
 
 
 @dataclass(frozen=True)
@@ -296,24 +276,26 @@ def _window_integral(a, b, lo, hi, panels: int) -> np.ndarray:
 
 def _smoothed_phi_array(x: np.ndarray, s: float, beta: float) -> np.ndarray:
     """Vectorized smoothed truncation; x any shape, finite.  The result is a
-    new array, filled _BLOCK entries at a time."""
+    new array, filled _BLOCK entries at a time on scratch rows of this call."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.empty(flat.size)
     scale = s * math.sqrt(beta)
     v_cut = _correction_cutoff(beta)
+    m = min(flat.size, _BLOCK)
+    floats, flags = np.empty((_FLOAT_ROWS, m)), np.empty((_FLAG_ROWS, m), dtype=bool)
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        _smoothed_phi_block(flat[block], s, scale, v_cut, out[block])
+        _smoothed_phi_block(flat[block], s, scale, v_cut, out[block], floats, flags)
     return out.reshape(x.shape)
 
 
 def _smoothed_phi_block(x: np.ndarray, s: float, scale: float, v_cut: float,
-                        out: np.ndarray) -> None:
+                        out: np.ndarray, floats: np.ndarray, flags: np.ndarray) -> None:
     """The smoothed truncation of the 1-d block x at truncation scale s,
-    with scale = s sqrt(beta) and v_cut = V*(beta), written into out on this
-    thread's scratch rows."""
-    (a, b, *rows), (positive, near, flag) = _SCRATCH.rows(x.size)
+    with scale = s sqrt(beta) and v_cut = V*(beta), written into out on the
+    first x.size entries of the float and flag scratch rows."""
+    (a, b, *rows), (positive, near, flag) = floats[:, : x.size], flags[:, : x.size]
     np.divide(x, s, out=a)
     with np.errstate(over="ignore"):
         np.divide(np.abs(x, out=b), scale, out=b)

@@ -242,7 +242,11 @@ class TestRun:
     @pytest.mark.parametrize("key, value, shown", [
         ("n", "abc", "'abc'"), ("n", math.inf, "inf"), ("n", 1e400, "inf"),
         ("n", math.nan, "nan"), ("n", 50.7, "50.7"), ("n", "50", "'50'"),
-        ("d", True, "True"), ("sigma", [1], "[1]"),
+        ("d", True, "True"), ("sigma", [1], "[1]"), ("sigma", True, "True"),
+        ("sigma", "1.0", "'1.0'"), ("p_m", "0", "'0'"), ("beta_star", 5, "5"),
+        ("beta_star", None, "None"), ("beta_star", [[1, 2, 3]], "[[1, 2, 3]]"),
+        ("beta_star", ["1", "2", "3"], "['1', '2', '3']"),
+        ("beta_star", [1.0, False, 0.5], "[1.0, False, 0.5]"),
     ])
     def test_metadata_bad_value_exits_3(self, runner, tmp_path, key, value, shown):
         data = gen_dataset(runner, tmp_path, n=50, d=3)
@@ -256,6 +260,18 @@ class TestRun:
         ])
         assert result.exit_code == 3
         assert f"error: metadata: bad {key} value {shown}" in result.stderr
+
+    def test_metadata_beta_star_wrong_length_exits_2(self, runner, tmp_path):
+        data = gen_dataset(runner, tmp_path, n=50, d=3)
+        meta_path = tmp_path / "data.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["beta_star"] = [1.0, 2.0]
+        meta_path.write_text(json.dumps(meta))
+        out = tmp_path / "o.csv"
+        result = runner.invoke(cli, ["run", "--data", str(data), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "error: beta_star: metadata dimension mismatch" in result.stderr
+        assert not out.exists()
 
     def test_metadata_whole_float_count_accepted(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, n=50, d=3)
@@ -615,6 +631,21 @@ class TestSweep:
         ])
         assert result.exit_code == 2
         assert "error: eps-list:" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, values", [
+        ("n-list", "200,300,200"), ("d-list", "3,03"), ("eps-list", "0.5,0.5"),
+        ("eps-list", "1,1.0"), ("clip-list", "0.1,1,1e-1"),
+    ])
+    def test_repeated_axis_value_exits_2(self, runner, tmp_path, flag, values):
+        # a repeated value would write duplicate rows that report merges
+        out = tmp_path / "s.csv"
+        result = runner.invoke(cli, [
+            "sweep", "--algorithm", "clipped", "--n-list", "200", "--d-list", "3",
+            "--n-seeds", "2", f"--{flag}", values, "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert f"error: {flag}: expected distinct values, got '{values}'" in result.stderr
         assert not out.exists()
 
     def test_empty_axis_exits_2(self, runner, tmp_path):

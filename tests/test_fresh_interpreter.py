@@ -5,7 +5,9 @@ kernel and the quadrature helpers), so a command that runs no kernel never
 loads it, and the first kernel call of a process imports it.  Likewise the
 process pool is imported only by a sweep that forks workers.  The test
 process has long since imported all of these, so each case here runs in a
-fresh interpreter on this checkout's source.
+fresh interpreter on this checkout's source.  So does the check that a
+kernel call holds no memory once it returns: memory that an earlier call
+in the test process still held would escape a trace started after it.
 """
 
 import os
@@ -125,3 +127,22 @@ def test_first_kernel_call_from_two_threads(inputs, tmp_path, command):
         fresh(["-m", "dpem.cli", *command, "--threads", str(threads), "--out", str(out)], inputs)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# Prints the MiB of traced memory still held after one 5000x50 kernel call.
+# scipy.special and the matrix come first, so neither is counted.
+RETAINED = """\
+import tracemalloc
+import numpy as np
+import scipy.special
+from dpem.robust import RobustMeanParams, robust_mean_columns
+matrix = np.random.default_rng(0).standard_normal((5000, 50)) * 3.0
+tracemalloc.start()
+robust_mean_columns(matrix, RobustMeanParams(s=6.1, beta=2.6))
+print(tracemalloc.get_traced_memory()[0] / 2**20)
+"""
+
+
+def test_kernel_holds_no_memory_after_a_call(tmp_path):
+    retained_mib = float(fresh(["-c", RETAINED], tmp_path))
+    assert retained_mib < 1.0

@@ -382,7 +382,7 @@ class TestKernelBlocks:
 
         matrix = RngStream(13).generator.standard_normal((5000, 50)) * 3.0
         p = RobustMeanParams(s=6.1, beta=2.6)
-        robust_mean_columns(matrix, p)  # allocates this thread's scratch rows
+        robust_mean_columns(matrix, p)  # warms the allocator up for a call's scratch rows
         before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
         for _ in range(10):
             robust_mean_columns(matrix, p)
