@@ -44,7 +44,6 @@ from .models import (
 )
 from .numeric import (
     RngStream,
-    expectation_under_gaussian,
     max_eigenvalue,
     sample_gaussian,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "correction_C",
     "dp_em_gmm",
     "dp_gradient_em",
-    "expectation_under_gaussian",
     "f_gmm",
     "gaussian_sigma_for_zcdp",
     "grad_q",

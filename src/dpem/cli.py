@@ -214,7 +214,7 @@ def _whole(value) -> int:
 
 
 def _fit_rows(fit: dict, algorithm, data, model, beta0, rng, truth, *, eps, clip,
-              seed) -> list[dict]:
+              seed, public_truth=True) -> list[dict]:
     """Fit one cell and return one result row per iterate.  eps is None for
     em and clip is None unless the algorithm is clipped; their columns are
     then left empty.  fit holds the parsed options run and sweep share."""
@@ -223,6 +223,7 @@ def _fit_rows(fit: dict, algorithm, data, model, beta0, rng, truth, *, eps, clip
         algorithm, data, model, beta0, rng, truth, iters=fit["iters"], eta=fit["eta"],
         eps=eps, delta=fit["delta"], clip=clip, tau=fit["tau"], zeta=fit["zeta"],
         shuffle=fit["shuffle"], disable_noise=fit["unsafe_no_noise"],
+        public_truth=public_truth,
     )
     wall_ms = (time.perf_counter() - started) * 1e3 if fit["timing"] else 0.0
     return [{
@@ -364,11 +365,6 @@ def cmd_run(data_path, meta_path, eps, clip, algorithm, seed, n_seeds, threads, 
     meta = io.read_metadata(meta_path or f"{data_path}.meta.json")
     model_kind = _meta_field(meta, "model", _check_model)
     algorithm = _check_algorithm(algorithm, model_kind)
-    if algorithm in ("dpgem", "dpem") and fit["tau"] == "auto" and "source" in meta:
-        # preprocess computes beta_star from the rows, so a tau set from it
-        # would spend no budget on private data
-        raise ConfigError("tau: 'auto' reads beta_star, which preprocess computed "
-                          "from the private data; give a number")
     data = io.read_dataset(data_path, model_kind)
     for key, value in (("n", data.n), ("d", data.d)):
         if _meta_field(meta, key, _whole) != value:
@@ -390,6 +386,9 @@ def cmd_run(data_path, meta_path, eps, clip, algorithm, seed, n_seeds, threads, 
             fit, algorithm, data, model, initial_beta(data.d, root.split(0)), root.split(1),
             beta_star, eps=None if algorithm == "em" else eps,
             clip=clip if algorithm == "clipped" else None, seed=seed + k,
+            # preprocess computes beta_star from the rows and names its
+            # source; only gen's beta_star is a public simulation parameter
+            public_truth="source" not in meta,
         )
 
     results = _run_parallel([(k, k) for k in range(n_seeds)], worker, threads)

@@ -369,7 +369,7 @@ def _is_auto(name: str, value) -> bool:
 def run_algorithm(algorithm: str, data: ObservationSet, model: ModelSpec, beta0,
                   rng: RngStream, truth, *, iters="auto", eta=None, eps=None,
                   delta="auto", clip=None, tau="auto", zeta=None, shuffle=True,
-                  disable_noise=False) -> IterationTrace:
+                  disable_noise=False, public_truth=True) -> IterationTrace:
     """The one entry point of a fit, for the CLI and the estimator classes.
 
     Each ``auto`` setting is resolved by its one rule: delta = n^-1.1,
@@ -377,13 +377,18 @@ def run_algorithm(algorithm: str, data: ObservationSet, model: ModelSpec, beta0,
     truth (dpgem and dpem only).  With a truth on the sign-symmetric gmm
     and mrm, beta0 is flipped into the truth's half-space: beta -> -beta is
     a symmetry of those models, so fixing the gauge makes error curves
-    measure convergence, not the arbitrary sign.  The four functions are
-    looked up by their module names at call time, so anything rebound over
-    those names also sees these calls."""
+    measure convergence, not the arbitrary sign.  Both read the truth, so
+    both need ``public_truth``: the truth is a simulation parameter.  A
+    truth computed from the rows, as ``preprocess`` computes beta_star,
+    would let the release read private data outside the budget; with
+    ``public_truth=False`` tau='auto' is refused and beta0 is kept, so the
+    truth only scores the trace.  The four
+    functions are looked up by their module names at call time, so anything
+    rebound over those names also sees these calls."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {algorithm!r}")
     beta0, beta_star = _check_run(data, model, beta0, truth)
-    if beta_star is not None and model.kind in SIGN_SYMMETRIC_KINDS:
+    if public_truth and beta_star is not None and model.kind in SIGN_SYMMETRIC_KINDS:
         beta0 = align_sign(beta0, beta_star)
     n = data.n
     if _is_auto("delta", delta):
@@ -401,6 +406,9 @@ def run_algorithm(algorithm: str, data: ObservationSet, model: ModelSpec, beta0,
     if _is_auto("tau", tau):
         if beta_star is None:
             raise ConfigError("tau='auto' needs the ground truth beta_star")
+        if not public_truth:
+            raise ConfigError("tau: 'auto' reads beta_star, which was computed from "
+                              "the private data; give a number")
         tau = tau_bound(model, float(np.max(np.abs(beta_star))),
                         float(np.linalg.norm(beta_star)))
     if algorithm == "dpgem":

@@ -90,6 +90,91 @@ def _correction_cutoff(beta: float) -> float:
     return min(_V_BOUND, math.sqrt(2.0 * math.log(scale * 2.0**56)))
 
 
+# The normal CDF is Cephes ndtr, erf and erfc, with their coefficients from
+# W. J. Cody, "Rational Chebyshev approximations for the error function",
+# Math. Comp. 23 (1969).  With z = |x|/sqrt2, Phi(x) = 1/2 + erf(x/sqrt2)/2
+# for z < 1/sqrt2; otherwise h = erfc(z)/2, and Phi(x) = 1 - h for x > 0, h
+# else.  erfc(z) = 1 - erf(z) for z < 1, exp(-z^2) P(z)/Q(z) for z < 8,
+# exp(-z^2) R(z)/S(z) while z^2 <= MAXLOG, and 0 beyond; erf(z) =
+# z T(z^2)/U(z^2).  Coefficients run from the highest power down; Q, S and U
+# are monic.
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _polynomial(z, coefficients, out):
+    """The polynomial at z by Horner's rule into out, as Cephes polevl does
+    (p1evl for a leading 1, since 1 z = z)."""
+    np.multiply(z, coefficients[0], out=out)
+    for c in coefficients[1:-1]:
+        out += c
+        out *= z
+    out += coefficients[-1]
+    return out
+
+
+def _ndtr(x, out, floats, flags):
+    """Phi(x) of the 1-d x into out (which may be x), on 2 x.size entries of
+    floats and of flags.  Every step is Cephes ndtr's, so each value is
+    scipy's wherever np.exp rounds as libm's exp does; elsewhere they were
+    at most 4 ulp apart on a dense grid over [-40, 40].  The [1, 8) form
+    runs on all of x, and the entries outside it are evaluated again on
+    their own.  Finite |x| <= _V_BOUND raises no floating-point warning; at
+    larger |x| the values stay right."""
+    n = x.size
+    z, poly = floats[: 2 * n].reshape(2, n)
+    upper, region = flags[: 2 * n].reshape(2, n)
+    np.abs(np.multiply(x, _SQRT1_2, out=z), out=z)
+    np.greater(x, 0.0, out=upper)
+    h = np.exp(np.negative(np.multiply(z, z, out=out), out=out), out=out)
+    h *= _polynomial(z, _P, poly)
+    h /= _polynomial(z, _Q, poly)
+    # With c = [x > 0] and half = 1/2 - c, Phi = c + half erfc(z): a product
+    # by -+1/2 is exact, so this is 1 - erfc(z)/2 or erfc(z)/2 to the bit.
+    half = poly
+    np.copyto(half, upper)
+    h *= np.subtract(0.5, half, out=half)
+    tail = np.flatnonzero(np.greater_equal(z, 8.0, out=region))
+    if tail.size:
+        zt = z[tail]
+        square = zt * zt
+        erfc = (np.exp(-square) * _polynomial(zt, _R, np.empty(tail.size))
+                / _polynomial(zt, _S, np.empty(tail.size)))
+        erfc[square > _MAXLOG] = 0.0
+        h[tail] = half[tail] * erfc
+    centre = np.flatnonzero(np.less(z, 1.0, out=region))
+    if centre.size:
+        zc = z[centre]
+        square = zc * zc
+        erf = (zc * _polynomial(square, _T, np.empty(centre.size))
+               / _polynomial(square, _U, np.empty(centre.size)))
+        h[centre] = half[centre] * (1.0 - erf)
+    c = z
+    np.copyto(c, upper)
+    h += c
+    if centre.size:
+        # Phi = 1/2 + erf(x/sqrt2)/2, where erf(x/sqrt2)/2 = -half erf(z)
+        inner = zc < _SQRT1_2
+        if inner.any():
+            inner_idx = centre[inner]
+            h[inner_idx] = 0.5 - half[inner_idx] * erf[inner]
+    return h
+
+
 # 32-point Gauss-Legendre panels, <= 0.25 std wide, resolve the window
 # integrand (cubic times normal pdf) to machine precision.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -104,10 +189,12 @@ _WINDOW_CHUNK_NODES = 1 << 16
 # Whole-array n*d temporaries make glibc return their pages to the OS and
 # fault them in again on the next call; blocks of 2**16 fault no more, yet
 # each numpy call stays long enough for two pool threads to overlap.  Nothing
-# is held once a call returns.
+# is held once a call returns.  A block of n entries lays its rows end to end
+# on the first _FLOAT_ROWS * n floats, so that any run of them is one
+# contiguous array.
 _BLOCK = 1 << 16
-_FLOAT_ROWS = 16  # a and b, then _closed_form's 14
-_FLAG_ROWS = 3
+_FLOAT_ROWS = 15  # a and b, then _closed_form's 13
+_FLAG_ROWS = 4  # at most 4 n: _ndtr's two flags for each of 2 k <= 2 n arguments
 
 
 @dataclass(frozen=True)
@@ -145,9 +232,9 @@ def correction_C(a: float, b: float) -> float:
     if b <= 0:
         raise DomainError(f"b must be > 0, got {b!r}")
     a, b = np.array([a]), np.array([b])
-    v_minus, v_plus = _v_pair(a, b)
-    rows = list(np.empty((7, 1)))
-    return float(_correction_vec(a, a * a, a * a * a / 6.0, b, b * b, v_minus, v_plus, rows)[0])
+    v = np.stack(_v_pair(a, b))
+    return float(_correction_vec(a, a * a, a * a * a / 6.0, b, b * b, v,
+                                 np.empty(6), np.empty(4, dtype=bool))[0])
 
 
 def _v_pair(a, b, v_minus=None, v_plus=None):
@@ -160,75 +247,88 @@ def _v_pair(a, b, v_minus=None, v_plus=None):
     return v_minus, v_plus
 
 
-def _correction_vec(a, a2, cubic, b, b2, v_minus, v_plus, rows):
-    """C(a, b) elementwise, from a^2, a^3/6, b^2 and the unclipped V-, V+, on
-    seven scratch rows of their length; the result is one of those rows.
-    a2, cubic, v_minus and v_plus are overwritten.  Every term is the same
-    sequence of operations as C(a, b) written out, so every bit is too."""
-    from scipy.special import ndtr  # imported here: scipy loads only where it is called
-
-    vm2, vp2, f_minus, f_plus, e_minus, e_plus, total = rows
-    np.clip(v_minus, -_V_BOUND, _V_BOUND, out=v_minus)
-    np.clip(v_plus, -_V_BOUND, _V_BOUND, out=v_plus)
-    np.multiply(v_minus, v_minus, out=vm2)
-    np.multiply(v_plus, v_plus, out=vp2)
-    ndtr(np.negative(v_minus, out=f_minus), out=f_minus)
-    ndtr(np.negative(v_plus, out=f_plus), out=f_plus)
-    np.exp(np.multiply(-0.5, vm2, out=e_minus), out=e_minus)
-    np.exp(np.multiply(-0.5, vp2, out=e_plus), out=e_plus)
+def _correction_vec(a, a2, cubic, b, b2, v, floats, flags):
+    """C(a, b) elementwise over k entries, from a^2, a^3/6, b^2 and the
+    unclipped V- and V+ stacked in v (2, k), on 6 k entries of floats and 4 k
+    of flags; the result is b's array, and every input is overwritten.  Each
+    term is the same sequence of operations as C(a, b) written out (products
+    in either order), so it carries the same bits."""
+    k = a.size
+    f, vv, e = floats[: 6 * k].reshape(3, 2, k)
+    np.clip(v, -_V_BOUND, _V_BOUND, out=v)
+    # each term's factor before its F or E part: t2's -(a - cubic) in cubic,
+    # t4's a b2/2 in a, t5's (b2 b/6) _INV_SQRT_2PI in b2 and t3's
+    # (b _INV_SQRT_2PI) (1 - a2/2) in a2
+    np.negative(np.subtract(a, cubic, out=cubic), out=cubic)
+    np.divide(np.multiply(a, b2, out=a), 2.0, out=a)
+    np.divide(np.multiply(b2, b, out=b2), 6.0, out=b2)
+    b2 *= _INV_SQRT_2PI
+    np.subtract(1.0, np.divide(a2, 2.0, out=a2), out=a2)
+    a2 *= np.multiply(b, _INV_SQRT_2PI, out=b)
+    # F- = Phi(-V-) and F+ = Phi(-V+) in one call, whose scratch vv and e reuse
+    flat = np.negative(v, out=f).reshape(-1)
+    _ndtr(flat, flat, floats[2 * k : 6 * k], flags)
+    np.multiply(v, v, out=vv)
+    np.exp(np.multiply(-0.5, vv, out=e), out=e)
     # t1 = PHI_BOUND * (f_minus - f_plus)
-    np.multiply(PHI_BOUND, np.subtract(f_minus, f_plus, out=total), out=total)
+    total = np.multiply(PHI_BOUND, np.subtract(f[0], f[1], out=b), out=b)
     # f_minus + f_plus, which is also t4's f_plus + f_minus: addition commutes
-    f_sum = np.add(f_minus, f_plus, out=f_minus)
-    # t2 = -(a - cubic) * (f_minus + f_plus)
-    term = np.negative(np.subtract(a, cubic, out=cubic), out=cubic)
-    total += np.multiply(term, f_sum, out=term)
-    # t3 = b * _INV_SQRT_2PI * (1.0 - a2 / 2.0) * (e_plus - e_minus)
-    np.multiply(b, _INV_SQRT_2PI, out=term)
-    term *= np.subtract(1.0, np.divide(a2, 2.0, out=a2), out=a2)
-    term *= np.subtract(e_plus, e_minus, out=a2)
-    total += term
-    # t4 = (a * b2 / 2.0) * (f_plus + f_minus
-    #                        + _INV_SQRT_2PI * (v_plus * e_plus + v_minus * e_minus))
-    np.divide(np.multiply(a, b2, out=term), 2.0, out=term)
-    inner = np.multiply(v_plus, e_plus, out=a2)
-    inner += np.multiply(v_minus, e_minus, out=f_plus)
+    f_sum, spare = np.add(f[0], f[1], out=f[0]), f[1]
+    total += np.multiply(cubic, f_sum, out=cubic)
+    # t3's factor times (e_plus - e_minus)
+    a2 *= np.subtract(e[1], e[0], out=spare)
+    total += a2
+    # t4's factor times (f_plus + f_minus
+    #                    + _INV_SQRT_2PI * (v_plus * e_plus + v_minus * e_minus))
+    np.multiply(v, e, out=v)
+    inner = np.add(v[1], v[0], out=spare)
     inner *= _INV_SQRT_2PI
-    term *= np.add(f_sum, inner, out=f_sum)
-    total += term
-    # t5 = (b2 * b / 6.0) * _INV_SQRT_2PI * ((2.0 + vm2) * e_minus - (2.0 + vp2) * e_plus)
-    np.divide(np.multiply(b2, b, out=term), 6.0, out=term)
-    term *= _INV_SQRT_2PI
-    np.multiply(np.add(2.0, vm2, out=vm2), e_minus, out=vm2)
-    np.multiply(np.add(2.0, vp2, out=vp2), e_plus, out=vp2)
-    term *= np.subtract(vm2, vp2, out=vm2)
-    total += term
+    a *= np.add(f_sum, inner, out=f_sum)
+    total += a
+    # t5's factor times ((2.0 + vm2) * e_minus - (2.0 + vp2) * e_plus)
+    np.add(2.0, vv, out=vv)
+    vv *= e
+    b2 *= np.subtract(vv[0], vv[1], out=spare)
+    total += b2
     return total
 
 
-def _closed_form(a, b, value, rows, live, v_cut):
-    """Write E phi(a + b*xi) = (a(1 - b^2/2) - a^3/6) + C(a, b) into value,
-    over 1-d arrays, for 0 < b and |a|, b <= _CLOSED_FORM_LIMIT, on 14 float
-    scratch rows and one flag row of their length.  C is added only where
-    min(V-, V+) < v_cut = V*(beta): beyond it |C| < ulp(value)/4 (bound at
-    _V_BOUND), so every value is bit-identical to adding C everywhere."""
-    a2, cubic, b2, v_minus, v_plus, spare, *gather_rows = rows
+def _powers(a, b, a2, cubic, b2):
+    """a^2, a^3/6 and b^2 into a2, cubic and b2."""
     np.multiply(a, a, out=a2)
     np.divide(np.multiply(a2, a, out=cubic), 6.0, out=cubic)
     np.multiply(b, b, out=b2)
+
+
+def _closed_form(a, b, value, floats, flags, v_cut):
+    """Write E phi(a + b*xi) = (a(1 - b^2/2) - a^3/6) + C(a, b) into value,
+    over 1-d arrays of n entries, for 0 < b and |a|, b <= _CLOSED_FORM_LIMIT,
+    on 13 n entries of floats and 4 n of flags.  C is added only where
+    min(V-, V+) < v_cut = V*(beta): beyond it |C| < ulp(value)/4 (bound at
+    _V_BOUND), so every value is bit-identical to adding C everywhere."""
+    n = a.size
+    a2, cubic, b2 = floats[: 3 * n].reshape(3, n)
+    _powers(a, b, a2, cubic, b2)
     # value = a * (1.0 - b2 / 2.0) - cubic
     np.subtract(1.0, np.divide(b2, 2.0, out=value), out=value)
     np.subtract(np.multiply(a, value, out=value), cubic, out=value)
+    v_minus, v_plus, spare = a2, cubic, b2
     _v_pair(a, b, v_minus, v_plus)
+    live = flags[:n]
     np.less(np.minimum(v_minus, v_plus, out=spare), v_cut, out=live)
     idx = np.flatnonzero(live)  # integer gathers are ~6x faster than boolean ones
-    if idx.size:
+    k = idx.size
+    if k:
+        # The correction works on the first 6 k floats and its terms follow,
+        # clear of V- and V+ until those are gathered; a^2, a^3/6 and b^2 are
+        # taken again from the gathered a and b, which touches fewer pages.
+        start = max(3 * n, 6 * k)
+        terms = floats[start : start + 7 * k].reshape(7, k)
         # mode="clip" keeps take from buffering its output; idx is in range
-        terms = [np.take(t, idx, out=row[: idx.size], mode="clip")
-                 for t, row in zip((a, a2, cubic, b, b2, v_minus, v_plus), gather_rows)]
-        # gathered, the full-length rows are free for the correction
-        free = [row[: idx.size] for row in (a2, cubic, b2, v_minus, v_plus, spare, gather_rows[7])]
-        correction = _correction_vec(*terms, free)
+        for t, row in zip((a, b, v_minus, v_plus), (0, 3, 5, 6)):
+            np.take(t, idx, out=terms[row], mode="clip")
+        _powers(terms[0], terms[3], terms[1], terms[2], terms[4])
+        correction = _correction_vec(*terms[:5], terms[5:], floats[: 6 * k], flags)
         # value[idx] += correction
         current = np.take(value, idx, out=terms[0], mode="clip")
         value[idx] = np.add(current, correction, out=current)
@@ -238,10 +338,12 @@ def _window_expectation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """E phi(a + b*xi), xi ~ N(0,1), over 1-d arrays, as saturated-tail mass plus
     the integral over the window where |a + b*xi| <= sqrt(2).  No
     large-argument cancellation, unlike the closed form."""
-    from scipy.special import ndtr
-
     v_minus, v_plus = _v_pair(a, b)
-    out = PHI_BOUND * ((1.0 - ndtr(v_minus)) - ndtr(-v_plus))
+    # Phi(v-) and Phi(-v+) in one call; v clipped to +-_V_BOUND, where Phi is
+    # already exactly 0 or 1, keeps _ndtr's intermediates finite
+    tails = np.clip(np.concatenate([v_minus, -v_plus]), -_V_BOUND, _V_BOUND)
+    _ndtr(tails, tails, np.empty(2 * tails.size), np.empty(2 * tails.size, dtype=bool))
+    out = PHI_BOUND * ((1.0 - tails[: a.size]) - tails[a.size :])
     lo = np.maximum(-v_plus, -39.0)
     hi = np.minimum(v_minus, 39.0)
     windowed = np.flatnonzero(hi > lo)
@@ -283,7 +385,7 @@ def _smoothed_phi_array(x: np.ndarray, s: float, beta: float) -> np.ndarray:
     scale = s * math.sqrt(beta)
     v_cut = _correction_cutoff(beta)
     m = min(flat.size, _BLOCK)
-    floats, flags = np.empty((_FLOAT_ROWS, m)), np.empty((_FLAG_ROWS, m), dtype=bool)
+    floats, flags = np.empty(_FLOAT_ROWS * m), np.empty(_FLAG_ROWS * m, dtype=bool)
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         _smoothed_phi_block(flat[block], s, scale, v_cut, out[block], floats, flags)
@@ -294,18 +396,20 @@ def _smoothed_phi_block(x: np.ndarray, s: float, scale: float, v_cut: float,
                         out: np.ndarray, floats: np.ndarray, flags: np.ndarray) -> None:
     """The smoothed truncation of the 1-d block x at truncation scale s,
     with scale = s sqrt(beta) and v_cut = V*(beta), written into out on the
-    first x.size entries of the float and flag scratch rows."""
-    (a, b, *rows), (positive, near, flag) = floats[:, : x.size], flags[:, : x.size]
+    first _FLOAT_ROWS x.size floats and _FLAG_ROWS x.size flags."""
+    n = x.size
+    a, b, spare = floats[: 3 * n].reshape(3, n)
     np.divide(x, s, out=a)
     with np.errstate(over="ignore"):
         np.divide(np.abs(x, out=b), scale, out=b)
     # The closed form runs on the whole block; outside its domain (b == 0,
     # or the far regime) it may overflow, and those values are replaced below.
     with np.errstate(over="ignore", invalid="ignore"):
-        _closed_form(a, b, out, rows, flag, v_cut)
+        _closed_form(a, b, out, floats[2 * n : _FLOAT_ROWS * n], flags, v_cut)
     np.multiply(s, out, out=out)
+    positive, near, flag = flags[: 3 * n].reshape(3, n)
     np.greater(b, 0.0, out=positive)
-    np.less_equal(np.abs(a, out=rows[0]), _CLOSED_FORM_LIMIT, out=near)
+    np.less_equal(np.abs(a, out=spare), _CLOSED_FORM_LIMIT, out=near)
     near &= np.less_equal(b, _CLOSED_FORM_LIMIT, out=flag)
     near &= positive
     # outside the closed form: 0, then x where b == 0 (|x| << s underflows b;

@@ -860,6 +860,29 @@ class TestPreprocess:
         assert result.exit_code == 0
         assert out.exists()
 
+    def test_only_a_generated_truth_is_public(self, runner, tmp_path, monkeypatch):
+        # run_algorithm aligns beta0 with beta_star only where the truth is
+        # public: gen's simulation parameter, not preprocess's estimate
+        seen = []
+        fit = dpem.cli.run_algorithm
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["public_truth"])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(dpem.cli, "run_algorithm", spy)
+        rng = np.random.default_rng(6)
+        labels = np.arange(40) % 2
+        feats = (2 * labels - 1)[:, None] * 2.0 + rng.standard_normal((40, 2))
+        self.write_labeled(tmp_path / "real.csv", feats, labels)
+        invoke(runner, "preprocess", "--data", tmp_path / "real.csv",
+               "--out", tmp_path / "real_gmm.csv")
+        invoke(runner, "gen", "--n", 40, "--d", 2, "--out", tmp_path / "gen_gmm.csv")
+        for name in ("real_gmm.csv", "gen_gmm.csv"):
+            invoke(runner, "run", "--algorithm", "dpgem", "--data", tmp_path / name,
+                   "--tau", "9", "--n-seeds", 2, "--out", tmp_path / "run.csv")
+        assert seen == [False, False, True, True]
+
     def test_row_order_invariance(self, runner, tmp_path):
         feats = np.array(
             [[1.0, 2.0], [3.0, 4.0], [-1.0, 0.0], [5.0, -2.0]], dtype=float

@@ -18,8 +18,16 @@ from dpem.estimators import (
     dp_gradient_em,
     gradient_em,
     initial_beta,
+    run_algorithm,
 )
-from dpem.models import ModelSpec, f_gmm_batch, grad_q_batch, sample_observations, tau_bound
+from dpem.models import (
+    ModelSpec,
+    f_gmm_batch,
+    grad_q_batch,
+    preprocess_real_gmm,
+    sample_observations,
+    tau_bound,
+)
 from dpem.numeric import RngStream
 from dpem.robust import PHI_BOUND, RobustMeanParams, robust_mean_columns
 
@@ -554,3 +562,42 @@ class TestTruthLength:
         model, _, data, beta0, rng = make_problem("gmm", 3, 200, 41)
         with pytest.raises(DomainError, match="beta_star must have length 3, got 2"):
             fit(data, model, beta0, rng)
+
+
+class TestPublicTruth:
+    """On data whose beta_star was computed from the rows (preprocess), the
+    truth only scores the trace: the released betas must not depend on it."""
+
+    @staticmethod
+    def preprocessed_problem():
+        g = RngStream(42).generator
+        labels = np.arange(400) % 2
+        feats = (2 * labels - 1)[:, None] * np.array([1.5, -0.5]) + g.standard_normal((400, 2))
+        data, beta_star, sigma = preprocess_real_gmm(feats, labels)
+        return ModelSpec("gmm", data.d, sigma), data, beta_star
+
+    @pytest.mark.parametrize("algorithm", ["em", "clipped", "dpgem", "dpem"])
+    def test_release_ignores_a_data_derived_truth(self, algorithm):
+        model, data, beta_star = self.preprocessed_problem()
+        beta0 = initial_beta(data.d, RngStream(3).split(0))
+        assert np.dot(beta0, beta_star) != 0.0
+        betas = [run_algorithm(algorithm, data, model, beta0, RngStream(3).split(1), truth,
+                               eta=1.0, eps=1.0, clip=1.0, tau=9.0, zeta=0.05,
+                               public_truth=False).betas
+                 for truth in (beta_star, -beta_star)]
+        assert np.array_equal(betas[0], betas[1])
+        assert np.array_equal(betas[0][0], beta0)
+
+    def test_public_truth_aligns_the_start(self):
+        model, data, beta_star = self.preprocessed_problem()
+        beta0 = initial_beta(data.d, RngStream(3).split(0))
+        starts = [run_algorithm("em", data, model, beta0, RngStream(3).split(1), truth,
+                                iters=1, eta=1.0).betas[0] for truth in (beta_star, -beta_star)]
+        assert np.array_equal(starts[0], -starts[1])
+
+    def test_auto_tau_needs_a_public_truth(self):
+        model, data, beta_star = self.preprocessed_problem()
+        beta0 = initial_beta(data.d, RngStream(3).split(0))
+        with pytest.raises(ConfigError, match="tau: 'auto'"):
+            run_algorithm("dpgem", data, model, beta0, RngStream(3).split(1), beta_star,
+                          eta=1.0, eps=1.0, zeta=0.05, public_truth=False)

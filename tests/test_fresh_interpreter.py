@@ -1,13 +1,14 @@
 """CLI behaviour that only a new interpreter shows.
 
-scipy is imported inside the functions that call it (the smoothed-truncation
-kernel and the quadrature helpers), so a command that runs no kernel never
-loads it, and the first kernel call of a process imports it.  Likewise the
-process pool is imported only by a sweep that forks workers.  The test
-process has long since imported all of these, so each case here runs in a
-fresh interpreter on this checkout's source.  So does the check that a
-kernel call holds no memory once it returns: memory that an earlier call
-in the test process still held would escape a trace started after it.
+No command loads scipy: the package needs only numpy and click, and the
+smoothed-truncation kernel computes the normal CDF itself.  The process pool
+is imported only by a sweep that forks workers.  The test process has long
+since imported all of these, so each case here runs in a fresh interpreter
+on this checkout's source; the probe also reports what forked sweep workers
+loaded, and a second harness makes every scipy import fail, as if scipy were
+not installed.  The check that a kernel call holds no memory once it
+returns runs in a fresh interpreter too: memory that an earlier call in the
+test process still held would escape a trace started after it.
 """
 
 import os
@@ -25,17 +26,56 @@ from dpem.io import write_results
 SRC = str(Path(dpem.__file__).resolve().parent.parent)
 
 # Runs the dpem CLI on its own arguments, then prints which scipy and
-# process-pool modules the process loaded, as the last line of its output.
+# process-pool modules the process or any forked worker of it loaded, as the
+# last line of its output.  Each worker writes its list to a file in the
+# working directory after every task.
 PROBE = """\
-import sys
+import glob, os, sys
+import dpem.cli
 from dpem.cli import cli
+WATCHED = ("scipy", "scipy.special", "multiprocessing", "concurrent.futures.process")
+install = dpem.cli._install_worker
+
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
+
+def install_probed(worker):
+    def probed(spec):
+        try:
+            return worker(spec)
+        finally:
+            with open(f"probe-{os.getpid()}.txt", "w") as fh:
+                fh.write(",".join(loaded()))
+    install(probed)
+
+dpem.cli._install_worker = install_probed
 try:
     cli.main(args=sys.argv[1:], prog_name="dpem")
 except SystemExit as exc:
     if exc.code:
         raise
-print(",".join(m for m in ("scipy", "scipy.special", "multiprocessing",
-                            "concurrent.futures.process") if m in sys.modules))
+seen = set(loaded())
+for path in glob.glob("probe-*.txt"):
+    with open(path) as fh:
+        seen.update(fh.read().split(","))
+    os.remove(path)
+print(",".join(m for m in WATCHED if m in seen))
+"""
+
+# Runs the dpem CLI on its own arguments with every scipy import failing.
+# Forked workers inherit the hook.
+NO_SCIPY = """\
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from dpem.cli import cli
+cli.main(args=sys.argv[1:], prog_name="dpem")
 """
 
 
@@ -92,9 +132,34 @@ def test_command_without_kernel_loads_no_scipy(inputs, command):
     assert probed_modules(NO_KERNEL[command], inputs) == [""]
 
 
-def test_kernel_loads_scipy_special(inputs):
-    args = ["run", "--algorithm", "dpgem", "--data", "gmm.csv", "--out", "dpgem.csv"]
-    assert probed_modules(args, inputs) == ["scipy", "scipy.special"]
+KERNEL = {
+    "run-dpgem": ["run", "--algorithm", "dpgem", "--data", "gmm.csv", "--out", "dpgem.csv"],
+    "sweep-dpgem-forked": ["sweep", "--algorithm", "dpgem", "--n-list", "200", "--d-list", "2",
+                           "--eps-list", "0.5,1", "--n-seeds", "2", "--threads", "2",
+                           "--out", "dpgem-sweep.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(KERNEL))
+def test_kernel_loads_no_scipy(inputs, command):
+    loaded = probed_modules(KERNEL[command], inputs)
+    assert not {"scipy", "scipy.special"} & set(loaded)
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--algorithm", "dpem", "--data", "gmm.csv", "--n-seeds", "4", "--threads", "2"],
+    ["sweep", "--algorithm", "dpgem", "--model", "mrm", "--n-list", "200", "--d-list", "2",
+     "--eps-list", "0.5,1", "--n-seeds", "2", "--threads", "2"],
+], ids=["run-dpem", "sweep-dpgem"])
+def test_fits_without_scipy(inputs, tmp_path, command):
+    """The same bytes with scipy unimportable, in the process and in forked
+    workers, as with it installed."""
+    outputs = []
+    for harness in (["-c", NO_SCIPY], ["-m", "dpem.cli"]):
+        out = tmp_path / f"out{len(outputs)}.csv"
+        fresh([*harness, *command, "--out", str(out)], inputs)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 POOL = ["multiprocessing", "concurrent.futures.process"]
@@ -119,8 +184,8 @@ def test_only_a_parallel_sweep_loads_the_process_pool(inputs, args, pool):
      "--eps-list", "0.5,1", "--n-seeds", "2"],
 ], ids=["run-dpem", "sweep-dpgem"])
 def test_first_kernel_call_from_two_threads(inputs, tmp_path, command):
-    """Two workers make the process's first kernel calls, and with them its
-    scipy import, at once; the bytes must match a one-thread run."""
+    """Two workers make the process's first kernel calls at once; the bytes
+    must match a one-thread run."""
     outputs = []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}.csv"
@@ -130,11 +195,10 @@ def test_first_kernel_call_from_two_threads(inputs, tmp_path, command):
 
 
 # Prints the MiB of traced memory still held after one 5000x50 kernel call.
-# scipy.special and the matrix come first, so neither is counted.
+# The matrix comes first, so it is not counted.
 RETAINED = """\
 import tracemalloc
 import numpy as np
-import scipy.special
 from dpem.robust import RobustMeanParams, robust_mean_columns
 matrix = np.random.default_rng(0).standard_normal((5000, 50)) * 3.0
 tracemalloc.start()

@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpem.errors import ConvergenceError, DomainError
-from dpem.numeric import (
-    RngStream,
-    expectation_under_gaussian,
-    max_eigenvalue,
-    sample_gaussian,
-)
+from dpem.numeric import RngStream, max_eigenvalue, sample_gaussian
+from quadrature import expectation_under_gaussian
 
 
 class TestRngStream:

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from scipy.special import ndtr
 from dpem import robust
 from dpem.accounting import gaussian_sigma_for_zcdp, make_budget
 from dpem.errors import DomainError
-from dpem.numeric import RngStream, expectation_under_gaussian
+from dpem.numeric import RngStream
 from dpem.robust import (
     PHI_BOUND,
     RobustMeanParams,
@@ -25,6 +26,7 @@ from dpem.robust import (
     select_params_local,
     smoothed_phi,
 )
+from quadrature import expectation_under_gaussian
 
 SQRT2 = math.sqrt(2.0)
 
@@ -93,6 +95,19 @@ def gate_edge_a(v, beta):
     kernel's b = a / sqrt(beta)."""
     root = math.sqrt(beta)
     return SQRT2 * root / (v + root)
+
+
+def gate_entries():
+    """{(beta, s): x} for 2.4M entries whose min(V-, V+) runs from 0.5 to 40,
+    densest at V*(beta), for every beta of GATE_BETAS at two scales s."""
+    entries = {}
+    for beta in GATE_BETAS:
+        v_cut = robust._correction_cutoff(beta)
+        v = np.concatenate([np.linspace(0.5, 40.0, 50_000),
+                            v_cut * (1.0 + np.linspace(-1e-3, 1e-3, 50_000))])
+        for s in (0.37, 3e5):
+            entries[beta, s] = np.outer(gate_edge_a(v, beta) * s, [1.0, -1.0])
+    return entries
 
 
 FAR_S, FAR_BETA = 1.7, 25.0
@@ -257,16 +272,9 @@ class TestSmoothedPhi:
             assert {(beta, False), (beta, True)} <= sides, beta
 
     def test_correction_gate_matches_ungated_kernel(self, monkeypatch):
-        # 1.2M entries whose min(V-, V+) runs from 0.5 to 40, densest at V*:
         # the gated kernel must equal one adding C on every entry
-        cases = [(beta, s) for beta in GATE_BETAS for s in (0.37, 3e5)]
-        gated = {}
-        for beta, s in cases:
-            v_cut = robust._correction_cutoff(beta)
-            v = np.concatenate([np.linspace(0.5, 40.0, 50_000),
-                                v_cut * (1.0 + np.linspace(-1e-3, 1e-3, 50_000))])
-            x = np.outer(gate_edge_a(v, beta) * s, [1.0, -1.0])
-            gated[beta, s] = x, robust._smoothed_phi_array(x, s, beta)
+        gated = {(beta, s): (x, robust._smoothed_phi_array(x, s, beta))
+                 for (beta, s), x in gate_entries().items()}
         monkeypatch.setattr(robust, "_correction_cutoff", lambda beta: math.inf)
         assert sum(x.size for x, _ in gated.values()) >= 10**6
         for (beta, s), (x, got) in gated.items():
@@ -304,6 +312,93 @@ class TestSmoothedPhi:
         # for |x| << s the estimator is nearly the identity
         p = RobustMeanParams(s=100.0, beta=9.0)
         assert smoothed_phi(0.5, p) == pytest.approx(0.5, rel=1e-3)
+
+
+def ndtr_port(x):
+    """robust._ndtr of a copy of x, on scratch of its own."""
+    x = np.array(x, dtype=float)
+    return robust._ndtr(x, x, np.empty(2 * x.size), np.empty(2 * x.size, dtype=bool))
+
+
+def ulps_apart(got, want):
+    """Units in the last place between nonnegative doubles."""
+    return np.abs(got.view(np.int64) - want.view(np.int64))
+
+
+MAXLOG = 7.09782712893383996843e2
+
+
+class TestNdtr:
+    """robust._ndtr, the kernel's normal CDF, against scipy's Cephes ndtr,
+    whose operations it repeats, and against mpmath."""
+
+    @staticmethod
+    def edge_points():
+        # each of Cephes's region edges |x| = 1, sqrt2, 8 sqrt2 and
+        # sqrt(2 MAXLOG) with both neighbours, then zeros, subnormals and +-40
+        edges = [np.nextafter(e, d) for e in (1.0, SQRT2, 8.0 * SQRT2, math.sqrt(2.0 * MAXLOG))
+                 for d in (0.0, e, math.inf)]
+        tiny = np.finfo(float).tiny
+        points = edges + [0.0, 5e-324, 1e-310, tiny, 40.0]
+        return np.array(points + [-p for p in points])
+
+    def test_matches_scipy_on_dense_grid(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 2_000_001), self.edge_points()])
+        got, want = ndtr_port(x), ndtr(x)
+        saturated = (want == 0.0) | (want == 1.0)
+        assert saturated.sum() > 800_000
+        assert np.array_equal(got[saturated], want[saturated])
+        normal = want >= np.finfo(float).tiny
+        assert ulps_apart(got[normal], want[normal]).max() <= 4
+        assert np.all(got[~normal] >= 0.0)  # -0.0 would read as far apart
+        assert ulps_apart(got[~normal], want[~normal]).max() <= 4
+
+    def test_bitwise_where_exp_agrees(self):
+        # the port repeats Cephes's operations, so it differs from scipy only
+        # through np.exp: below |x| = sqrt2 no exp is taken, and elsewhere
+        # every value whose exp(-z^2) numpy and libm round alike is identical
+        x = np.concatenate([np.linspace(-40.0, 40.0, 200_001), self.edge_points()])
+        z = np.abs(x * math.sqrt(0.5))  # Cephes's SQRT1_2, not 1/SQRT2
+        libm = np.array([math.exp(-(v * v)) for v in z.tolist()])
+        same = (np.abs(x) < SQRT2) | (np.exp(-(z * z)) == libm)
+        assert same.mean() > 0.95
+        assert np.array_equal(ndtr_port(x[same]), ndtr(x[same]))
+
+    def test_region_edges_and_signed_zero(self):
+        x = self.edge_points()
+        got = ndtr_port(x)
+        assert ulps_apart(got, ndtr(x)).max() <= 4
+        assert got[x == 0.0].tolist() == [0.5, 0.5]
+        assert ndtr_port([40.0, -40.0]).tolist() == [1.0, 0.0]
+
+    def test_matches_mpmath(self):
+        # Cephes takes exp(-z^2) at the rounded z^2 = x^2/2, whose relative
+        # error z^2 eps becomes that of the tail value
+        g = RngStream(21).generator
+        x = np.concatenate([g.uniform(-38.4, 40.0, 600), g.uniform(-3.0, 3.0, 200),
+                            self.edge_points()])
+        got = ndtr_port(x)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for xi, value in zip(x.tolist(), got.tolist()):
+                exact = mpmath.ncdf(xi)
+                if exact < np.finfo(float).tiny:
+                    continue
+                rel = abs((mpmath.mpf(value) - exact) / exact)
+                assert rel <= (16.0 + 2.0 * xi * xi) * eps, xi
+
+    def test_kernel_within_pow_tolerance_of_scipy_kernel(self, monkeypatch):
+        # the same kernel with scipy's ndtr in place of the port, over the
+        # gate test's entries, within the closed form's rounding tolerance
+        ported = {key: robust._smoothed_phi_array(x, key[1], key[0])
+                  for key, x in gate_entries().items()}
+        monkeypatch.setattr(robust, "_ndtr", lambda x, out, floats, flags: ndtr(x, out=out))
+        eps = np.finfo(float).eps
+        for (beta, s), x in gate_entries().items():
+            want = robust._smoothed_phi_array(x, s, beta)
+            a, b = kernel_args(x, s, beta)
+            tol = s * 2.0 * eps * (1.0 + np.abs(a) ** 3 + b**3)
+            assert np.all(np.abs(ported[beta, s] - want) <= tol), (beta, s)
 
 
 def interleaved_regimes():
