@@ -98,13 +98,22 @@ def _write_table(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+# Rows per block of write_dataset: each block becomes Python floats, then
+# text, while the rest of the table stays in its array.
+_ROWS = 1024
+
+
 def write_dataset(path, obs: ObservationSet) -> None:
     """gmm: y1..yd.  mrm/rmc: x1..xd,y; rmc leaves missing x-cells empty."""
     table = obs.ys if obs.kind == "gmm" else np.column_stack(
         [obs.xs if obs.mask is None else np.where(obs.mask, obs.xs, np.nan), obs.ys])
-    # the observations are finite, so NaN marks exactly the missing cells
-    _write_table(path, _dataset_columns(obs.kind, table.shape[1]),
-                 (["" if v != v else repr(v) for v in row] for row in table.tolist()))
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(_dataset_columns(obs.kind, table.shape[1])) + "\n")
+        for i in range(0, len(table), _ROWS):
+            # the observations are finite, so NaN marks exactly the missing
+            # cells, and no finite float's repr contains the text nan
+            fh.write("".join(",".join(map(repr, row)) + "\n"
+                             for row in table[i:i + _ROWS].tolist()).replace("nan", ""))
 
 
 def read_dataset(path, kind: str) -> ObservationSet:
@@ -112,16 +121,22 @@ def read_dataset(path, kind: str) -> ObservationSet:
     that an empty x-cell of an rmc file is a missing covariate (NaN)."""
     # an empty cell reads as NaN; the finiteness check below then allows
     # exactly the empty cells of an rmc row, and none in the y column
-    nan, rows, blanks = math.nan, [], []
-    for lineno, cells in _read_table(path, "dataset", lambda w: _dataset_columns(kind, w)):
-        try:
-            rows.append([float(c) if c else nan for c in cells])
-        except ValueError as exc:
-            raise ParseError(f"{exc} (expected a finite number)", lineno) from None
-        blanks.append(cells.count(""))
-    if not rows:
+    nan, blanks = math.nan, []
+
+    def cells():
+        for lineno, row in _read_table(path, "dataset", lambda w: _dataset_columns(kind, w)):
+            try:
+                values = [float(c) if c else nan for c in row]
+            except ValueError as exc:
+                raise ParseError(f"{exc} (expected a finite number)", lineno) from None
+            blanks.append(row.count(""))
+            yield from values
+
+    # one array grows as the rows stream in, in place of a list of row lists
+    flat = np.fromiter(cells(), dtype=float)
+    if not blanks:
         raise ParseError("dataset has no rows", 2)
-    table = np.array(rows, dtype=float)
+    table = flat.reshape(len(blanks), -1)
     finite = np.isfinite(table)
     bad = (np.count_nonzero(~finite, axis=1) != (blanks if kind == "rmc" else 0)) | ~finite[:, -1]
     if bad.any():  # row i is line i + 2, after the header

@@ -262,13 +262,20 @@ def grad_q_batch(model: ModelSpec, data: ObservationSet, beta) -> np.ndarray:
             t = np.tanh(0.5 * ys * xb / s2)
             np.subtract((t * ys)[:, None] * xs, xb[:, None] * xs, out=block)
             continue
-        miss = 1.0 - data.mask[i:i + _ROWS].astype(float)
+        miss = np.subtract(1.0, data.mask[i:i + _ROWS], dtype=float)
+        mb = miss * beta
         dot_obs = xs @ beta  # sentinel entries are 0, so this is <beta, observed x>
         denom = s2 + miss @ (beta * beta)
-        m = xs + ((ys - dot_obs) / denom)[:, None] * (miss * beta)
-        u = miss * m
-        k_beta = miss * beta + m * (m @ beta)[:, None] - u * (u @ beta)[:, None]
-        np.subtract(ys[:, None] * m, k_beta, out=block)
+        # u = (1 - z) * m up to the sign of a zero, since sentinel entries are 0
+        u = ((ys - dot_obs) / denom)[:, None] * mb
+        m = xs + u
+        # ys m - K_beta beta = ys m - ((mb + m <m, beta>) - u <u, beta>)
+        np.multiply(m, (m @ beta)[:, None], out=block)
+        block += mb
+        u *= (u @ beta)[:, None]
+        block -= u
+        m *= ys[:, None]
+        np.subtract(m, block, out=block)
     return out
 
 

@@ -8,7 +8,8 @@ on this checkout's source; the probe also reports what forked sweep workers
 loaded, and a second harness makes every scipy import fail, as if scipy were
 not installed.  The check that a kernel call holds no memory once it
 returns runs in a fresh interpreter too: memory that an earlier call in the
-test process still held would escape a trace started after it.
+test process still held would escape a trace started after it.  So do the
+traced peaks of writing and reading a dataset file.
 """
 
 import os
@@ -210,3 +211,34 @@ print(tracemalloc.get_traced_memory()[0] / 2**20)
 def test_kernel_holds_no_memory_after_a_call(tmp_path):
     retained_mib = float(fresh(["-c", RETAINED], tmp_path))
     assert retained_mib < 1.0
+
+
+# Prints the traced peaks of writing and of reading back a 25000x20 rmc
+# dataset, each as a multiple of the table's 4.0 MiB of floats.  The
+# observations come first, so they are not counted.
+DATASET_PEAKS = """\
+import tracemalloc
+import numpy as np
+from dpem.io import read_dataset, write_dataset
+from dpem.models import ModelSpec, sample_observations
+from dpem.numeric import RngStream
+obs = sample_observations(ModelSpec("rmc", 20, 1.0, p_m=0.2), 25000, np.full(20, 0.5),
+                          RngStream(3))
+table = 25000 * 21 * 8
+tracemalloc.start()
+write_dataset("rmc.csv", obs)
+write = tracemalloc.get_traced_memory()[1] / table
+tracemalloc.reset_peak()
+read_dataset("rmc.csv", "rmc")
+print(write, tracemalloc.get_traced_memory()[1] / table)
+"""
+
+
+def test_dataset_files_stream(tmp_path):
+    # whole-table Python lists peaked at 5.4x (write) and 7.5x (read);
+    # rows streamed through 1024-row blocks and one growing array read 1.9x
+    # and 3.6x
+    write, read = map(float, fresh(["-c", DATASET_PEAKS], tmp_path).split())
+    assert write < 3.0
+    assert read < 5.0
+

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +183,84 @@ def test_dataset_round_trip_bitwise(tmp_path_factory, kind, n, d, data):
         assert np.array_equal(bits(back.xs), bits(obs.xs))
     if kind == "rmc":
         assert np.array_equal(back.mask, obs.mask)
+
+
+SPECIAL_CELLS = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def csv_oracle(obs):
+    """The dataset bytes as csv.writer wrote them cell by cell: each cell's
+    repr, and an empty cell for each missing rmc covariate."""
+    if obs.kind == "gmm":
+        header, table = [f"y{j + 1}" for j in range(obs.d)], obs.ys
+    else:
+        xs = obs.xs if obs.mask is None else np.where(obs.mask, obs.xs, np.nan)
+        header = [f"x{j + 1}" for j in range(obs.d)] + ["y"]
+        table = np.column_stack([xs, obs.ys])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(["" if v != v else repr(v) for v in row] for row in table.tolist())
+    return buf.getvalue().encode()
+
+
+class TestDatasetBlocks:
+    # write_dataset converts 1024 rows at a time
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("kind", ["gmm", "mrm", "rmc"])
+    def test_bytes_match_cell_by_cell_writer(self, tmp_path, kind, n):
+        d = 3
+        cols = d if kind == "gmm" else d + 1
+        rng = np.random.default_rng(n)
+        table = rng.standard_normal((n, cols)) * 10.0
+        spots = np.unique(np.linspace(0, table.size - 1, 2 * len(SPECIAL_CELLS)).astype(int))
+        table.flat[spots] = np.resize(SPECIAL_CELLS, len(spots))
+        if kind == "gmm":
+            obs = ObservationSet("gmm", table)
+        elif kind == "mrm":
+            obs = ObservationSet("mrm", table[:, -1], table[:, :-1])
+        else:
+            mask = rng.random((n, d)) > 0.3
+            mask[-1] = True  # no covariate missing
+            mask[0] = False  # every covariate missing
+            if n > 1024:
+                mask[1024] = False
+            obs = ObservationSet("rmc", table[:, -1], np.where(mask, table[:, :-1], 0.0), mask)
+        path = tmp_path / "data.csv"
+        write_dataset(path, obs)
+        assert path.read_bytes() == csv_oracle(obs)
+
+    @staticmethod
+    def faulty(tmp_path, kind, line, text):
+        """A 2100-row dataset whose given line is replaced by text."""
+        model = ModelSpec(kind, 3, 1.0, p_m=0.2 if kind == "rmc" else 0.0)
+        obs = sample_observations(model, 2100, np.array([1.0, -2.0, 0.5]), RngStream(6))
+        path = tmp_path / "data.csv"
+        write_dataset(path, obs)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line - 1] = text + "\n"
+        path.write_text("".join(lines))
+        return path
+
+    @pytest.mark.parametrize("kind,line,text", [
+        ("gmm", 1500, "1.0,oops,2.0"),  # a bad cell
+        ("rmc", 2000, "1.0,nan,,2.0"),  # the text nan in a covariate
+        ("rmc", 1030, "1.0,2.0,3.0,"),  # an empty y
+        ("mrm", 1100, "1.0,2.0,3.0,4.0,5.0"),  # a ragged row
+    ])
+    def test_fault_in_a_later_block_reports_its_line(self, tmp_path, kind, line, text):
+        path = self.faulty(tmp_path, kind, line, text)
+        with pytest.raises(ParseError) as exc:
+            read_dataset(path, kind)
+        assert exc.value.line == line
+
+    def test_header_only_reports_line_2(self, tmp_path):
+        p = tmp_path / "n.csv"
+        p.write_text("x1,x2,y\n")
+        with pytest.raises(ParseError, match="dataset has no rows") as exc:
+            read_dataset(p, "rmc")
+        assert exc.value.line == 2
 
 
 class TestLabeled:

@@ -447,6 +447,42 @@ class TestBatchBlocks:
         assert faults < 4000
 
 
+def rmc_grad_oracle(m, data, beta):
+    """grad_q_batch's rmc rows as first written, K_beta beta term by term, in
+    the same row blocks (blocks that start elsewhere change last bits)."""
+    s2 = m.sigma**2
+    out = []
+    for i in range(0, data.n, models._ROWS):
+        xs, ys = data.xs[i:i + models._ROWS], data.ys[i:i + models._ROWS]
+        miss = 1.0 - data.mask[i:i + models._ROWS].astype(float)
+        dot_obs = xs @ beta
+        denom = s2 + miss @ (beta * beta)
+        mm = xs + ((ys - dot_obs) / denom)[:, None] * (miss * beta)
+        u = miss * mm
+        k_beta = miss * beta + mm * (mm @ beta)[:, None] - u * (u @ beta)[:, None]
+        out.append(ys[:, None] * mm - k_beta)
+    return np.concatenate(out)
+
+
+class TestRmcBlock:
+    @pytest.mark.parametrize("p_m", [0.0, 0.2, 0.99])
+    @pytest.mark.parametrize("n", [1023, 1024, 1025])
+    def test_matches_term_by_term_oracle(self, n, p_m):
+        m = ModelSpec("rmc", 20, 1.2, p_m=p_m)
+        rng = np.random.default_rng(n)
+        data = sample_observations(m, n, rng.standard_normal(20) * 2.0, RngStream(n))
+        beta = rng.standard_normal(20) * 2.0
+        assert np.array_equal(grad_q_batch(m, data, beta), rmc_grad_oracle(m, data, beta))
+        # the first row misses every covariate, the last none, and the
+        # missing cells hold the -0.0 sentinel
+        mask = data.mask.copy()
+        mask[0], mask[-1] = False, True
+        xs = np.where(mask, np.where(data.mask, data.xs, rng.standard_normal((n, 20))), -0.0)
+        edged = ObservationSet("rmc", data.ys, xs, mask)
+        assert np.signbit(edged.xs[0]).all()
+        assert np.array_equal(grad_q_batch(m, edged, beta), rmc_grad_oracle(m, edged, beta))
+
+
 class TestTauBound:
     def test_gmm_example(self):
         m = ModelSpec("gmm", 4, 1.0)

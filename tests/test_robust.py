@@ -477,12 +477,16 @@ class TestKernelBlocks:
 
         matrix = RngStream(13).generator.standard_normal((5000, 50)) * 3.0
         p = RobustMeanParams(s=6.1, beta=2.6)
-        robust_mean_columns(matrix, p)  # warms the allocator up for a call's scratch rows
+        # two warm-up calls: the second is the first whose scratch rows come
+        # from the heap, and it faults their pages in once
+        for _ in range(2):
+            robust_mean_columns(matrix, p)
         before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
         for _ in range(10):
             robust_mean_columns(matrix, p)
         faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
-        assert faults < 1000
+        # 1 fault in each of 10 fresh processes; room left for a stray one
+        assert faults < 100
 
 
 class TestRobustMean:
