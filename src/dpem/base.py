@@ -1,8 +1,13 @@
-"""Minimal estimator base: constructor-introspected get_params/set_params."""
+"""Minimal estimator base: constructor-introspected get_params/set_params,
+and the model and algorithm names, which the CLI reads without loading numpy."""
 
 from __future__ import annotations
 
 import inspect
+
+MODEL_KINDS = ("gmm", "mrm", "rmc")
+
+ALGORITHMS = ("em", "clipped", "dpgem", "dpem")
 
 
 class BaseEstimator:

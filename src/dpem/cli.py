@@ -5,6 +5,10 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 non-convergence.  Any option can also be supplied from a ``--config`` file
 of ``key = value`` lines (dotted ``command.key`` entries bind to a single
 subcommand); explicit flags win over the file, and both pass the same parser.
+
+Each command imports the library modules it runs, and with them numpy, at the
+top of its body, so ``report`` and ``--help`` load neither; ``sweep`` imports
+them before its pool forks, and the workers inherit them.
 """
 
 from __future__ import annotations
@@ -12,23 +16,12 @@ from __future__ import annotations
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import click
-import numpy as np
 
 from . import io
+from .base import ALGORITHMS, MODEL_KINDS
 from .errors import ConfigError, ConvergenceError, DataError, DomainError
-from .estimators import ALGORITHMS, initial_beta, run_algorithm
-from .models import (
-    MODEL_KINDS,
-    SIGMA_FLOOR,
-    ModelSpec,
-    preprocess_real_gmm,
-    sample_observations,
-)
-from .numeric import RngStream
-from .validation import check_vector
 
 
 # ---------------------------------------------------------------- option glue
@@ -196,11 +189,11 @@ def _number(value) -> float:
     return float(value)
 
 
-def _vector(value) -> np.ndarray:
-    """A flat JSON list of numbers as a float array."""
+def _vector(value) -> list[float]:
+    """A flat JSON list of numbers as floats."""
     if not isinstance(value, list):
         raise TypeError(value)
-    return np.array([_number(v) for v in value])
+    return [_number(v) for v in value]
 
 
 def _whole(value) -> int:
@@ -218,6 +211,8 @@ def _fit_rows(fit: dict, algorithm, data, model, beta0, rng, truth, *, eps, clip
     """Fit one cell and return one result row per iterate.  eps is None for
     em and clip is None unless the algorithm is clipped; their columns are
     then left empty.  fit holds the parsed options run and sweep share."""
+    from .estimators import run_algorithm
+
     started = time.perf_counter()
     trace = run_algorithm(
         algorithm, data, model, beta0, rng, truth, iters=fit["iters"], eta=fit["eta"],
@@ -247,6 +242,8 @@ def _run_parallel(tasks, worker, threads: int) -> dict:
     {key: result}.  One thread runs them in order in this thread."""
     if threads <= 1:
         return {key: worker(spec) for key, spec in tasks}
+    from concurrent.futures import ThreadPoolExecutor
+
     return _collect(ThreadPoolExecutor(max_workers=threads), tasks, worker)
 
 
@@ -332,6 +329,10 @@ def cli():
 @config_option
 def cmd_gen(model, n, d, snr, sigma, p_m, seed, out):
     """Generate a synthetic dataset plus its metadata sidecar."""
+    from .estimators import initial_beta
+    from .models import ModelSpec, sample_observations
+    from .numeric import RngStream
+
     model_kind = _check_model(model)
     model = ModelSpec(model_kind, d, sigma, p_m)
     root = RngStream(seed)
@@ -361,6 +362,11 @@ def cmd_gen(model, n, d, snr, sigma, p_m, seed, out):
 def cmd_run(data_path, meta_path, eps, clip, algorithm, seed, n_seeds, threads, out,
             **fit):
     """Run one algorithm on an existing dataset, once per seed."""
+    from .estimators import initial_beta
+    from .models import ModelSpec
+    from .numeric import RngStream
+    from .validation import check_vector
+
     _warn_if_no_noise(fit)
     meta = io.read_metadata(meta_path or f"{data_path}.meta.json")
     model_kind = _meta_field(meta, "model", _check_model)
@@ -374,9 +380,9 @@ def cmd_run(data_path, meta_path, eps, clip, algorithm, seed, n_seeds, threads, 
         model = ModelSpec(model_kind, data.d, _meta_field(meta, "sigma", _number),
                           _meta_field(meta, "p_m", _number) if "p_m" in meta else 0.0)
         beta_star = _meta_field(meta, "beta_star", _vector)
-        if beta_star.shape != (data.d,):
+        if len(beta_star) != data.d:
             raise ConfigError("beta_star: metadata dimension mismatch")
-        check_vector("beta_star", beta_star)
+        beta_star = check_vector("beta_star", beta_star)
     except DomainError as exc:
         raise DataError(f"metadata: {exc}") from None
 
@@ -413,6 +419,10 @@ def cmd_sweep(model, algorithm, n_list, d_list, eps_list, clip_list, snr, sigma,
     algorithm).  Synthetic data is drawn once per (n, d, seed) and shared
     by that seed's eps x clip cells; rows come out in canonical order no
     matter how many worker processes execute the tasks."""
+    from .estimators import initial_beta
+    from .models import ModelSpec, sample_observations
+    from .numeric import RngStream
+
     model_kind = _check_model(model)
     algorithm = _check_algorithm(algorithm, model_kind)
     eps_values = eps_list if algorithm != "em" else (None,)
@@ -468,6 +478,10 @@ def cmd_sweep(model, algorithm, n_list, d_list, eps_list, clip_list, snr, sigma,
 @config_option
 def cmd_preprocess(data, out):
     """Turn labeled rows (f1..fd,label) into a centered two-cluster dataset."""
+    import numpy as np
+
+    from .models import SIGMA_FLOOR, preprocess_real_gmm
+
     try:
         features, labels = io.read_labeled(data)
     except io.ParseError as exc:
@@ -496,6 +510,28 @@ def cmd_preprocess(data, out):
     click.echo(f"wrote {out} and {out}.meta.json")
 
 
+def _quartiles(values: list[float]) -> list[float]:
+    """The 25th, 50th and 75th percentiles of values, computed operation for
+    operation as np.percentile's default linear rule does, so the summary
+    bytes match it without loading numpy.  Where both 0.0 and -0.0 occur, the
+    sign of a zero result may differ from numpy's: they tie in the sort, and
+    numpy's partition may order them otherwise.  Errors are norms, never
+    -0.0."""
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        index = last * q
+        lo = math.floor(index)
+        if lo == last:  # one value; numpy computes b - 0 * 0, which is b
+            out.append(ordered[last])
+            continue
+        a, b, t = ordered[lo], ordered[lo + 1], index - lo
+        d = b - a
+        out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return out
+
+
 @cli.command("report")
 @click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
@@ -513,14 +549,13 @@ def cmd_report(data, out):
 
     summary = []
     for key in sorted(groups, key=lambda k: (k[0], k[1], sort_key(k))):
-        errors = np.array(groups[key])
-        q25, q50, q75 = np.percentile(errors, [25, 50, 75])
+        q25, q50, q75 = _quartiles(groups[key])
         summary.append(dict(
             zip(cell_columns, key),
-            n_seeds=errors.size,
-            median_error=float(q50),
-            q25_error=float(q25),
-            q75_error=float(q75),
+            n_seeds=len(groups[key]),
+            median_error=q50,
+            q25_error=q25,
+            q75_error=q75,
         ))
     io.write_summary(out, summary)
     click.echo(f"wrote {len(summary)} summary rows to {out}")

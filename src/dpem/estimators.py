@@ -24,7 +24,7 @@ from .accounting import (
     split_budget_alg1,
     split_budget_alg2,
 )
-from .base import BaseEstimator
+from .base import ALGORITHMS, BaseEstimator
 from .errors import ConfigError, ConvergenceError, DomainError
 from .models import (
     ModelSpec,
@@ -101,8 +101,6 @@ def initial_beta(d: int, rng: RngStream) -> np.ndarray:
         norm = float(np.linalg.norm(v))
     return v / norm
 
-
-ALGORITHMS = ("em", "clipped", "dpgem", "dpem")
 
 SIGN_SYMMETRIC_KINDS = ("gmm", "mrm")
 

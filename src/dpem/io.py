@@ -3,7 +3,8 @@ rows, and the key = value configuration format.
 
 All numbers are written with shortest round-trip decimal text, so
 parse(print(rows)) reproduces values exactly and repeated writes are
-byte-identical.
+byte-identical.  Only the dataset functions load numpy, so reading and
+writing result and summary rows does not.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import csv
 import json
 import math
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DataError, ParseError
-from .models import ObservationSet
+
+if TYPE_CHECKING:
+    from .models import ObservationSet
 
 __all__ = [
     "RESULT_COLUMNS",
@@ -48,7 +50,7 @@ def fmt(value) -> str:
     """Shortest exact decimal text for a float; plain text otherwise."""
     if value is None:
         return ""
-    if isinstance(value, (float, np.floating)):  # np.float64 subclasses float
+    if isinstance(value, float):  # np.float64 subclasses float
         if math.isnan(value):
             raise DataError("refusing to serialize NaN")
         return repr(float(value))
@@ -105,6 +107,8 @@ _ROWS = 1024
 
 def write_dataset(path, obs: ObservationSet) -> None:
     """gmm: y1..yd.  mrm/rmc: x1..xd,y; rmc leaves missing x-cells empty."""
+    import numpy as np
+
     table = obs.ys if obs.kind == "gmm" else np.column_stack(
         [obs.xs if obs.mask is None else np.where(obs.mask, obs.xs, np.nan), obs.ys])
     with Path(path).open("w", newline="") as fh:
@@ -119,6 +123,10 @@ def write_dataset(path, obs: ObservationSet) -> None:
 def read_dataset(path, kind: str) -> ObservationSet:
     """Inverse of write_dataset.  Every cell must be a finite number, except
     that an empty x-cell of an rmc file is a missing covariate (NaN)."""
+    import numpy as np
+
+    from .models import ObservationSet
+
     # an empty cell reads as NaN; the finiteness check below then allows
     # exactly the empty cells of an rmc row, and none in the y column
     nan, blanks = math.nan, []
@@ -149,6 +157,8 @@ def read_dataset(path, kind: str) -> ObservationSet:
 
 def read_labeled(path):
     """Labeled real data: f1..fd,label with label in {0, 1}."""
+    import numpy as np
+
     features, labels = [], []
     header_for = lambda width: _columns("f", width - 1) + ["label"]
     for lineno, cells in _read_table(path, "labeled", header_for):

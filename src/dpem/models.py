@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .base import MODEL_KINDS
 from .errors import DomainError
 from .numeric import RngStream, max_eigenvalue
 from .validation import (
@@ -42,8 +43,6 @@ __all__ = [
     "preprocess_real_gmm",
     "SIGMA_FLOOR",
 ]
-
-MODEL_KINDS = ("gmm", "mrm", "rmc")
 
 # Lower bound applied to the preprocessed noise std so a degenerate
 # (zero-covariance) cluster still yields a valid model.
@@ -123,18 +122,21 @@ class ObservationSet:
         """Observations as estimators take them and dataset files hold them:
         X is gmm's (n, d) responses, or (n, d) covariates beside responses y.
         In rmc a NaN in X is a missing covariate (mask False, 0 sentinel)."""
-        X = np.ascontiguousarray(X, dtype=float)  # layout must not change results
         if kind == "gmm":
             if y is not None:
                 raise DomainError("gmm takes no response argument")
-            return cls(kind, X)
+            # layout must not change results
+            return cls(kind, np.ascontiguousarray(X, dtype=float))
         if y is None:
             raise DomainError(f"{kind} requires a response vector y")
         y = np.ascontiguousarray(y, dtype=float)
         if kind != "rmc":
-            return cls(kind, y, X)
-        mask = ~np.isnan(X)
-        return cls(kind, y, np.where(mask, X, 0.0), mask)
+            return cls(kind, y, np.ascontiguousarray(X, dtype=float))
+        # one owned copy, whose missing cells take the 0 sentinel in place
+        xs = np.array(X, dtype=float, order="C")
+        mask = ~np.isnan(xs)
+        np.copyto(xs, 0.0, where=~mask)
+        return cls(kind, y, xs, mask)
 
     @property
     def n(self) -> int:

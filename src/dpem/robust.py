@@ -372,7 +372,8 @@ def _window_integral(a, b, lo, hi, panels: int) -> np.ndarray:
     u = mid[:, :, None] + half[:, :, None] * _GL_NODES
     z = a[:, None, None] + b[:, None, None] * u
     pdf = np.exp(-0.5 * u * u) * _INV_SQRT_2PI
-    panel_sums = ((z - z**3 / 6.0) * pdf) @ _GL_WEIGHTS
+    # the cube as a product: z**3 is a libm pow call per node, ~80x slower
+    panel_sums = ((z - z * z * z / 6.0) * pdf) @ _GL_WEIGHTS
     return np.sum(half * panel_sums, axis=-1)
 
 

@@ -8,6 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 import dpem.cli
+import dpem.estimators
+import dpem.models
 from dpem.cli import cli
 from dpem.estimators import (
     ClippedDPGradientEM,
@@ -674,7 +676,7 @@ class TestSweep:
         # a cell's rows depend on its own coordinates only, and each
         # (n, d, seed) dataset is drawn once for all of its eps x clip cells
         log = tmp_path / "sampled.log"
-        real = dpem.cli.sample_observations
+        real = dpem.models.sample_observations
 
         def counting(model, n, *args, **kwargs):
             # one appended line per call, so that forked workers report theirs
@@ -682,7 +684,7 @@ class TestSweep:
                 fh.write(f"{n}\n")
             return real(model, n, *args, **kwargs)
 
-        monkeypatch.setattr(dpem.cli, "sample_observations", counting)
+        monkeypatch.setattr(dpem.models, "sample_observations", counting)
         files = {}
         for eps_list in ("0.2", "0.2,0.5,1"):
             out = tmp_path / f"{eps_list}.csv"
@@ -747,14 +749,14 @@ class TestSweep:
         # (~0.4 s at d = 150, against ~20 ms at d = 20) to end before the
         # cancel, which follows the failure at once.
         log = tmp_path / "started.log"
-        real = dpem.cli.sample_observations
+        real = dpem.models.sample_observations
 
         def counting(model, n, *args, **kwargs):
             with open(log, "a") as fh:
                 fh.write(f"{n}\n")
             return real(model, n, *args, **kwargs)
 
-        monkeypatch.setattr(dpem.cli, "sample_observations", counting)
+        monkeypatch.setattr(dpem.models, "sample_observations", counting)
         n_list = ",".join(["5"] + [str(n) for n in range(4000, 4008)])
         outcomes = {}
         for threads in (1, 2):
@@ -864,13 +866,13 @@ class TestPreprocess:
         # run_algorithm aligns beta0 with beta_star only where the truth is
         # public: gen's simulation parameter, not preprocess's estimate
         seen = []
-        fit = dpem.cli.run_algorithm
+        fit = dpem.estimators.run_algorithm
 
         def spy(*args, **kwargs):
             seen.append(kwargs["public_truth"])
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(dpem.cli, "run_algorithm", spy)
+        monkeypatch.setattr(dpem.estimators, "run_algorithm", spy)
         rng = np.random.default_rng(6)
         labels = np.arange(40) % 2
         feats = (2 * labels - 1)[:, None] * 2.0 + rng.standard_normal((40, 2))
@@ -927,6 +929,35 @@ class TestReport:
         invoke(runner, "report", "--data", src, "--out", out)
         line = out.read_text().splitlines()[1]
         assert ",3,2.0," in line
+
+    def test_quartiles_match_numpy_bitwise(self):
+        """report computes its quartiles without numpy, bit for bit as
+        np.percentile does.  Where 0.0 and -0.0 both occur they tie in the
+        sort, and numpy's partition may order them otherwise than Python's
+        stable sort, so only the numbers must agree there; report never meets
+        -0.0, since errors are norms."""
+        rng = np.random.default_rng(18)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.79e308, -1.79e308, -2.5, 1.0]
+        signed_zeros = 0
+        for n in range(1, 61):
+            for values in (
+                rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300),
+                rng.choice(rng.standard_normal(3), n),  # ties
+                rng.integers(-40, 40, n) * 5e-324,  # subnormals
+                np.full(n, -0.0),
+                rng.choice(special, n),
+                np.concatenate([rng.choice(special, n // 2), -rng.exponential(size=n - n // 2)]),
+            ):
+                with np.errstate(over="ignore", invalid="ignore"):  # b - a at +-1.79e308
+                    want = np.percentile(values, [25, 50, 75])
+                got = np.array(dpem.cli._quartiles(values.tolist()))
+                zeros = np.signbit(values[values == 0])
+                if zeros.any() and not zeros.all():
+                    signed_zeros += 1
+                    assert np.array_equal(got, want, equal_nan=True), values
+                else:
+                    assert got.tobytes() == want.tobytes(), values
+        assert 0 < signed_zeros < 100
 
     def test_groups_by_iteration(self, runner, tmp_path):
         src, out = tmp_path / "r.csv", tmp_path / "s.csv"

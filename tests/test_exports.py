@@ -17,6 +17,13 @@ def test_every_exported_name_resolves(module_name):
     assert not missing
 
 
+def test_package_binds_its_public_names_lazily():
+    """dpem's name table and __all__ agree, and dir() lists the names before
+    they are first used."""
+    assert set(dpem._SUBMODULE) == set(dpem.__all__)
+    assert set(dpem.__all__) <= set(dir(dpem))
+
+
 def test_every_traced_name_resolves():
     """Each function and method the benchmark's tracer wraps exists in dpem,
     so an API change that drops one fails here, not only in the bench suite."""
