@@ -10,6 +10,7 @@ writing result and summary rows does not.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from pathlib import Path
@@ -127,8 +128,17 @@ def read_dataset(path, kind: str) -> ObservationSet:
 
     from .models import ObservationSet
 
-    # an empty cell reads as NaN; the finiteness check below then allows
-    # exactly the empty cells of an rmc row, and none in the y column
+    def observations(table):
+        if kind == "gmm":
+            return ObservationSet.from_arrays(kind, table)
+        return ObservationSet.from_arrays(kind, table[:, :-1], table[:, -1])
+
+    if kind != "rmc" and (table := _read_complete_table(path, kind)) is not None:
+        return observations(table)
+
+    # Otherwise cell by cell, reporting a fault at its line.  An empty cell
+    # reads as NaN; the finiteness check below then allows exactly the empty
+    # cells of an rmc row, and none in the y column.
     nan, blanks = math.nan, []
 
     def cells():
@@ -150,9 +160,44 @@ def read_dataset(path, kind: str) -> ObservationSet:
     if bad.any():  # row i is line i + 2, after the header
         raise ParseError("non-finite or empty cell (only an rmc x-cell may be empty)",
                          int(bad.argmax()) + 2)
-    if kind == "gmm":
-        return ObservationSet.from_arrays(kind, table)
-    return ObservationSet.from_arrays(kind, table[:, :-1], table[:, -1])
+    return observations(table)
+
+
+def _read_complete_table(path, kind: str):
+    """The table of a gmm or mrm dataset file without a fault, parsed by
+    numpy's C reader, or None if the file has any fault: a bad header, no
+    rows, a blank, short or long row, or a cell that is empty, non-finite or
+    not a plain number.  read_dataset's cell-by-cell reader then reports the
+    fault at its line.  Both convert a cell's text with CPython's correctly
+    rounded parser, so a table read either way has the same bits."""
+    import numpy as np
+
+    with Path(path).open(newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None or header != _dataset_columns(kind, len(header)):
+            return None
+        rows = 0
+
+        def lines():
+            nonlocal rows
+            for line in fh:
+                if not line.strip("\r\n"):  # which the C reader would skip
+                    raise ValueError("blank row")
+                rows += 1
+                yield line
+
+        body = lines()
+        try:
+            first = next(body, None)
+            if first is None:  # no rows: the C reader would warn
+                return None
+            table = np.loadtxt(itertools.chain((first,), body), delimiter=",",
+                               comments=None, ndmin=2)
+        except ValueError:  # a blank row, a cell that is not a number, a ragged row
+            return None
+    if table.shape != (rows, len(header)) or not np.isfinite(table).all():
+        return None
+    return table
 
 
 def read_labeled(path):

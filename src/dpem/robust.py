@@ -54,11 +54,12 @@ _CLOSED_FORM_LIMIT = 10.0
 # without changing a value; where the signed V- and V+ are both >= _V_BOUND,
 # every term of C(a, b) is exactly 0.0.
 #
-# The closed form adds C(a, b) only where V = min(V-, V+) < V*(beta), and
-# V*(beta) <= _V_BOUND.  Beyond V* the computed |C| is below |value| 2^-55,
-# under ulp(value)/4, so value + C rounds back to value: skipping C changes
-# no bit.  The bound, for V >= V* (> 8.9): the kernel has b = |a|/sqrt(beta),
-# so V = (sqrt2 - |a|)/b gives |a| = sqrt2 sqrt(beta)/(V + sqrt(beta)) < sqrt2,
+# The closed form adds C(a, b) only where V = min(V-, V+) < V*(beta), a
+# gate it tests on b (_correction_gate), and V*(beta) <= _V_BOUND.  Beyond
+# V* the computed |C| is below |value| 2^-55, under ulp(value)/4, so
+# value + C rounds back to value: skipping C changes no bit.  The bound,
+# for V >= V* (> 8.9): the kernel has b = |a|/sqrt(beta), so
+# V = (sqrt2 - |a|)/b gives |a| = sqrt2 sqrt(beta)/(V + sqrt(beta)) < sqrt2,
 # b <= sqrt2/V and |value| = |a| (1 - b^2/2 - a^2/6) >= (2/3)|a|.  With
 # p = e^{-V^2/2}/sqrt(2 pi), both V+- >= V give F+- = ndtr(-V+-) <= p/V,
 # E+- = e^{-V+-^2/2} <= sqrt(2 pi) p, V+- E+- <= V sqrt(2 pi) p and
@@ -187,11 +188,14 @@ _WINDOW_CHUNK_NODES = 1 << 16
 # The kernel evaluates this many flat entries at a time, every intermediate
 # in scratch rows that each call allocates once and reuses for all its blocks.
 # Whole-array n*d temporaries make glibc return their pages to the OS and
-# fault them in again on the next call; blocks of 2**16 fault no more, yet
-# each numpy call stays long enough for two pool threads to overlap.  Nothing
-# is held once a call returns.  A block of n entries lays its rows end to end
-# on the first _FLOAT_ROWS * n floats, so that any run of them is one
-# contiguous array.
+# fault them in again on the next call; blocks of 2**16 fault no more.  Of
+# 2**12 to 2**18, 2**15 and 2**16 were the fastest on a gmm dpem fit's
+# 5000x50 calls (2-core Xeon, 2 MiB L2 per core): smaller blocks pay numpy's
+# per-call cost (+36 % at 2**14) and larger ones spill the cache (+8 % at
+# 2**17, +12 % at 2**18), and each numpy call stays long enough for two pool
+# threads to overlap.  Nothing is held once a call returns.  A block of
+# n entries lays its rows end to end on the first _FLOAT_ROWS * n floats, so
+# that any run of them is one contiguous array.
 _BLOCK = 1 << 16
 _FLOAT_ROWS = 15  # a and b, then _closed_form's 13
 _FLAG_ROWS = 4  # at most 4 n: _ndtr's two flags for each of 2 k <= 2 n arguments
@@ -300,34 +304,41 @@ def _powers(a, b, a2, cubic, b2):
     np.multiply(b, b, out=b2)
 
 
-def _closed_form(a, b, value, floats, flags, v_cut):
+def _correction_gate(beta: float) -> float:
+    """The b above which the closed form adds C(a, b).  With the kernel's
+    b = |a|/sqrt(beta), min(V-, V+) = sqrt2/b - sqrt(beta), so min(V-, V+) <
+    V*(beta) is b > sqrt2/(V* + sqrt(beta)).  The margin 1e-6 covers the
+    rounding of the computed V; the few entries it adds lie past V*, where C
+    rounds away."""
+    return _SQRT2 / (_correction_cutoff(beta) + math.sqrt(beta)) * (1.0 - 1e-6)
+
+
+def _closed_form(a, b, value, floats, flags, b_cut):
     """Write E phi(a + b*xi) = (a(1 - b^2/2) - a^3/6) + C(a, b) into value,
     over 1-d arrays of n entries, for 0 < b and |a|, b <= _CLOSED_FORM_LIMIT,
     on 13 n entries of floats and 4 n of flags.  C is added only where
-    min(V-, V+) < v_cut = V*(beta): beyond it |C| < ulp(value)/4 (bound at
-    _V_BOUND), so every value is bit-identical to adding C everywhere."""
+    b > b_cut = _correction_gate(beta), which holds wherever min(V-, V+) <
+    V*(beta); beyond V* |C| < ulp(value)/4 (bound at _V_BOUND), so every value
+    is bit-identical to adding C everywhere."""
     n = a.size
     a2, cubic, b2 = floats[: 3 * n].reshape(3, n)
     _powers(a, b, a2, cubic, b2)
     # value = a * (1.0 - b2 / 2.0) - cubic
     np.subtract(1.0, np.divide(b2, 2.0, out=value), out=value)
     np.subtract(np.multiply(a, value, out=value), cubic, out=value)
-    v_minus, v_plus, spare = a2, cubic, b2
-    _v_pair(a, b, v_minus, v_plus)
-    live = flags[:n]
-    np.less(np.minimum(v_minus, v_plus, out=spare), v_cut, out=live)
+    live = np.greater(b, b_cut, out=flags[:n])
     idx = np.flatnonzero(live)  # integer gathers are ~6x faster than boolean ones
     k = idx.size
     if k:
-        # The correction works on the first 6 k floats and its terms follow,
-        # clear of V- and V+ until those are gathered; a^2, a^3/6 and b^2 are
-        # taken again from the gathered a and b, which touches fewer pages.
-        start = max(3 * n, 6 * k)
-        terms = floats[start : start + 7 * k].reshape(7, k)
+        # The correction works on the first 6 k floats and its terms follow;
+        # a^2, a^3/6 and b^2 are taken again from the gathered a and b, which
+        # touches fewer pages, and V- and V+ are computed on them alone.
+        terms = floats[6 * k : 13 * k].reshape(7, k)
         # mode="clip" keeps take from buffering its output; idx is in range
-        for t, row in zip((a, b, v_minus, v_plus), (0, 3, 5, 6)):
-            np.take(t, idx, out=terms[row], mode="clip")
+        np.take(a, idx, out=terms[0], mode="clip")
+        np.take(b, idx, out=terms[3], mode="clip")
         _powers(terms[0], terms[3], terms[1], terms[2], terms[4])
+        _v_pair(terms[0], terms[3], terms[5], terms[6])
         correction = _correction_vec(*terms[:5], terms[5:], floats[: 6 * k], flags)
         # value[idx] += correction
         current = np.take(value, idx, out=terms[0], mode="clip")
@@ -384,43 +395,52 @@ def _smoothed_phi_array(x: np.ndarray, s: float, beta: float) -> np.ndarray:
     flat = x.ravel()
     out = np.empty(flat.size)
     scale = s * math.sqrt(beta)
-    v_cut = _correction_cutoff(beta)
+    b_cut = _correction_gate(beta)
     m = min(flat.size, _BLOCK)
     floats, flags = np.empty(_FLOAT_ROWS * m), np.empty(_FLAG_ROWS * m, dtype=bool)
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        _smoothed_phi_block(flat[block], s, scale, v_cut, out[block], floats, flags)
+        _smoothed_phi_block(flat[block], s, scale, b_cut, out[block], floats, flags)
     return out.reshape(x.shape)
 
 
-def _smoothed_phi_block(x: np.ndarray, s: float, scale: float, v_cut: float,
+def _smoothed_phi_block(x: np.ndarray, s: float, scale: float, b_cut: float,
                         out: np.ndarray, floats: np.ndarray, flags: np.ndarray) -> None:
     """The smoothed truncation of the 1-d block x at truncation scale s,
-    with scale = s sqrt(beta) and v_cut = V*(beta), written into out on the
-    first _FLOAT_ROWS x.size floats and _FLAG_ROWS x.size flags."""
+    with scale = s sqrt(beta) and b_cut = _correction_gate(beta), written
+    into out on the first _FLOAT_ROWS x.size floats and _FLAG_ROWS x.size
+    flags."""
     n = x.size
     a, b, spare = floats[: 3 * n].reshape(3, n)
     np.divide(x, s, out=a)
+    magnitude = np.abs(x, out=b)
+    smallest, largest = float(magnitude.min()), float(magnitude.max())
     with np.errstate(over="ignore"):
-        np.divide(np.abs(x, out=b), scale, out=b)
+        np.divide(magnitude, scale, out=b)
+    # whether every entry is in the closed form's domain; correctly rounded
+    # division is monotone, so the three quotients are exactly the block's
+    # min b, max |a| and max b.  scale underflows to 0.0 for a tiny s and beta.
+    closed = (scale > 0.0 and smallest / scale > 0.0
+              and largest / s <= _CLOSED_FORM_LIMIT and largest / scale <= _CLOSED_FORM_LIMIT)
     # The closed form runs on the whole block; outside its domain (b == 0,
     # or the far regime) it may overflow, and those values are replaced below.
     with np.errstate(over="ignore", invalid="ignore"):
-        _closed_form(a, b, out, floats[2 * n : _FLOAT_ROWS * n], flags, v_cut)
+        _closed_form(a, b, out, floats[2 * n : _FLOAT_ROWS * n], flags, b_cut)
     np.multiply(s, out, out=out)
-    positive, near, flag = flags[: 3 * n].reshape(3, n)
-    np.greater(b, 0.0, out=positive)
-    np.less_equal(np.abs(a, out=spare), _CLOSED_FORM_LIMIT, out=near)
-    near &= np.less_equal(b, _CLOSED_FORM_LIMIT, out=flag)
-    near &= positive
-    # outside the closed form: 0, then x where b == 0 (|x| << s underflows b;
-    # the value is ~x), then the far regime
-    outside = np.logical_not(near, out=near)
-    np.copyto(out, 0.0, where=outside)
-    np.copyto(out, x, where=np.equal(b, 0.0, out=flag))
-    far = np.flatnonzero(np.logical_and(outside, positive, out=positive))
-    if far.size:
-        out[far] = s * _window_expectation(a[far], b[far])
+    if not closed:
+        positive, near, flag = flags[: 3 * n].reshape(3, n)
+        np.greater(b, 0.0, out=positive)
+        np.less_equal(np.abs(a, out=spare), _CLOSED_FORM_LIMIT, out=near)
+        near &= np.less_equal(b, _CLOSED_FORM_LIMIT, out=flag)
+        near &= positive
+        # outside the closed form: 0, then x where b == 0 (|x| << s
+        # underflows b; the value is ~x), then the far regime
+        outside = np.logical_not(near, out=near)
+        np.copyto(out, 0.0, where=outside)
+        np.copyto(out, x, where=np.equal(b, 0.0, out=flag))
+        far = np.flatnonzero(np.logical_and(outside, positive, out=positive))
+        if far.size:
+            out[far] = s * _window_expectation(a[far], b[far])
     bound = PHI_BOUND * s
     np.clip(out, -bound, bound, out=out)
 

@@ -117,28 +117,48 @@ class TestRun:
             assert result.exit_code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_count_does_not_change_output(self, runner, tmp_path):
-        data = gen_dataset(runner, tmp_path, n=80, d=3)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out, threads in ((a, 1), (b, 4)):
+    def run_at_worker_counts(self, runner, tmp_path, data, algorithm):
+        """The bytes of one run per worker count 1, 2 and 8, on 8 seeds."""
+        outputs = set()
+        for threads in (1, 2, 8):
+            out = tmp_path / f"workers{threads}.csv"
             result = invoke(
-                runner, "run", "--algorithm", "clipped", "--n-seeds", 6,
+                runner, "run", "--algorithm", algorithm, "--n-seeds", 8,
                 "--threads", threads, "--data", data, "--out", out,
             )
             assert result.exit_code == 0
-        assert a.read_bytes() == b.read_bytes()
+            outputs.add(out.read_bytes())
+        return outputs
+
+    def test_thread_count_does_not_change_output(self, runner, tmp_path):
+        data = gen_dataset(runner, tmp_path, n=80, d=3)
+        for algorithm in ("clipped", "dpem"):
+            assert len(self.run_at_worker_counts(runner, tmp_path, data, algorithm)) == 1
 
     def test_clipped_rmc_thread_count_does_not_change_output(self, runner, tmp_path):
         # each fit spans several row blocks of the gradients
         data = gen_dataset(runner, tmp_path, model="rmc", n=3000, d=5, p_m=0.2)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out, threads in ((a, 1), (b, 2)):
-            result = invoke(
-                runner, "run", "--algorithm", "clipped", "--n-seeds", 4,
-                "--threads", threads, "--data", data, "--out", out,
-            )
-            assert result.exit_code == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert len(self.run_at_worker_counts(runner, tmp_path, data, "clipped")) == 1
+
+    @pytest.mark.parametrize("gen, args, code, message", [
+        (dict(model="mrm", n=200, d=5), ["--algorithm", "em", "--eta", "1e6", "--iters", "200"],
+         4, "diverged at iteration"),
+        (dict(n=5, d=2), ["--algorithm", "dpgem", "--iters", "10"],
+         2, "need n >= T, got n=5, T=10"),
+    ], ids=["diverged", "domain"])
+    def test_worker_error_keeps_exit_code(self, runner, tmp_path, gen, args, code, message):
+        data = gen_dataset(runner, tmp_path, **gen)
+        out = tmp_path / "e.csv"
+        stderr = set()
+        for threads in ("1", "2"):
+            result, _ = invoke_quiet(runner, ["run", "--data", str(data), *args,
+                                              "--n-seeds", "2", "--threads", threads,
+                                              "--out", str(out)])
+            assert result.exit_code == code, result.output
+            assert message in result.stderr
+            stderr.add(result.stderr)
+        assert len(stderr) == 1
+        assert not out.exists()
 
     def test_dpgem_improves_on_start(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, n=2000, d=10)

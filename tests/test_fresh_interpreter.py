@@ -265,27 +265,43 @@ def test_dataset_files_stream(tmp_path):
 
 
 # Installs the benchmark's tracer the way bench/traced_cli.py does, after a
-# bare import of dpem.cli, runs gen under it and prints the names the tracer
-# missed, then the span names the run recorded.
-TRACED_GEN = """\
+# bare import of dpem.cli, runs the dpem arguments that follow the bench
+# directory under it and prints the names the tracer missed, then the span
+# names the run recorded.
+TRACED = """\
 import sys
 import dpem.cli
 sys.path.insert(0, sys.argv[1])
 from tracer import Tracer
 tracer = Tracer("guard")
 tracer.install()
-dpem.cli.cli.main(["gen", "--n", "50", "--d", "3", "--out", "g.csv"], prog_name="dpem",
-                  standalone_mode=False)
+dpem.cli.cli.main(sys.argv[2:], prog_name="dpem", standalone_mode=False)
 print(",".join(tracer.missing))
 print(",".join(sorted({span[2] for span in tracer.spans})))
 """
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+
+
+def traced_spans(args, cwd):
+    """The names the tracer missed and the span names, over a run of args."""
+    missing, spans = fresh(["-c", TRACED, BENCH, *args], cwd).splitlines()[-2:]
+    return missing, set(spans.split(","))
 
 
 def test_tracer_sees_lazily_imported_layers(tmp_path):
     """The fitting modules load after dpem.cli, inside the commands; the
     tracer must still bind every traced name and see the calls."""
-    bench = Path(__file__).resolve().parents[1] / "bench"
-    missing, spans = fresh(["-c", TRACED_GEN, str(bench)], tmp_path).splitlines()[-2:]
+    missing, spans = traced_spans(["gen", "--n", "50", "--d", "3", "--out", "g.csv"],
+                                  tmp_path)
     assert missing == ""
-    assert {"models.sample_observations", "io.write_dataset",
-            "io.write_metadata"} <= set(spans.split(","))
+    assert {"models.sample_observations", "io.write_dataset", "io.write_metadata"} <= spans
+
+
+def test_tracer_sees_a_one_worker_run(inputs):
+    """One worker fits in the process on the serial path, which the tracer
+    wraps: the pool span and the kernel's spans are there."""
+    missing, spans = traced_spans(["run", "--algorithm", "dpem", "--data", "gmm.csv",
+                                   "--n-seeds", "2", "--threads", "1", "--out", "dpem.csv"],
+                                  inputs)
+    assert missing == ""
+    assert {"cli.pool", "cli.worker", "robust.robust_mean_columns"} <= spans

@@ -1,10 +1,12 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpem import io as io_module
 from dpem.errors import DataError, ParseError
 from dpem.io import (
     RESULT_COLUMNS,
@@ -261,6 +263,80 @@ class TestDatasetBlocks:
         with pytest.raises(ParseError, match="dataset has no rows") as exc:
             read_dataset(p, "rmc")
         assert exc.value.line == 2
+
+
+class TestCompleteTable:
+    # a gmm or mrm file without a fault is parsed by numpy's C reader; a file
+    # with any fault goes to the cell-by-cell reader, which reports it
+
+    @staticmethod
+    def outcome(path, kind, monkeypatch, *, cells):
+        """read_dataset's table, by the cell-by-cell reader alone if cells,
+        or its error's class, message and line."""
+        with monkeypatch.context() as patch:
+            if cells:
+                patch.setattr(io_module, "_read_complete_table", lambda path, kind: None)
+            try:
+                obs = read_dataset(path, kind)
+            except ParseError as exc:
+                return type(exc), str(exc), exc.line
+        return obs.ys if kind == "gmm" else np.column_stack([obs.xs, obs.ys])
+
+    @pytest.mark.parametrize("kind", ["gmm", "mrm"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_matches_cell_reader_bitwise(self, tmp_path, monkeypatch, kind, newline):
+        cols = 4
+        rng = np.random.default_rng(cols)
+        table = rng.standard_normal((300, cols)) * 10.0
+        table.flat[: len(SPECIAL_CELLS)] = SPECIAL_CELLS
+        header = [f"y{j + 1}" for j in range(cols)] if kind == "gmm" else (
+            [f"x{j + 1}" for j in range(cols - 1)] + ["y"])
+        rows = [[repr(v) for v in row] for row in table.tolist()]
+        # other spellings both readers accept: padding, exponents, signs
+        rows[-1] = [" 1.5", "2E5 ", "+.5", "-7."]
+        path = tmp_path / "data.csv"
+        path.write_bytes(newline.join(",".join(r) for r in [header, *rows]).encode())
+        fast = io_module._read_complete_table(path, kind)
+        assert fast is not None
+        bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+        for cells in (False, True):
+            got = self.outcome(path, kind, monkeypatch, cells=cells)
+            assert np.array_equal(bits(got), bits(fast))
+        assert np.array_equal(bits(fast[:-1]), bits(table[:-1]))
+
+    @pytest.mark.parametrize("text", [
+        "",  # empty file
+        "y1,y2\n",  # no rows
+        "y1,y3\n1,2\n",  # bad header
+        "y1,y2\n\n",  # only a blank row
+        "y1,y2\n\n1,2\n",  # blank first row
+        "y1,y2\n1,2\n\n3,4\n",  # blank row inside
+        "y1,y2\n1,2\n\n",  # blank last row
+        "y1,y2\r\n1,2\r\n\r\n",  # blank last row, CRLF
+        "y1,y2\n1,2\n   \n",  # a row of spaces
+        "y1,y2\n1,2,3\n",  # long row
+        "y1,y2\n1,2\n3\n",  # short row
+        "y1,y2\n1,\n",  # empty cell
+        "y1,y2\n1,nan\n",
+        "y1,y2\n-inf,1\n",
+        "y1,y2\n1,1e400\n",  # overflows to inf
+        "y1,y2\n1,#2\n",  # no comment syntax
+        "y1,y2\n1;2\n",
+        'y1,y2\n"1",2\n',  # csv quoting: the cell reader accepts it
+        "y1,y2\n1_0,2\n",  # float() accepts the underscore
+    ])
+    def test_any_fault_goes_to_the_cell_reader(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a file it reads no row of
+            assert io_module._read_complete_table(path, "gmm") is None
+        got = self.outcome(path, "gmm", monkeypatch, cells=False)
+        want = self.outcome(path, "gmm", monkeypatch, cells=True)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
 
 
 class TestLabeled:

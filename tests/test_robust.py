@@ -110,6 +110,24 @@ def gate_entries():
     return entries
 
 
+def largest_at_most(limit, divisor):
+    """The largest double x with fl(x / divisor) <= limit."""
+    x = limit * divisor
+    while x / divisor > limit:
+        x = math.nextafter(x, 0.0)
+    while math.nextafter(x, math.inf) / divisor <= limit:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def smallest_above_zero(divisor):
+    """The smallest double x with fl(x / divisor) > 0."""
+    x = math.ulp(0.0)
+    while x / divisor == 0.0:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
 FAR_S, FAR_BETA = 1.7, 25.0
 
 
@@ -270,6 +288,49 @@ class TestSmoothedPhi:
             assert smoothed_phi(x, p) == want, (beta, v)
         for beta in GATE_BETAS:
             assert {(beta, False), (beta, True)} <= sides, beta
+
+    def test_correction_gate_keeps_every_entry_below_the_cutoff(self):
+        # the closed form gates C(a, b) on b; every entry whose computed
+        # min(V-, V+) is below V*(beta) must pass that gate
+        for (beta, s), x in gate_entries().items():
+            a, b = x / s, np.abs(x) / (s * math.sqrt(beta))
+            v_min = np.minimum((SQRT2 - a) / b, (SQRT2 + a) / b)
+            below = v_min < robust._correction_cutoff(beta)
+            assert below.any() and not below.all(), (beta, s)
+            assert np.all(b[below] > robust._correction_gate(beta)), (beta, s)
+
+    @pytest.mark.parametrize("beta", [FAR_BETA, 0.04])
+    def test_closed_form_block_matches_mixed_block(self, beta):
+        # a block wholly in the closed form's domain skips the regime masks;
+        # its values must equal the same entries' in a block that has them.
+        # The domain's edges: max |a| = 10 binds at beta = 25 and max b = 10
+        # at beta = 0.04, and min b is the smallest positive double.
+        s, scale = FAR_S, FAR_S * math.sqrt(beta)
+        limit = robust._CLOSED_FORM_LIMIT
+        top = largest_at_most(limit, s if beta >= 1.0 else scale)
+        bottom = smallest_above_zero(scale)
+        assert top / s <= limit and top / scale <= limit
+        inside = np.concatenate([[top, -top, bottom, -bottom],
+                                 np.linspace(-0.99, 0.99, 66) * top])  # no 0
+
+        def matches_mixed(block):
+            mixed = np.concatenate([block, [200.0 * s, 0.0]])  # far and b == 0
+            want = robust._smoothed_phi_array(mixed, s, beta)[: block.size]
+            return np.array_equal(robust._smoothed_phi_array(block, s, beta), want)
+
+        assert matches_mixed(inside)
+        # one ulp past each edge: |a| or b just over 10, and b == 0
+        for past in (math.nextafter(top, math.inf), math.nextafter(bottom, 0.0)):
+            assert matches_mixed(np.concatenate([inside, [past, -past]])), past
+
+    def test_underflowing_scale_is_not_a_closed_form_block(self):
+        # s sqrt(beta) underflows to 0.0: the domain test must not divide by
+        # it, and every value stays within the bound
+        p = RobustMeanParams(s=1e-200, beta=1e-300, sigma=0.0)
+        assert p.s * math.sqrt(p.beta) == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            means = robust_mean_columns(np.array([[1.0, -2.0], [1e-300, 0.5]]), p)
+        assert np.all(np.abs(means) <= PHI_BOUND * p.s)
 
     def test_correction_gate_matches_ungated_kernel(self, monkeypatch):
         # the gated kernel must equal one adding C on every entry
