@@ -27,52 +27,7 @@ _SUBMODULE = {name: module for module, names in {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PHI_BOUND",
-    "MODEL_KINDS",
-    "ClippedDPGradientEM",
-    "ConfigError",
-    "ConvergenceError",
-    "DataError",
-    "DomainError",
-    "DPEMGaussianMixture",
-    "DPGradientEM",
-    "GradientEM",
-    "IterationTrace",
-    "ModelSpec",
-    "ObservationSet",
-    "ParseError",
-    "PrivacyBudget",
-    "RngStream",
-    "RobustMeanParams",
-    "central_dp_mean",
-    "clipped_dp_gradient_em",
-    "correction_C",
-    "dp_em_gmm",
-    "dp_gradient_em",
-    "f_gmm",
-    "gaussian_sigma_for_zcdp",
-    "grad_q",
-    "gradient_em",
-    "initial_beta",
-    "local_dp_mean",
-    "make_budget",
-    "max_eigenvalue",
-    "phi",
-    "preprocess_real_gmm",
-    "q_value",
-    "robust_mean",
-    "sample_gaussian",
-    "sample_observations",
-    "select_params_central",
-    "select_params_nonprivate",
-    "select_params_local",
-    "smoothed_phi",
-    "split_budget_alg1",
-    "split_budget_alg2",
-    "tau_bound",
-    "zcdp_to_approx_dp",
-]
+__all__ = list(_SUBMODULE)
 
 
 def __getattr__(name: str):

@@ -79,19 +79,23 @@ def _dataset_columns(kind: str, width: int) -> list[str]:
 def _read_table(path, what: str, header_for):
     """Yield (lineno, cells) for each row of a CSV table.  The header must
     equal header_for(len(header)) and every row must be as wide; a fault
-    raises ParseError at its line (the header is line 1)."""
+    raises ParseError at its line (the header is line 1), as does a row the
+    csv module refuses, such as one with a cell over its field size limit."""
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"empty {what} file", 1)
-        expected = header_for(len(header))
-        if header != expected:
-            raise ParseError(f"expected header {expected}, got {header}", 1)
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(header):
-                raise ParseError(f"expected {len(header)} cells, got {len(cells)}", lineno)
-            yield lineno, cells
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"empty {what} file", 1)
+            expected = header_for(len(header))
+            if header != expected:
+                raise ParseError(f"expected header {expected}, got {header}", 1)
+            for lineno, cells in enumerate(reader, start=2):
+                if len(cells) != len(header):
+                    raise ParseError(f"expected {len(header)} cells, got {len(cells)}", lineno)
+                yield lineno, cells
+        except csv.Error as exc:
+            raise ParseError(str(exc), reader.line_num) from None
 
 
 def _write_table(path, header: list[str], rows) -> None:
@@ -165,15 +169,19 @@ def read_dataset(path, kind: str) -> ObservationSet:
 
 def _read_complete_table(path, kind: str):
     """The table of a gmm or mrm dataset file without a fault, parsed by
-    numpy's C reader, or None if the file has any fault: a bad header, no
-    rows, a blank, short or long row, or a cell that is empty, non-finite or
-    not a plain number.  read_dataset's cell-by-cell reader then reports the
-    fault at its line.  Both convert a cell's text with CPython's correctly
-    rounded parser, so a table read either way has the same bits."""
+    numpy's C reader, or None if the file has any fault: a bad header (or one
+    the csv module refuses), no rows, a blank, short or long row, or a cell
+    that is empty, non-finite or not a plain number.  read_dataset's
+    cell-by-cell reader then reports the fault at its line.  Both convert a
+    cell's text with CPython's correctly rounded parser, so a table read
+    either way has the same bits."""
     import numpy as np
 
     with Path(path).open(newline="") as fh:
-        header = next(csv.reader(fh), None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error:
+            return None
         if header is None or header != _dataset_columns(kind, len(header)):
             return None
         rows = 0

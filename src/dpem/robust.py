@@ -128,28 +128,26 @@ def _polynomial(z, coefficients, out):
     return out
 
 
-def _ndtr(x, out, floats, flags):
-    """Phi(x) of the 1-d x into out (which may be x), on 2 x.size entries of
-    floats and of flags.  Every step is Cephes ndtr's, so each value is
-    scipy's wherever np.exp rounds as libm's exp does; elsewhere they were
-    at most 4 ulp apart on a dense grid over [-40, 40].  The [1, 8) form
-    runs on all of x, and the entries outside it are evaluated again on
-    their own.  Finite |x| <= _V_BOUND raises no floating-point warning; at
-    larger |x| the values stay right."""
+def _ndtr(x, floats):
+    """Phi(x) of the 1-d x, written over x, on 2 x.size entries of floats.
+    Every step is Cephes ndtr's, so each value is scipy's wherever np.exp
+    rounds as libm's exp does; elsewhere they were at most 4 ulp apart on a
+    dense grid over [-40, 40].  The [1, 8) form runs on all of x, and the
+    entries outside it are evaluated again on their own.  Finite |x| <=
+    _V_BOUND raises no floating-point warning; at larger |x| the values stay
+    right."""
     n = x.size
     z, poly = floats[: 2 * n].reshape(2, n)
-    upper, region = flags[: 2 * n].reshape(2, n)
     np.abs(np.multiply(x, _SQRT1_2, out=z), out=z)
-    np.greater(x, 0.0, out=upper)
-    h = np.exp(np.negative(np.multiply(z, z, out=out), out=out), out=out)
+    upper = x > 0.0
+    h = np.exp(np.negative(np.multiply(z, z, out=x), out=x), out=x)
     h *= _polynomial(z, _P, poly)
     h /= _polynomial(z, _Q, poly)
     # With c = [x > 0] and half = 1/2 - c, Phi = c + half erfc(z): a product
     # by -+1/2 is exact, so this is 1 - erfc(z)/2 or erfc(z)/2 to the bit.
-    half = poly
-    np.copyto(half, upper)
-    h *= np.subtract(0.5, half, out=half)
-    tail = np.flatnonzero(np.greater_equal(z, 8.0, out=region))
+    half = np.subtract(0.5, upper, out=poly)
+    h *= half
+    tail = np.flatnonzero(z >= 8.0)
     if tail.size:
         zt = z[tail]
         square = zt * zt
@@ -157,16 +155,14 @@ def _ndtr(x, out, floats, flags):
                 / _polynomial(zt, _S, np.empty(tail.size)))
         erfc[square > _MAXLOG] = 0.0
         h[tail] = half[tail] * erfc
-    centre = np.flatnonzero(np.less(z, 1.0, out=region))
+    centre = np.flatnonzero(z < 1.0)
     if centre.size:
         zc = z[centre]
         square = zc * zc
         erf = (zc * _polynomial(square, _T, np.empty(centre.size))
                / _polynomial(square, _U, np.empty(centre.size)))
         h[centre] = half[centre] * (1.0 - erf)
-    c = z
-    np.copyto(c, upper)
-    h += c
+    h += upper
     if centre.size:
         # Phi = 1/2 + erf(x/sqrt2)/2, where erf(x/sqrt2)/2 = -half erf(z)
         inner = zc < _SQRT1_2
@@ -185,7 +181,7 @@ _PANEL_WIDTH = 0.25
 # quadrature nodes, which bounds the temporaries however many entries are far.
 _WINDOW_CHUNK_NODES = 1 << 16
 
-# The kernel evaluates this many flat entries at a time, every intermediate
+# The kernel evaluates this many flat entries at a time, float intermediates
 # in scratch rows that each call allocates once and reuses for all its blocks.
 # Whole-array n*d temporaries make glibc return their pages to the OS and
 # fault them in again on the next call; blocks of 2**16 fault no more.  Of
@@ -198,7 +194,6 @@ _WINDOW_CHUNK_NODES = 1 << 16
 # that any run of them is one contiguous array.
 _BLOCK = 1 << 16
 _FLOAT_ROWS = 15  # a and b, then _closed_form's 13
-_FLAG_ROWS = 4  # at most 4 n: _ndtr's two flags for each of 2 k <= 2 n arguments
 
 
 @dataclass(frozen=True)
@@ -237,8 +232,7 @@ def correction_C(a: float, b: float) -> float:
         raise DomainError(f"b must be > 0, got {b!r}")
     a, b = np.array([a]), np.array([b])
     v = np.stack(_v_pair(a, b))
-    return float(_correction_vec(a, a * a, a * a * a / 6.0, b, b * b, v,
-                                 np.empty(6), np.empty(4, dtype=bool))[0])
+    return float(_correction_vec(a, a * a, a * a * a / 6.0, b, b * b, v, np.empty(6))[0])
 
 
 def _v_pair(a, b, v_minus=None, v_plus=None):
@@ -251,12 +245,12 @@ def _v_pair(a, b, v_minus=None, v_plus=None):
     return v_minus, v_plus
 
 
-def _correction_vec(a, a2, cubic, b, b2, v, floats, flags):
+def _correction_vec(a, a2, cubic, b, b2, v, floats):
     """C(a, b) elementwise over k entries, from a^2, a^3/6, b^2 and the
-    unclipped V- and V+ stacked in v (2, k), on 6 k entries of floats and 4 k
-    of flags; the result is b's array, and every input is overwritten.  Each
-    term is the same sequence of operations as C(a, b) written out (products
-    in either order), so it carries the same bits."""
+    unclipped V- and V+ stacked in v (2, k), on 6 k entries of floats; the
+    result is b's array, and every input is overwritten.  Each term is the
+    same sequence of operations as C(a, b) written out (products in either
+    order), so it carries the same bits."""
     k = a.size
     f, vv, e = floats[: 6 * k].reshape(3, 2, k)
     np.clip(v, -_V_BOUND, _V_BOUND, out=v)
@@ -271,7 +265,7 @@ def _correction_vec(a, a2, cubic, b, b2, v, floats, flags):
     a2 *= np.multiply(b, _INV_SQRT_2PI, out=b)
     # F- = Phi(-V-) and F+ = Phi(-V+) in one call, whose scratch vv and e reuse
     flat = np.negative(v, out=f).reshape(-1)
-    _ndtr(flat, flat, floats[2 * k : 6 * k], flags)
+    _ndtr(flat, floats[2 * k : 6 * k])
     np.multiply(v, v, out=vv)
     np.exp(np.multiply(-0.5, vv, out=e), out=e)
     # t1 = PHI_BOUND * (f_minus - f_plus)
@@ -313,21 +307,20 @@ def _correction_gate(beta: float) -> float:
     return _SQRT2 / (_correction_cutoff(beta) + math.sqrt(beta)) * (1.0 - 1e-6)
 
 
-def _closed_form(a, b, value, floats, flags, b_cut):
+def _closed_form(a, b, value, floats, b_cut):
     """Write E phi(a + b*xi) = (a(1 - b^2/2) - a^3/6) + C(a, b) into value,
     over 1-d arrays of n entries, for 0 < b and |a|, b <= _CLOSED_FORM_LIMIT,
-    on 13 n entries of floats and 4 n of flags.  C is added only where
-    b > b_cut = _correction_gate(beta), which holds wherever min(V-, V+) <
-    V*(beta); beyond V* |C| < ulp(value)/4 (bound at _V_BOUND), so every value
-    is bit-identical to adding C everywhere."""
+    on 13 n entries of floats.  C is added only where b > b_cut =
+    _correction_gate(beta), which holds wherever min(V-, V+) < V*(beta);
+    beyond V* |C| < ulp(value)/4 (bound at _V_BOUND), so every value is
+    bit-identical to adding C everywhere."""
     n = a.size
     a2, cubic, b2 = floats[: 3 * n].reshape(3, n)
     _powers(a, b, a2, cubic, b2)
     # value = a * (1.0 - b2 / 2.0) - cubic
     np.subtract(1.0, np.divide(b2, 2.0, out=value), out=value)
     np.subtract(np.multiply(a, value, out=value), cubic, out=value)
-    live = np.greater(b, b_cut, out=flags[:n])
-    idx = np.flatnonzero(live)  # integer gathers are ~6x faster than boolean ones
+    idx = np.flatnonzero(b > b_cut)  # integer gathers are ~6x faster than boolean ones
     k = idx.size
     if k:
         # The correction works on the first 6 k floats and its terms follow;
@@ -339,7 +332,7 @@ def _closed_form(a, b, value, floats, flags, b_cut):
         np.take(b, idx, out=terms[3], mode="clip")
         _powers(terms[0], terms[3], terms[1], terms[2], terms[4])
         _v_pair(terms[0], terms[3], terms[5], terms[6])
-        correction = _correction_vec(*terms[:5], terms[5:], floats[: 6 * k], flags)
+        correction = _correction_vec(*terms[:5], terms[5:], floats[: 6 * k])
         # value[idx] += correction
         current = np.take(value, idx, out=terms[0], mode="clip")
         value[idx] = np.add(current, correction, out=current)
@@ -353,7 +346,7 @@ def _window_expectation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Phi(v-) and Phi(-v+) in one call; v clipped to +-_V_BOUND, where Phi is
     # already exactly 0 or 1, keeps _ndtr's intermediates finite
     tails = np.clip(np.concatenate([v_minus, -v_plus]), -_V_BOUND, _V_BOUND)
-    _ndtr(tails, tails, np.empty(2 * tails.size), np.empty(2 * tails.size, dtype=bool))
+    _ndtr(tails, np.empty(2 * tails.size))
     out = PHI_BOUND * ((1.0 - tails[: a.size]) - tails[a.size :])
     lo = np.maximum(-v_plus, -39.0)
     hi = np.minimum(v_minus, 39.0)
@@ -396,51 +389,44 @@ def _smoothed_phi_array(x: np.ndarray, s: float, beta: float) -> np.ndarray:
     out = np.empty(flat.size)
     scale = s * math.sqrt(beta)
     b_cut = _correction_gate(beta)
-    m = min(flat.size, _BLOCK)
-    floats, flags = np.empty(_FLOAT_ROWS * m), np.empty(_FLAG_ROWS * m, dtype=bool)
+    floats = np.empty(_FLOAT_ROWS * min(flat.size, _BLOCK))
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        _smoothed_phi_block(flat[block], s, scale, b_cut, out[block], floats, flags)
+        _smoothed_phi_block(flat[block], s, scale, b_cut, out[block], floats)
     return out.reshape(x.shape)
 
 
 def _smoothed_phi_block(x: np.ndarray, s: float, scale: float, b_cut: float,
-                        out: np.ndarray, floats: np.ndarray, flags: np.ndarray) -> None:
+                        out: np.ndarray, floats: np.ndarray) -> None:
     """The smoothed truncation of the 1-d block x at truncation scale s,
     with scale = s sqrt(beta) and b_cut = _correction_gate(beta), written
-    into out on the first _FLOAT_ROWS x.size floats and _FLAG_ROWS x.size
-    flags."""
+    into out on the first _FLOAT_ROWS x.size floats."""
     n = x.size
-    a, b, spare = floats[: 3 * n].reshape(3, n)
+    a, b = floats[: 2 * n].reshape(2, n)
     np.divide(x, s, out=a)
     magnitude = np.abs(x, out=b)
     smallest, largest = float(magnitude.min()), float(magnitude.max())
     with np.errstate(over="ignore"):
         np.divide(magnitude, scale, out=b)
-    # whether every entry is in the closed form's domain; correctly rounded
-    # division is monotone, so the three quotients are exactly the block's
-    # min b, max |a| and max b.  scale underflows to 0.0 for a tiny s and beta.
-    closed = (scale > 0.0 and smallest / scale > 0.0
-              and largest / s <= _CLOSED_FORM_LIMIT and largest / scale <= _CLOSED_FORM_LIMIT)
-    # The closed form runs on the whole block; outside its domain (b == 0,
-    # or the far regime) it may overflow, and those values are replaced below.
+    # The closed form runs on the whole block; outside its domain (far
+    # entries, or no positive b) it may overflow, and the fix-ups replace it.
     with np.errstate(over="ignore", invalid="ignore"):
-        _closed_form(a, b, out, floats[2 * n : _FLOAT_ROWS * n], flags, b_cut)
+        _closed_form(a, b, out, floats[2 * n : _FLOAT_ROWS * n], b_cut)
     np.multiply(s, out, out=out)
-    if not closed:
-        positive, near, flag = flags[: 3 * n].reshape(3, n)
-        np.greater(b, 0.0, out=positive)
-        np.less_equal(np.abs(a, out=spare), _CLOSED_FORM_LIMIT, out=near)
-        near &= np.less_equal(b, _CLOSED_FORM_LIMIT, out=flag)
-        near &= positive
-        # outside the closed form: 0, then x where b == 0 (|x| << s
-        # underflows b; the value is ~x), then the far regime
-        outside = np.logical_not(near, out=near)
-        np.copyto(out, 0.0, where=outside)
-        np.copyto(out, x, where=np.equal(b, 0.0, out=flag))
-        far = np.flatnonzero(np.logical_and(outside, positive, out=positive))
+    # Correctly rounded division is monotone, so these quotients are exactly
+    # the block's max |a|, max b and min b: each fix-up runs only on a block
+    # that may hold its entries.  scale underflows to 0.0 for a tiny s and
+    # beta, which makes b = inf, or 0/0 = nan at x = +-0.
+    limit = _CLOSED_FORM_LIMIT
+    if scale == 0.0 or largest / s > limit or largest / scale > limit:
+        far = np.flatnonzero((np.abs(a) > limit) | (b > limit))
         if far.size:
             out[far] = s * _window_expectation(a[far], b[far])
+    if not (scale > 0.0 and smallest / scale > 0.0):
+        # b == 0 where |x| << s sqrt(beta) underflows it (the value is ~x),
+        # and b is nan where scale == 0.0 (the value is +0.0)
+        zero = np.flatnonzero(~(b > 0.0))
+        out[zero] = x[zero] if scale > 0.0 else 0.0
     bound = PHI_BOUND * s
     np.clip(out, -bound, bound, out=out)
 

@@ -43,5 +43,9 @@ def test_every_traced_name_resolves():
                                            "_run_parallel", None)),
         ("dpem.numeric.RngStream.split", getattr(stream, "split", None)),
     ] if not callable(obj)]
+    # and its kernel-regime counts read the kernel's threshold
+    limit = getattr(importlib.import_module("dpem.robust"), "_CLOSED_FORM_LIMIT", None)
+    if not isinstance(limit, float):
+        missing.append("dpem.robust._CLOSED_FORM_LIMIT")
     assert tracer.FUNCTIONS and tracer.METHODS
     assert not missing

@@ -301,8 +301,8 @@ class TestSmoothedPhi:
 
     @pytest.mark.parametrize("beta", [FAR_BETA, 0.04])
     def test_closed_form_block_matches_mixed_block(self, beta):
-        # a block wholly in the closed form's domain skips the regime masks;
-        # its values must equal the same entries' in a block that has them.
+        # a block wholly in the closed form's domain skips both fix-ups;
+        # its values must equal the same entries' in a block that runs them.
         # The domain's edges: max |a| = 10 binds at beta = 25 and max b = 10
         # at beta = 0.04, and min b is the smallest positive double.
         s, scale = FAR_S, FAR_S * math.sqrt(beta)
@@ -324,12 +324,16 @@ class TestSmoothedPhi:
             assert matches_mixed(np.concatenate([inside, [past, -past]])), past
 
     def test_underflowing_scale_is_not_a_closed_form_block(self):
-        # s sqrt(beta) underflows to 0.0: the domain test must not divide by
-        # it, and every value stays within the bound
+        # s sqrt(beta) underflows to 0.0: the fix-ups' guards must not divide
+        # by it, also where max |a| <= 10, every value stays within the bound,
+        # and b = 0/0 at +-0 gives +0.0, never -0.0 or nan
         p = RobustMeanParams(s=1e-200, beta=1e-300, sigma=0.0)
         assert p.s * math.sqrt(p.beta) == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             means = robust_mean_columns(np.array([[1.0, -2.0], [1e-300, 0.5]]), p)
+            for x in ([0.0, -0.0, 1.0, -2.0, 1e-300], [-0.0, 0.0, 10.0 * p.s]):
+                got = robust._smoothed_phi_array(np.array(x), p.s, p.beta)
+                assert got.tobytes() == np.zeros(len(x)).tobytes(), x
         assert np.all(np.abs(means) <= PHI_BOUND * p.s)
 
     def test_correction_gate_matches_ungated_kernel(self, monkeypatch):
@@ -378,7 +382,7 @@ class TestSmoothedPhi:
 def ndtr_port(x):
     """robust._ndtr of a copy of x, on scratch of its own."""
     x = np.array(x, dtype=float)
-    return robust._ndtr(x, x, np.empty(2 * x.size), np.empty(2 * x.size, dtype=bool))
+    return robust._ndtr(x, np.empty(2 * x.size))
 
 
 def ulps_apart(got, want):
@@ -453,7 +457,7 @@ class TestNdtr:
         # gate test's entries, within the closed form's rounding tolerance
         ported = {key: robust._smoothed_phi_array(x, key[1], key[0])
                   for key, x in gate_entries().items()}
-        monkeypatch.setattr(robust, "_ndtr", lambda x, out, floats, flags: ndtr(x, out=out))
+        monkeypatch.setattr(robust, "_ndtr", lambda x, floats: ndtr(x, out=x))
         eps = np.finfo(float).eps
         for (beta, s), x in gate_entries().items():
             want = robust._smoothed_phi_array(x, s, beta)
@@ -491,6 +495,8 @@ class TestKernelBlocks:
         per_entry = np.array([[smoothed_phi(float(x), self.P) for x in r] for r in mat])
         values = np.frombuffer(default[0]).reshape(mat.shape)
         assert np.array_equal(values, per_entry)
+        # every third entry has b == 0 and keeps x, signed zeros included
+        assert values.ravel()[::3].tobytes() == mat.ravel()[::3].tobytes()
         assert np.array_equal(np.frombuffer(default[1]), per_entry.mean(axis=0))
 
     def test_results_do_not_alias_scratch(self):
