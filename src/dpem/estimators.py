@@ -121,12 +121,13 @@ def align_sign(beta0: np.ndarray, reference: np.ndarray) -> np.ndarray:
 def _iterate(beta, T, samples, estimate, beta_star, config, eta=None, sigma=0.0,
              rng=None):
     """The one iteration loop.  For t = 1..T, ``samples(t, beta^{t-1})``
-    gives a matrix of per-sample values and ``estimate`` reduces it to the
-    d-vector release; when sigma > 0 the Gaussian mechanism adds one
-    N(0, sigma^2 I_d) draw from child stream t of rng.  beta^t is
-    beta^{t-1} + eta * release, or the release itself when eta is None.  A
-    non-finite iterate, or an error against beta_star that overflows, means
-    the run diverged, reported with the last finite iterate."""
+    gives a fresh matrix of per-sample values and ``estimate`` reduces it to
+    the d-vector release, and may overwrite it as it does; when sigma > 0 the
+    Gaussian mechanism adds one N(0, sigma^2 I_d) draw from child stream t of
+    rng.  beta^t is beta^{t-1} + eta * release, or the release itself when
+    eta is None.  A non-finite iterate, or an error against beta_star that
+    overflows, means the run diverged, reported with the last finite
+    iterate."""
     betas = [beta]
     errors = None
     # a diverging run is reported once, as a ConvergenceError, not as a
@@ -238,7 +239,8 @@ def clipped_dp_gradient_em(
         norms = np.linalg.norm(grads, axis=1)
         with np.errstate(divide="ignore"):
             scale = np.minimum(1.0, clip_C / np.where(norms > 0, norms, np.inf))
-        return (grads * scale[:, None]).mean(axis=0)
+        grads *= scale[:, None]
+        return grads.mean(axis=0)
 
     config = {
         "algorithm": "clipped",

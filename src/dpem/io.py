@@ -77,10 +77,12 @@ def _dataset_columns(kind: str, width: int) -> list[str]:
 
 
 def _read_table(path, what: str, header_for):
-    """Yield (lineno, cells) for each row of a CSV table.  The header must
-    equal header_for(len(header)) and every row must be as wide; a fault
-    raises ParseError at its line (the header is line 1), as does a row the
-    csv module refuses, such as one with a cell over its field size limit."""
+    """Yield (lineno, cells) for each row of a CSV table, lineno being the
+    physical line the row ends on, so a quoted cell that spans lines does not
+    shift the lines after it.  The header must equal header_for(len(header))
+    and every row must be as wide; a fault raises ParseError at its line (the
+    header is line 1), as does a row the csv module refuses, such as one with
+    a cell over its field size limit."""
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -90,10 +92,11 @@ def _read_table(path, what: str, header_for):
             expected = header_for(len(header))
             if header != expected:
                 raise ParseError(f"expected header {expected}, got {header}", 1)
-            for lineno, cells in enumerate(reader, start=2):
+            for cells in reader:
                 if len(cells) != len(header):
-                    raise ParseError(f"expected {len(header)} cells, got {len(cells)}", lineno)
-                yield lineno, cells
+                    raise ParseError(f"expected {len(header)} cells, got {len(cells)}",
+                                     reader.line_num)
+                yield reader.line_num, cells
         except csv.Error as exc:
             raise ParseError(str(exc), reader.line_num) from None
 
@@ -137,44 +140,47 @@ def read_dataset(path, kind: str) -> ObservationSet:
             return ObservationSet.from_arrays(kind, table)
         return ObservationSet.from_arrays(kind, table[:, :-1], table[:, -1])
 
-    if kind != "rmc" and (table := _read_complete_table(path, kind)) is not None:
+    if (table := _read_complete_table(path, kind)) is not None:
         return observations(table)
 
-    # Otherwise cell by cell, reporting a fault at its line.  An empty cell
-    # reads as NaN; the finiteness check below then allows exactly the empty
-    # cells of an rmc row, and none in the y column.
-    nan, blanks = math.nan, []
+    # Otherwise cell by cell, reporting the first fault at its line.  An empty
+    # cell reads as NaN, which only an rmc x-cell may be.
+    nan, rows = math.nan, 0
 
     def cells():
+        nonlocal rows
         for lineno, row in _read_table(path, "dataset", lambda w: _dataset_columns(kind, w)):
             try:
                 values = [float(c) if c else nan for c in row]
             except ValueError as exc:
                 raise ParseError(f"{exc} (expected a finite number)", lineno) from None
-            blanks.append(row.count(""))
+            empty = row.count("") if kind == "rmc" and row[-1] else 0
+            if sum(map(math.isfinite, values)) + empty != len(row):
+                raise ParseError("non-finite or empty cell (only an rmc x-cell may be empty)",
+                                 lineno)
+            rows += 1
             yield from values
 
     # one array grows as the rows stream in, in place of a list of row lists
     flat = np.fromiter(cells(), dtype=float)
-    if not blanks:
+    if not rows:
         raise ParseError("dataset has no rows", 2)
-    table = flat.reshape(len(blanks), -1)
-    finite = np.isfinite(table)
-    bad = (np.count_nonzero(~finite, axis=1) != (blanks if kind == "rmc" else 0)) | ~finite[:, -1]
-    if bad.any():  # row i is line i + 2, after the header
-        raise ParseError("non-finite or empty cell (only an rmc x-cell may be empty)",
-                         int(bad.argmax()) + 2)
-    return observations(table)
+    return observations(flat.reshape(rows, -1))
 
 
 def _read_complete_table(path, kind: str):
-    """The table of a gmm or mrm dataset file without a fault, parsed by
-    numpy's C reader, or None if the file has any fault: a bad header (or one
-    the csv module refuses), no rows, a blank, short or long row, or a cell
-    that is empty, non-finite or not a plain number.  read_dataset's
-    cell-by-cell reader then reports the fault at its line.  Both convert a
-    cell's text with CPython's correctly rounded parser, so a table read
-    either way has the same bits."""
+    """The table of a dataset file without a fault, parsed by numpy's C
+    reader, or None if the file has any fault: a bad header (or one the csv
+    module refuses), no rows, a blank, short or long row, a line over the csv
+    module's field size limit, or a cell that is not a plain finite number,
+    except an empty rmc x-cell.  read_dataset's cell-by-cell reader then
+    reports the fault at its line.  Both convert a cell's text with CPython's
+    correctly rounded parser, so a table read either way has the same bits.
+
+    A row that holds an n or N goes to the cell reader, since every spelling
+    of nan and inf does, and an empty cell of an rmc row reaches the C reader
+    as the text nan.  So every NaN in the table is an empty rmc x-cell, and
+    the table is refused if one is in the y column."""
     import numpy as np
 
     with Path(path).open(newline="") as fh:
@@ -184,13 +190,22 @@ def _read_complete_table(path, kind: str):
             return None
         if header is None or header != _dataset_columns(kind, len(header)):
             return None
-        rows = 0
+        rows, limit, rmc = 0, csv.field_size_limit(), kind == "rmc"
 
         def lines():
             nonlocal rows
             for line in fh:
                 if not line.strip("\r\n"):  # which the C reader would skip
                     raise ValueError("blank row")
+                if len(line) > limit:  # the csv module may refuse a cell in it
+                    raise ValueError("long row")
+                if "n" in line or "N" in line:
+                    raise ValueError("nan or inf text")
+                if rmc:
+                    if line[0] == ",":
+                        line = "nan" + line
+                    # twice, since replace skips the overlapping match in ,,,
+                    line = line.replace(",,", ",nan,").replace(",,", ",nan,")
                 rows += 1
                 yield line
 
@@ -203,7 +218,8 @@ def _read_complete_table(path, kind: str):
                                comments=None, ndmin=2)
         except ValueError:  # a blank row, a cell that is not a number, a ragged row
             return None
-    if table.shape != (rows, len(header)) or not np.isfinite(table).all():
+    if (table.shape != (rows, len(header)) or np.isinf(table).any()  # such as 1e400
+            or np.isnan(table[:, -1]).any()):
         return None
     return table
 

@@ -44,6 +44,12 @@ RUNS = {
     "dpem": "781e741d37d5f7440d2042b0cd446de8e0858a213930b6505df88a04e71bea8a",
 }
 
+# runs over the pinned rmc gen file, whose missing covariates are empty cells
+RMC_RUNS = {
+    "em": "066a4b9fc1ea67a0b50f89ad7bd044b54684ee8dda2f75ba3cdf0740e7063434",
+    "clipped": "a6d63f90d4c61ec25a18dd0363b1e3541b48f5af08ec4742a4b546e37fa85189",
+}
+
 SWEEPS = {
     "em-rmc": (
         ["--model", "rmc", "--p-m", "0.2", "--algorithm", "em", "--iters", "4"],
@@ -112,6 +118,17 @@ def test_run_digest(dataset, tmp_path, algorithm):
     invoke("run", "--algorithm", algorithm, "--data", dataset, "--seed", 3,
            "--n-seeds", 2, "--out", out)
     assert sha256(out) == RUNS[algorithm]
+
+
+@pytest.mark.parametrize("algorithm", sorted(RMC_RUNS))
+def test_rmc_run_digest(tmp_path, algorithm):
+    args, digest = GEN["rmc"]
+    data, out = tmp_path / "rmc.csv", tmp_path / "run.csv"
+    invoke("gen", "--n", 150, "--d", 3, "--seed", 5, *args, "--out", data)
+    assert sha256(data) == digest
+    invoke("run", "--algorithm", algorithm, "--data", data, "--seed", 3,
+           "--n-seeds", 2, "--out", out)
+    assert sha256(out) == RMC_RUNS[algorithm]
 
 
 @pytest.mark.parametrize("algorithm", sorted(REPORTS))

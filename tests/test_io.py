@@ -153,6 +153,28 @@ class TestDatasetErrors:
             read_dataset(p, "rmc")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("kind,header,fault", [
+        ("gmm", "y1,y2", "5.0,oops"),  # a cell that is not a number
+        ("gmm", "y1,y2", "5.0,nan"),  # a non-finite cell
+        ("rmc", "x1,y", "5.0,"),  # an empty y
+    ])
+    def test_fault_after_a_multiline_cell_reports_its_physical_line(
+            self, tmp_path, kind, header, fault):
+        # the quoted cell of line 2 ends on line 3, so the fault is on line 5
+        p = tmp_path / "f.csv"
+        p.write_text(f'{header}\n"1.0\n",2.0\n3.0,4.0\n{fault}\n')
+        with pytest.raises(ParseError) as exc:
+            read_dataset(p, kind)
+        assert exc.value.line == 5
+
+    def test_first_fault_is_reported(self, tmp_path):
+        # a non-finite cell before a cell that is not a number
+        p = tmp_path / "f.csv"
+        p.write_text("x1,y\n1.0,2.0\nnan,3.0\noops,4.0\n")
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            read_dataset(p, "rmc")
+        assert exc.value.line == 3
+
 
 finite_cells = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -266,7 +288,7 @@ class TestDatasetBlocks:
 
 
 class TestCompleteTable:
-    # a gmm or mrm file without a fault is parsed by numpy's C reader; a file
+    # a dataset file without a fault is parsed by numpy's C reader; a file
     # with any fault goes to the cell-by-cell reader, which reports it
 
     @staticmethod
@@ -280,7 +302,11 @@ class TestCompleteTable:
                 obs = read_dataset(path, kind)
             except ParseError as exc:
                 return type(exc), str(exc), exc.line
-        return obs.ys if kind == "gmm" else np.column_stack([obs.xs, obs.ys])
+        if kind == "gmm":
+            return obs.ys
+        # a missing rmc covariate as NaN, so the table also holds the mask
+        return np.column_stack([obs.xs if obs.mask is None else np.where(obs.mask, obs.xs, np.nan),
+                                obs.ys])
 
     @pytest.mark.parametrize("kind", ["gmm", "mrm"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -324,6 +350,8 @@ class TestCompleteTable:
         "y1,y2\n1;2\n",
         'y1,y2\n"1",2\n',  # csv quoting: the cell reader accepts it
         "y1,y2\n1_0,2\n",  # float() accepts the underscore
+        # a cell over the csv field size limit
+        pytest.param("y1,y2\n1,2\n" + "0." + "1" * 140_000 + ",2\n", id="long-line"),
     ])
     def test_any_fault_goes_to_the_cell_reader(self, tmp_path, monkeypatch, text):
         path = tmp_path / "data.csv"
@@ -337,6 +365,58 @@ class TestCompleteTable:
             assert got == want
         else:
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_rmc_empty_cells_match_cell_reader_bitwise(self, tmp_path, monkeypatch, newline):
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((300, 6)) * 10.0
+        table[:, :-1][rng.random((300, 5)) < 0.3] = np.nan
+        table[10] = SPECIAL_CELLS
+        rows = [["" if v != v else repr(v) for v in row] for row in table.tolist()]
+        rows[:6] = [r.split(",") for r in [
+            ",1.5,2.5,3.5,4.5,5.5",  # empty first covariate
+            "1.5,2.5,,3.5,4.5,5.5",  # empty middle covariate
+            "1.5,2.5,3.5,4.5,,5.5",  # empty last covariate
+            "1.5,,,,2.5,3.5",  # a ,,,, run
+            ",,2.5,,,3.5",  # a leading run and a ,,, run
+            ",,,,,6.5",  # every covariate empty
+        ]]
+        header = ["x1", "x2", "x3", "x4", "x5", "y"]
+        path = tmp_path / "data.csv"
+        path.write_bytes(newline.join(",".join(r) for r in [header, *rows]).encode())
+        fast = io_module._read_complete_table(path, "rmc")
+        assert fast is not None
+        bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+        got, want = (self.outcome(path, "rmc", monkeypatch, cells=cells) for cells in (False, True))
+        assert np.array_equal(bits(got), bits(want))
+        empty = np.array([[c == "" for c in r] for r in rows])
+        assert np.array_equal(np.isnan(fast), empty) and np.array_equal(np.isnan(want), empty)
+        assert np.array_equal(bits(fast[~empty]), bits(want[~empty]))
+        assert np.array_equal(bits(want[6:][~empty[6:]]), bits(table[6:][~empty[6:]]))
+
+    @pytest.mark.parametrize("row", [
+        "nan,1.0,2.0",
+        "1.0,NaN,2.0",
+        "inf,,2.0",
+        ",-Infinity,2.0",
+        "1e400,,2.0",  # overflows to inf
+        "1.0,,",  # an empty y
+        ",,",  # every cell empty
+        '"1.0",,2.0',  # csv quoting: the cell reader accepts it
+        "1_0,,2.0",  # float() accepts the underscore
+        # a cell over the csv field size limit
+        pytest.param("0." + "1" * 140_000 + ",,2.0", id="long-line"),
+    ])
+    def test_any_rmc_fault_goes_to_the_cell_reader(self, tmp_path, monkeypatch, row):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x1,x2,y\n1.0,,2.0\n,1.0,2.0\n{row}\n3.0,4.0,5.0\n")
+        assert io_module._read_complete_table(path, "rmc") is None
+        got = self.outcome(path, "rmc", monkeypatch, cells=False)
+        want = self.outcome(path, "rmc", monkeypatch, cells=True)
+        if isinstance(want, tuple):
+            assert got == want and want[2] == 4
+        else:
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestLabeled:
@@ -367,6 +447,13 @@ class TestLabeled:
         with pytest.raises(ParseError) as exc:
             read_labeled(p)
         assert exc.value.line == 3
+
+    def test_fault_after_a_multiline_cell_reports_its_physical_line(self, tmp_path):
+        p = tmp_path / "l.csv"
+        p.write_text('f1,f2,label\n"1.0\n",2.0,1\n-1.0,-2.0,0\n1.0,bad,1\n')
+        with pytest.raises(ParseError) as exc:
+            read_labeled(p)
+        assert exc.value.line == 5
 
 
 class TestMetadata:
@@ -432,6 +519,17 @@ class TestResults:
         with pytest.raises(ParseError) as exc:
             read_results(p)
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("fault", ["bad_int", "ragged"])
+    def test_fault_after_a_multiline_cell_reports_its_physical_line(self, tmp_path, fault):
+        p = tmp_path / "r.csv"
+        write_results(p, [self.row(model="g\nmm"), self.row(seed=8), self.row(seed=9)])
+        lines = p.read_text().splitlines()  # the first row spans lines 2 and 3
+        lines[4] = lines[4].replace(",100,", ",ten,") if fault == "bad_int" else lines[4] + ","
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_results(p)
+        assert exc.value.line == 5
 
     @pytest.mark.parametrize("key", ["error", "wall_ms"])
     def test_empty_measurement_reports_line(self, tmp_path, key):
