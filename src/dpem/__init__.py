@@ -17,7 +17,7 @@ _SUBMODULE = {name: module for module, names in {
     "estimators": ("ClippedDPGradientEM", "DPEMGaussianMixture", "DPGradientEM",
                    "GradientEM", "IterationTrace", "clipped_dp_gradient_em", "dp_em_gmm",
                    "dp_gradient_em", "gradient_em", "initial_beta"),
-    "models": ("ModelSpec", "ObservationSet", "f_gmm", "grad_q",
+    "models": ("ModelSpec", "ObservationSet", "f_gmm", "grad_q", "grad_q_mean",
                "preprocess_real_gmm", "q_value", "sample_observations", "tau_bound"),
     "numeric": ("RngStream", "max_eigenvalue", "sample_gaussian"),
     "robust": ("PHI_BOUND", "RobustMeanParams", "central_dp_mean", "correction_C",

@@ -1,7 +1,7 @@
 """The four estimation procedures, as plain functions and as estimators.
 
 Each algorithm is a release rule run by one loop, ``_iterate``: iteration t
-reduces a matrix of per-sample values at beta^{t-1} to a d-vector release,
+reduces the per-sample values at beta^{t-1} to a d-vector release,
 plus (private variants) one Gaussian vector drawn from child stream t of
 the caller's RngStream, so traces are bitwise reproducible no matter how
 the work is scheduled.  The CLI and the estimator classes share one entry
@@ -31,6 +31,7 @@ from .models import (
     ObservationSet,
     f_gmm_batch,
     grad_q_batch,
+    grad_q_mean,
     tau_bound,
 )
 from .numeric import RngStream
@@ -122,7 +123,9 @@ def _iterate(beta, T, samples, estimate, beta_star, config, eta=None, sigma=0.0,
              rng=None):
     """The one iteration loop.  For t = 1..T, ``samples(t, beta^{t-1})``
     gives a fresh matrix of per-sample values and ``estimate`` reduces it to
-    the d-vector release, and may overwrite it as it does; when sigma > 0 the
+    the d-vector release (dpgem and dpem: the robust column means).  em and
+    clipped pass beta^{t-1} itself as their samples and ``grad_q_mean`` as
+    their estimate, which forms no matrix of gradients.  When sigma > 0 the
     Gaussian mechanism adds one N(0, sigma^2 I_d) draw from child stream t of
     rng.  beta^t is beta^{t-1} + eta * release, or the release itself when
     eta is None.  A non-finite iterate, or an error against beta_star that
@@ -211,8 +214,8 @@ def gradient_em(
     eta = check_positive("eta", eta)
     T = check_count("T", T, minimum=0)
     config = {"algorithm": "em", "eta": eta, "T": T}
-    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b),
-                    lambda grads: grads.mean(axis=0), beta_star, config, eta)
+    return _iterate(beta, T, lambda t, b: b, lambda b: grad_q_mean(model, data, b),
+                    beta_star, config, eta)
 
 
 def clipped_dp_gradient_em(
@@ -235,13 +238,6 @@ def clipped_dp_gradient_em(
     eta = check_positive("eta", eta)
     T = check_count("T", T)
 
-    def clipped_mean(grads):
-        norms = np.linalg.norm(grads, axis=1)
-        with np.errstate(divide="ignore"):
-            scale = np.minimum(1.0, clip_C / np.where(norms > 0, norms, np.inf))
-        grads *= scale[:, None]
-        return grads.mean(axis=0)
-
     config = {
         "algorithm": "clipped",
         "clip_C": clip_C,
@@ -251,7 +247,7 @@ def clipped_dp_gradient_em(
     # one averaged d-vector per iteration, L2 sensitivity 2 clip_C / n
     sigma = _calibrate(config, budget, "sigma_iter", 2.0 * clip_C / data.n,
                        split_budget_alg1(budget, T), disable_noise)
-    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data, b), clipped_mean,
+    return _iterate(beta, T, lambda t, b: b, lambda b: grad_q_mean(model, data, b, clip_C),
                     beta_star, config, eta, sigma, rng)
 
 

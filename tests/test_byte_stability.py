@@ -31,33 +31,33 @@ GEN = {
 # report of the pinned run files of these algorithms (em leaves eps, delta
 # and C empty; clipped fills all three)
 REPORTS = {
-    "em": "5956c4add1a81a984731161d8a7c5328c00fd8d4a7e81d2dc684bed27aac1167",
-    "clipped": "6d6da8f2ac2a58140f094eb5fc48b7ae00c472bbbabdf564f46d8ea7fe2a9a0c",
+    "em": "368be6affbeed778c00a78d9ff6100f7868a9d755dfe096ab83323d8c57318a2",
+    "clipped": "0f5109e025b4e55c5a41c145686d0a3431757356ae88a8713308a659a34eb233",
 }
 
 PREPROCESSED = "669d2396f2fe09160d1a646ea2a4474a99f27d20cf5ce882683b13c54c59d4fb"
 
 RUNS = {
-    "em": "4ca6d67dd3d8f4ed1fea16334ef8edf2b41d7804ba352a6ef845a6bb5c456193",
-    "clipped": "af11ae0d8d14120ae5a3397f6ef81963adef81bb40239f9dcaabd301f5230f7e",
+    "em": "ae12e9c61a691030ca0789699ac1910bcb991a74b9f8145fac3bc861e9290644",
+    "clipped": "2841f43859ea9d6aeff54358e7089eb8e1a94297972590a628f7eddbcbacd549",
     "dpgem": "d91092e7405b05f5d0aae11c7c1300e9df98f4e7355da2bee277c7b26790d619",
     "dpem": "781e741d37d5f7440d2042b0cd446de8e0858a213930b6505df88a04e71bea8a",
 }
 
 # runs over the pinned rmc gen file, whose missing covariates are empty cells
 RMC_RUNS = {
-    "em": "066a4b9fc1ea67a0b50f89ad7bd044b54684ee8dda2f75ba3cdf0740e7063434",
-    "clipped": "a6d63f90d4c61ec25a18dd0363b1e3541b48f5af08ec4742a4b546e37fa85189",
+    "em": "a2e5b1a30339d4c97f2bfa7c52758e74ec21ce9775ae86e8c7464cd5e2067bbc",
+    "clipped": "d041d02787a3a67ee07c43110eb641da59b6b7da050057b49a3b67e0936c4dc5",
 }
 
 SWEEPS = {
     "em-rmc": (
         ["--model", "rmc", "--p-m", "0.2", "--algorithm", "em", "--iters", "4"],
-        "58e3c84530dd44c663dadbd7335b5eb0585c26801cb7356511541e0d7e1d6d87"),
+        "538e0f03949392cd1820c3f28d69badffe822330f396700ccdfe6dcb8fff91c4"),
     "clipped-mrm": (
         ["--model", "mrm", "--algorithm", "clipped", "--eps-list", "0.5,1",
          "--clip-list", "0.5,1", "--threads", "2"],
-        "69057ac5e6cacd09a8bcb18aa0e1a9950b24ea0fcf0c74b91e58cba3995bde9f"),
+        "1fb90ce19a3a6e8e5aaf4defa6c624d48519e7552ce0c2859404beb0c085182d"),
     "dpgem-mrm": (
         ["--model", "mrm", "--algorithm", "dpgem", "--eps-list", "0.5,1",
          "--d-list", "2,3"],

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from dpem.models import (
     ModelSpec,
     f_gmm_batch,
     grad_q_batch,
+    grad_q_mean,
     preprocess_real_gmm,
     sample_observations,
     tau_bound,
@@ -141,11 +143,15 @@ class TestGradientEM:
         assert np.median(errs) <= 0.2 * 3.0
 
     def test_divergence_raises_with_last_finite_iterate(self):
-        model, beta_star, data, beta0, _ = make_problem("mrm", 5, 200, 3)
-        with pytest.raises(ConvergenceError, match="iteration") as info:
-            gradient_em(data, model, beta0, 1e6, 200, truth=beta_star)
-        last = info.value.last_value
-        assert last.shape == (5,) and np.all(np.isfinite(last))
+        for kind in ("gmm", "mrm", "rmc"):
+            model, beta_star, data, beta0, _ = make_problem(
+                kind, 5, 200, 3, p_m=0.2 if kind == "rmc" else 0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # reported once, with no RuntimeWarning
+                with pytest.raises(ConvergenceError, match="iteration") as info:
+                    gradient_em(data, model, beta0, 1e6, 200, truth=beta_star)
+            last = info.value.last_value
+            assert last.shape == (5,) and np.all(np.isfinite(last)), kind
 
     def test_mismatched_data_rejected(self):
         model, beta_star, data, beta0, _ = make_problem("gmm", 3, 50, 2)
@@ -166,20 +172,43 @@ class TestClippedDP:
         )
         assert np.array_equal(plain.betas, clipped.betas)
 
+    @staticmethod
+    def clip_case(case):
+        """(model, data, beta0, rng, C) for test_clip_invariant's cases."""
+        if case == "gmm-large-beta":
+            # ||beta*|| = 100 and sigma = 0.05, started 0.01 from beta*: a
+            # gradient row is about 1e-3 of y and beta
+            model, beta_star, data, beta0, rng = make_problem("gmm", 5, 400, 4, snr=2000.0,
+                                                              sigma=0.05)
+            return model, data, beta_star + 0.01 * beta0, rng, 0.01
+        model, _, data, beta0, rng = make_problem(case, 5, 400, 4,
+                                                  p_m=0.3 if case == "rmc" else 0.0)
+        return model, data, beta0, rng, 0.5
+
     def test_clip_invariant(self):
-        # re-walk the trajectory and verify every rescaled gradient norm
-        model, beta_star, data, beta0, rng = make_problem("mrm", 5, 400, 4)
-        C = 0.5
-        budget = make_budget(1.0, 1e-5)
-        tr = clipped_dp_gradient_em(
-            data, model, beta0, C, 1.0, 5, budget, rng, truth=beta_star
-        )
-        for beta in tr.betas[:-1]:
-            grads = grad_q_batch(model, data, beta)
-            norms = np.linalg.norm(grads, axis=1)
-            scale = np.minimum(1.0, C / np.where(norms > 0, norms, np.inf))
-            clipped = np.linalg.norm(grads * scale[:, None], axis=1)
-            assert np.all(clipped <= C * (1 + 1e-12))
+        # re-walk the trajectory: each row's own release, clipped as the fit
+        # clips it, has norm at most C
+        for case in ("gmm", "mrm", "rmc", "gmm-large-beta"):
+            model, data, beta0, rng, C = self.clip_case(case)
+            tr = clipped_dp_gradient_em(data, model, beta0, C, 1.0, 5,
+                                        make_budget(1.0, 1e-5), rng)
+            rows = [data.take([i]) for i in range(data.n)]
+            for beta in tr.betas[:-1]:
+                norms = np.linalg.norm(grad_q_batch(model, data, beta), axis=1)
+                assert np.any(norms > C), case
+                clipped = [np.linalg.norm(grad_q_mean(model, row, beta, C)) for row in rows]
+                assert max(clipped) <= C * (1 + 1e-12), case
+
+    def test_expanded_gmm_norm_breaks_the_clip(self):
+        # t^2 ||y||^2 - 2 t <y, beta> + ||beta||^2 cancels near a large beta,
+        # so grad_q_mean takes gmm's norms from the formed rows
+        model, data, beta, _, C = self.clip_case("gmm-large-beta")
+        ys = data.ys
+        t = np.tanh(0.5 * (ys @ beta) / model.sigma**2)
+        expanded = np.sqrt(np.abs(t * t * np.einsum("ij,ij->i", ys, ys)
+                                  - 2.0 * t * (ys @ beta) + beta @ beta))
+        norms = np.linalg.norm(grad_q_batch(model, data, beta), axis=1)
+        assert np.max(np.minimum(1.0, C / expanded) * norms) > C * (1 + 1e-12)
 
     def test_deterministic(self):
         model, beta_star, data, beta0, _ = make_problem("gmm", 3, 200, 5)
@@ -529,6 +558,7 @@ class TestTruthLength:
     @pytest.fixture(autouse=True)
     def no_iterations(self, monkeypatch):
         monkeypatch.setattr("dpem.estimators.grad_q_batch", _fit_must_not_run)
+        monkeypatch.setattr("dpem.estimators.grad_q_mean", _fit_must_not_run)
         monkeypatch.setattr("dpem.estimators.f_gmm_batch", _fit_must_not_run)
 
     @pytest.mark.parametrize("estimator,kind", [

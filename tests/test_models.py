@@ -17,6 +17,7 @@ from dpem.models import (
     f_gmm_batch,
     grad_q,
     grad_q_batch,
+    grad_q_mean,
     m_beta,
     preprocess_real_gmm,
     q_value,
@@ -426,10 +427,34 @@ class TestBatchBlocks:
             monkeypatch.undo()
             assert [a.tobytes() for a in arrays] == kept
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="RUSAGE_THREAD is Linux-only")
-    def test_repeated_fits_do_not_fault(self):
+    @staticmethod
+    def faults(work):
+        """Minor faults of this thread in a second run of work, after a
+        warm-up run."""
         import resource
 
+        work()
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        work()
+        return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RUSAGE_THREAD is Linux-only")
+    def test_repeated_calls_do_not_fault(self):
+        m = ModelSpec("rmc", 20, 1.0, p_m=0.2)
+        data = sample_observations(m, 25000, np.full(20, 0.5), RngStream(14))
+
+        def calls():
+            grads = None
+            for _ in range(11):  # each result stays bound until the next exists
+                grads = grad_q_batch(m, data, np.full(20, 0.1))
+            return grads
+
+        # about 2.1k for 11 or 30 calls; evaluated without row blocks, as
+        # n x d temporaries, 11 calls fault about 46k
+        assert self.faults(calls) < 4000
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RUSAGE_THREAD is Linux-only")
+    def test_repeated_fits_do_not_fault(self):
         m = ModelSpec("rmc", 20, 1.0, p_m=0.2)
         data = sample_observations(m, 25000, np.full(20, 0.5), RngStream(14))
         budget = make_budget(1.0, 1e-5)
@@ -438,13 +463,9 @@ class TestBatchBlocks:
             clipped_dp_gradient_em(data, m, np.full(20, 0.1), 1.0, 1.0, 11, budget,
                                    RngStream(15))
 
-        fit()  # warm-up
-        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
-        fit()
-        faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
-        # about 2.1k at T = 11 or 30; the same gradients evaluated without
-        # row blocks, as n x d temporaries, fault about 6.8k
-        assert faults < 4000
+        # 0 at T = 11 or 30: the release forms only n-vectors, and the
+        # dataset's own terms are kept from the warm-up fit
+        assert self.faults(fit) < 100
 
 
 def rmc_grad_oracle(m, data, beta):
@@ -481,6 +502,87 @@ class TestRmcBlock:
         edged = ObservationSet("rmc", data.ys, xs, mask)
         assert np.signbit(edged.xs[0]).all()
         assert np.array_equal(grad_q_batch(m, edged, beta), rmc_grad_oracle(m, edged, beta))
+
+
+def dense_release(m, data, beta, clip=None):
+    """The em and clipped releases over grad_q_batch's matrix: the mean of
+    its rows, each first scaled to norm at most clip."""
+    grads = grad_q_batch(m, data, beta)
+    if clip is not None:
+        norms = np.linalg.norm(grads, axis=1)
+        with np.errstate(divide="ignore"):
+            grads *= np.minimum(1.0, clip / np.where(norms > 0, norms, np.inf))[:, None]
+    return grads.mean(axis=0)
+
+
+def edge_rows(m, data, beta):
+    """data whose first row has a zero gradient: gmm's row is beta itself
+    (its weight tanh saturates at 1), mrm's covariates are 0, and rmc's row
+    is observed with x = 0 and y = 0.  rmc's second row misses every
+    covariate, its last row none, and its missing cells hold -0.0."""
+    if m.kind == "gmm":
+        ys = data.ys.copy()
+        ys[0] = beta
+        return ObservationSet("gmm", ys)
+    ys, xs = data.ys.copy(), data.xs.copy()
+    ys[0], xs[0] = 0.0, 0.0
+    if m.kind == "mrm":
+        return ObservationSet("mrm", ys, xs)
+    mask = data.mask.copy()
+    mask[0], mask[1], mask[-1] = True, False, True
+    xs[-1] = 1.5
+    return ObservationSet("rmc", ys, np.where(mask, xs, -0.0), mask)
+
+
+class TestGradQMean:
+    """The em and clipped release, computed from per-sample coefficients,
+    against the mean over grad_q_batch's rows."""
+
+    @pytest.mark.parametrize("clip", [None, 1e12, 10.0, 0.5],
+                             ids=["none", "slack", "binding-10", "binding-0.5"])
+    @pytest.mark.parametrize("n", [1, 1023, 3003])
+    def test_matches_dense_release(self, n, clip):
+        for m, data, beta in batch_problems(n):
+            for rows in (data, edge_rows(m, data, beta)) if n > 1 else (data,):
+                want = dense_release(m, rows, beta, clip)
+                got = grad_q_mean(m, rows, beta, clip)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), m.kind
+
+    def test_clips_bind(self):
+        # the binding clips above scale some rows and leave others
+        for m, data, beta in batch_problems():
+            norms = np.linalg.norm(grad_q_batch(m, data, beta), axis=1)
+            assert np.any(norms < 10.0) and np.any(norms > 10.0), m.kind
+
+    def test_edge_rows(self):
+        for m, data, beta in batch_problems():
+            edged = edge_rows(m, data, beta)
+            grads = grad_q_batch(m, edged, beta)
+            assert not grads[0].any(), m.kind
+            if m.kind == "rmc":
+                assert not edged.mask[1].any() and edged.mask[-1].all()
+                assert np.signbit(edged.xs[~edged.mask]).all()
+            # a zero row adds nothing to the clipped sum, whatever its s, so
+            # the release times n matches the other rows' release times n
+            rest = edged.take(np.arange(1, edged.n))
+            assert np.allclose(grad_q_mean(m, edged, beta, 0.5) * edged.n,
+                               grad_q_mean(m, rest, beta, 0.5) * rest.n,
+                               rtol=1e-12, atol=0.0)
+
+    def test_slack_clip_is_the_mean_bitwise(self):
+        for m, data, beta in batch_problems():
+            plain = grad_q_mean(m, data, beta)
+            assert grad_q_mean(m, data, beta, 1e300).tobytes() == plain.tobytes()
+
+    def test_checks_its_inputs(self):
+        m, data, beta = next(batch_problems(10))
+        with pytest.raises(DomainError):
+            grad_q_mean(ModelSpec("mrm", 20, 1.0), data, beta)
+        with pytest.raises(DomainError):
+            grad_q_mean(m, data, beta[:3])
+        for clip in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(DomainError):
+                grad_q_mean(m, data, beta, clip)
 
 
 class TestTauBound:
