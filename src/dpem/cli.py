@@ -8,7 +8,10 @@ subcommand); explicit flags win over the file, and both pass the same parser.
 
 Each command imports the library modules it runs, and with them numpy, at the
 top of its body, so ``report`` and ``--help`` load neither; ``sweep`` imports
-them before its pool forks, and the workers inherit them.
+them before its pool forks, and the workers inherit them.  ``sweep`` is the
+only command with a process pool: ``gen``, ``run`` and ``preprocess`` fork
+one child, with no pool, to write or parse half of a dataset file of more
+than one block (see ``dpem.io``).
 """
 
 from __future__ import annotations

@@ -5,14 +5,24 @@ All numbers are written with shortest round-trip decimal text, so
 parse(print(rows)) reproduces values exactly and repeated writes are
 byte-identical.  Only the dataset functions load numpy, so reading and
 writing result and summary rows does not.
+
+A dataset file of more than one 1024-row block is written and parsed on two
+processes where the host can run them at once: a child forked by _forked
+formats every other block, or parses the second half of the file, and sends
+it back through a pipe.  The bytes and the parsed bits are those of one
+process, which is also what runs where there is no fork or one CPU.  A text
+file that its encoding cannot decode is a ParseError at the line of the
+first such byte.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
+import os
+from contextlib import contextmanager
+from io import TextIOWrapper
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -82,7 +92,8 @@ def _read_table(path, what: str, header_for):
     shift the lines after it.  The header must equal header_for(len(header))
     and every row must be as wide; a fault raises ParseError at its line (the
     header is line 1), as does a row the csv module refuses, such as one with
-    a cell over its field size limit."""
+    a cell over its field size limit, or a byte the text encoding cannot
+    decode."""
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -99,6 +110,24 @@ def _read_table(path, what: str, header_for):
                 yield reader.line_num, cells
         except csv.Error as exc:
             raise ParseError(str(exc), reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> ParseError:
+    """exc, met reading path as text, as a ParseError at the physical line
+    (ended by \\n, \\r or \\r\\n, as the csv reader counts them) of the
+    first byte the encoding cannot decode.  A text stream decodes in chunks,
+    so exc itself does not say where in the file that byte is."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode(exc.encoding)
+        return ParseError(f"cannot decode the file as {exc.encoding}")  # it changed since
+    except UnicodeDecodeError as first:
+        head = data[:first.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return ParseError(f"cannot decode byte 0x{data[first.start]:02x} as {exc.encoding}: "
+                          f"{first.reason}", line)
 
 
 def _write_table(path, header: list[str], rows) -> None:
@@ -109,23 +138,89 @@ def _write_table(path, header: list[str], rows) -> None:
 
 
 # Rows per block of write_dataset: each block becomes Python floats, then
-# text, while the rest of the table stays in its array.
+# text, while the rest of the table stays in its array.  On two processes the
+# blocks alternate between them, so each holds one block at a time (a
+# prototype whose child formatted a whole half at once took gen's peak RSS
+# from 51.4 to 66.0 MB).  A file of at most one block is written or parsed
+# on one process.
 _ROWS = 1024
 
 
+@contextmanager
+def _forked(work):
+    """Run work(out) in a forked child process, out being a binary file that
+    writes to a pipe, and yield a binary file that reads the pipe.  Yield
+    None and fork nothing if work is None or this process can run on one CPU
+    only: no os.fork or os.sched_getaffinity, or one CPU in its affinity mask.
+
+    The child imports nothing and ends by os._exit, so it runs no exit
+    handler and flushes none of this process's buffers, such as stdout's.
+    On leaving, this process kills the child if it still runs and reaps it,
+    on an error too.  Its exit status is not read: a caller uses only a
+    message that came in full (_receive) and does the work itself otherwise,
+    so a child that dies costs time, never bytes."""
+    if (work is None or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        yield None
+        return
+    import signal  # here, so that report, which writes no dataset, does not load it
+
+    r, w = os.pipe()
+    with open(r, "rb") as reader, open(w, "wb") as writer:
+        if not (pid := os.fork()):
+            try:
+                work(writer)
+                writer.flush()
+            finally:
+                os._exit(0)
+        writer.close()
+        try:
+            yield reader
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _send(out, data: bytes) -> None:
+    out.write(len(data).to_bytes(8, "little"))
+    out.write(data)
+
+
+def _receive(reader) -> bytes | None:
+    """The next message _send wrote to reader, or None if there is no reader
+    or the sender ended before all of it was sent."""
+    if reader is not None and len(head := reader.read(8)) == 8:
+        size = int.from_bytes(head, "little")
+        if len(data := reader.read(size)) == size:
+            return data
+    return None
+
+
 def write_dataset(path, obs: ObservationSet) -> None:
-    """gmm: y1..yd.  mrm/rmc: x1..xd,y; rmc leaves missing x-cells empty."""
+    """gmm: y1..yd.  mrm/rmc: x1..xd,y; rmc leaves missing x-cells empty.
+    A forked child formats the odd blocks (_forked), this process the even
+    ones and any the child did not send, and this process writes them all."""
     import numpy as np
 
     table = obs.ys if obs.kind == "gmm" else np.column_stack(
         [obs.xs if obs.mask is None else np.where(obs.mask, obs.xs, np.nan), obs.ys])
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(_dataset_columns(obs.kind, table.shape[1])) + "\n")
-        for i in range(0, len(table), _ROWS):
-            # the observations are finite, so NaN marks exactly the missing
-            # cells, and no finite float's repr contains the text nan
-            fh.write("".join(",".join(map(repr, row)) + "\n"
-                             for row in table[i:i + _ROWS].tolist()).replace("nan", ""))
+    starts = range(0, len(table), _ROWS)
+
+    def block(i: int) -> bytes:
+        # the observations are finite, so NaN marks exactly the missing
+        # cells, and no finite float's repr contains the text nan
+        return "".join(",".join(map(repr, row)) + "\n" for row in
+                       table[i:i + _ROWS].tolist()).replace("nan", "").encode()
+
+    def odd_blocks(out) -> None:
+        for i in starts[1::2]:
+            _send(out, block(i))
+
+    with Path(path).open("wb") as fh, _forked(odd_blocks if len(starts) > 1 else None) as child:
+        fh.write((",".join(_dataset_columns(obs.kind, table.shape[1])) + "\n").encode())
+        for k, i in enumerate(starts):
+            sent = _receive(child) if k % 2 else None
+            fh.write(block(i) if sent is None else sent)
 
 
 def read_dataset(path, kind: str) -> ObservationSet:
@@ -172,56 +267,96 @@ def _read_complete_table(path, kind: str):
     """The table of a dataset file without a fault, parsed by numpy's C
     reader, or None if the file has any fault: a bad header (or one the csv
     module refuses), no rows, a blank, short or long row, a line over the csv
-    module's field size limit, or a cell that is not a plain finite number,
-    except an empty rmc x-cell.  read_dataset's cell-by-cell reader then
-    reports the fault at its line.  Both convert a cell's text with CPython's
-    correctly rounded parser, so a table read either way has the same bits.
+    module's field size limit, a byte the text encoding cannot decode, or a
+    cell that is not a plain finite number, except an empty rmc x-cell.
+    read_dataset's cell-by-cell reader then reports the fault at its line.
+    Both convert a cell's text with CPython's correctly rounded parser, so a
+    table read either way has the same bits.
 
     A row that holds an n or N goes to the cell reader, since every spelling
     of nan and inf does, and an empty cell of an rmc row reaches the C reader
     as the text nan.  So every NaN in the table is an empty rmc x-cell, and
-    the table is refused if one is in the y column."""
+    the table is refused if one is in the y column.
+
+    A body of more than one block is split after the first \\n at or after
+    its middle byte, and a forked child parses the second half (_forked)
+    while this process parses the first; this process parses the second half
+    too if the child sent no rows.  A row that is not ASCII also goes to the
+    cell reader, so a half's lines hold exactly its bytes."""
     import numpy as np
 
     with Path(path).open(newline="") as fh:
         try:
-            header = next(csv.reader(fh), None)
-        except csv.Error:
+            # only the first line: the expected names hold no line break
+            header = next(csv.reader([first := fh.readline()]), None)
+        except (csv.Error, UnicodeDecodeError):
             return None
-        if header is None or header != _dataset_columns(kind, len(header)):
+    if header is None or header != _dataset_columns(kind, len(header)):
+        return None
+    # a header that matches is ASCII, so its length is its bytes
+    width, start, limit, rmc = len(header), len(first), csv.field_size_limit(), kind == "rmc"
+    with Path(path).open("rb") as raw:
+        split = size = raw.seek(0, os.SEEK_END)
+        if start == size:  # no rows: the C reader would warn
             return None
-        rows, limit, rmc = 0, csv.field_size_limit(), kind == "rmc"
+        raw.seek(start)
+        ends = 0
+        while ends <= _ROWS and (chunk := raw.read(1 << 16)):
+            ends += chunk.count(b"\n")
+        raw.seek((start + size) // 2)
+        # a line too long for the limit goes to the cell reader anyway
+        if ends > _ROWS and raw.readline(limit + 2).endswith(b"\n"):
+            split = raw.tell()
+
+    def rows(begin: int, end: int):
+        """The rows of bytes [begin, end), which start and end lines, or None."""
+        count = 0
 
         def lines():
-            nonlocal rows
-            for line in fh:
+            nonlocal count
+            left = end - begin
+            for line in text:
                 if not line.strip("\r\n"):  # which the C reader would skip
                     raise ValueError("blank row")
                 if len(line) > limit:  # the csv module may refuse a cell in it
                     raise ValueError("long row")
                 if "n" in line or "N" in line:
                     raise ValueError("nan or inf text")
+                if not line.isascii():
+                    raise ValueError("not ASCII")
+                left -= len(line)
                 if rmc:
                     if line[0] == ",":
                         line = "nan" + line
                     # twice, since replace skips the overlapping match in ,,,
                     line = line.replace(",,", ",nan,").replace(",,", ",nan,")
-                rows += 1
+                count += 1
                 yield line
+                if left <= 0:
+                    return
 
-        body = lines()
-        try:
-            first = next(body, None)
-            if first is None:  # no rows: the C reader would warn
+        with Path(path).open("rb") as body:
+            body.seek(begin)
+            text = TextIOWrapper(body, newline="")
+            try:
+                table = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2)
+            except ValueError:  # a blank row, a cell that is not a number, a ragged row
                 return None
-            table = np.loadtxt(itertools.chain((first,), body), delimiter=",",
-                               comments=None, ndmin=2)
-        except ValueError:  # a blank row, a cell that is not a number, a ragged row
+        if (table.shape != (count, width) or np.isinf(table).any()  # such as 1e400
+                or np.isnan(table[:, -1]).any()):
             return None
-    if (table.shape != (rows, len(header)) or np.isinf(table).any()  # such as 1e400
-            or np.isnan(table[:, -1]).any()):
-        return None
-    return table
+        return table
+
+    def second_half(out) -> None:
+        if (table := rows(split, size)) is not None:
+            _send(out, table.tobytes())
+
+    with _forked(second_half if split < size else None) as child:
+        if (table := rows(start, split)) is None or split == size:
+            return table
+        sent = _receive(child)
+    rest = rows(split, size) if sent is None else np.frombuffer(sent).reshape(-1, width)
+    return None if rest is None else np.concatenate([table, rest])
 
 
 def read_labeled(path):
@@ -249,6 +384,8 @@ def read_metadata(path) -> dict:
         meta = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad metadata JSON: {exc}", exc.lineno) from None
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     if not isinstance(meta, dict):
         raise DataError(f"metadata: expected a JSON object, got {type(meta).__name__}")
     return meta
@@ -281,7 +418,10 @@ def write_summary(path, rows: list[dict]) -> None:
 def parse_config_file(path) -> dict[str, str]:
     """key = value lines; '#' starts a comment; keys may be dotted."""
     out: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -1041,6 +1041,40 @@ def test_cell_over_csv_field_limit_exits_3_with_line(runner, tmp_path, command, 
     assert f"error: line {line}: field larger than field limit" in result.stderr
 
 
+@pytest.mark.parametrize("command, target, line", [
+    ("run", "dataset", 6),
+    ("run", "metadata", 3),
+    ("report", "results", 4),
+    ("preprocess", "labeled", 3),
+    ("gen", "config", 2),
+])
+def test_undecodable_byte_exits_3_with_line(runner, tmp_path, command, target, line):
+    """A byte the text encoding cannot decode is a data error at its line."""
+    args = [command, "--out", str(tmp_path / "o.csv")]
+    if command == "run":
+        path = gen_dataset(runner, tmp_path, n=50, d=3)
+        args += ["--data", str(path)]
+        if target == "metadata":
+            path = tmp_path / "data.csv.meta.json"
+    elif command == "gen":
+        path = tmp_path / "exp.cfg"
+        path.write_text("n = 50\nseed = 1\n")
+        args += ["--config", str(path)]
+    else:
+        path = tmp_path / "in.csv"
+        if command == "report":
+            write_results(path, TestReport().make_rows([1.0, 2.0, 3.0]))
+        else:
+            path.write_text("f1,f2,label\n1.0,2.0,1\n-1.0,-2.0,0\n3.0,1.0,1\n")
+        args += ["--data", str(path)]
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 3, result.output
+    assert f"error: line {line}: cannot decode byte 0xff" in result.stderr
+
+
 class TestEndToEnd:
     def test_gen_run_report(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, n=120, d=4, seed=11)

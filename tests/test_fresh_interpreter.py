@@ -10,7 +10,9 @@ loaded, and a second harness makes every scipy import fail, as if scipy were
 not installed.  The check that a kernel call holds no memory once it
 returns runs in a fresh interpreter too: memory that an earlier call in the
 test process still held would escape a trace started after it.  So do the
-traced peaks of writing and reading a dataset file.
+traced peaks of writing and reading a dataset file, the peak RSS of the
+commands that write and read one on two processes, and a check that the
+forked child flushes none of its parent's output.
 """
 
 import os
@@ -106,6 +108,10 @@ def inputs(tmp_path_factory):
     assert result.exit_code == 0, result.output
     (root / "labeled.csv").write_text(
         "f1,f2,label\n1.5,-0.5,1\n-1.4,0.6,0\n1.7,-0.2,1\n-1.3,0.4,0\n")
+    # more than one block of rows, so it is written and read on two processes
+    result = CliRunner().invoke(cli, ["gen", "--model", "rmc", "--p-m", "0.2", "--n", "3000",
+                                      "--d", "3", "--out", str(root / "rmc.csv")])
+    assert result.exit_code == 0, result.output
     write_results(root / "rows.csv", [dict(
         model="gmm", algorithm="em", eps="", delta="", d=3, n=400, T=1, C="", seed=seed,
         iter=it, error=1.0 / (1 + seed + it), wall_ms=0.0) for seed in range(3) for it in (0, 1)])
@@ -193,7 +199,12 @@ SWEEP = ["sweep", "--algorithm", "em", "--n-list", "50", "--d-list", "2", "--n-s
       "--out", "dpem.csv"], False),
     (SWEEP + ["--threads", "1"], False),
     (SWEEP + ["--threads", "2"], True),
-], ids=["run-threads-2", "sweep-threads-1", "sweep-threads-2"])
+    # the dataset I/O forks one child, with neither module
+    (["gen", "--model", "rmc", "--p-m", "0.2", "--n", "3000", "--d", "3", "--out", "big.csv"],
+     False),
+    (["run", "--algorithm", "em", "--data", "rmc.csv", "--threads", "1", "--out", "em1.csv"],
+     False),
+], ids=["run-threads-2", "sweep-threads-1", "sweep-threads-2", "gen", "run-threads-1"])
 def test_only_a_parallel_sweep_loads_the_process_pool(inputs, args, pool):
     loaded = probed_modules(args, inputs)
     assert [m for m in POOL if m in loaded] == (POOL if pool else [])
@@ -237,33 +248,124 @@ def test_kernel_holds_no_memory_after_a_call(tmp_path):
 
 
 # Prints the traced peaks of writing and of reading back a 25000x20 rmc
-# dataset, each as a multiple of the table's 4.0 MiB of floats.  The
-# observations come first, so they are not counted.
+# dataset on two processes, each as a multiple of the table's 4.0 MiB of
+# floats, then the most traced memory the child of each held as it sent a
+# message.  The observations come first, so they are not counted.  The
+# children inherit the trace; tracemalloc sees only this process's peaks.
 DATASET_PEAKS = """\
-import tracemalloc
+import os, tracemalloc
 import numpy as np
+import dpem.io
 from dpem.io import read_dataset, write_dataset
 from dpem.models import ModelSpec, sample_observations
 from dpem.numeric import RngStream
+os.sched_getaffinity = lambda pid: {0, 1}
+send = dpem.io._send
+def traced_send(out, data):
+    with open(f"held-{os.getpid()}.txt", "a") as fh:
+        fh.write(f"{tracemalloc.get_traced_memory()[0]}\\n")
+    send(out, data)
+dpem.io._send = traced_send
+def held():
+    [path] = [p for p in os.listdir() if p.startswith("held-")]
+    with open(path) as fh:
+        most = max(map(int, fh))
+    os.remove(path)
+    return most / table
 obs = sample_observations(ModelSpec("rmc", 20, 1.0, p_m=0.2), 25000, np.full(20, 0.5),
                           RngStream(3))
 table = 25000 * 21 * 8
 tracemalloc.start()
 write_dataset("rmc.csv", obs)
 write = tracemalloc.get_traced_memory()[1] / table
+write_child = held()
 tracemalloc.reset_peak()
 read_dataset("rmc.csv", "rmc")
-print(write, tracemalloc.get_traced_memory()[1] / table)
+print(write, tracemalloc.get_traced_memory()[1] / table, write_child, held())
 """
 
 
 def test_dataset_files_stream(tmp_path):
     # whole-table Python lists peaked at 5.4x (write) and 7.5x (read);
     # rows streamed through 1024-row blocks and one growing array read 1.9x
-    # and 3.6x; building the rmc covariates in one owned copy reads 2.6x
-    write, read = map(float, fresh(["-c", DATASET_PEAKS], tmp_path).split())
+    # and 3.6x; building the rmc covariates in one owned copy reads 2.4x.
+    # The children hold the inherited table and one block (1.10x), or their
+    # half of the rows and its bytes (1.03x); a writing child that held its
+    # half as Python floats read 3.29x
+    write, read, write_child, read_child = map(
+        float, fresh(["-c", DATASET_PEAKS], tmp_path).split())
     assert write < 3.0
     assert read < 3.0
+    assert write_child < 1.5
+    assert read_child < 1.5
+
+
+# Runs the dpem CLI on the arguments after the first, which names the one
+# CPU to pin the process to, or is "all" to leave its mask as it is.
+PINNED = """\
+import os, sys
+if sys.argv[1] != "all":
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from dpem.cli import cli
+cli.main(args=sys.argv[2:], prog_name="dpem")
+"""
+
+
+def peak_rss_mb(args, cwd) -> float:
+    """The peak RSS of a new interpreter running args, from wait4, which
+    also counts the children it reaped."""
+    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.Popen([sys.executable, *args], cwd=cwd, stdout=subprocess.DEVNULL,
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss / 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="two processes need two CPUs")
+def test_two_processes_hold_no_more_memory(tmp_path):
+    # a whole-half child took gen's peak from 51.4 to 66.0 MB; alternating
+    # blocks read 51.3 pinned and 51.5 MB on two CPUs, run 47.9 and 48.1 MB
+    one = str(min(os.sched_getaffinity(0)))
+    for args in (["gen", "--model", "rmc", "--p-m", "0.2", "--n", "25000", "--d", "20",
+                  "--out", "rmc.csv"],
+                 ["run", "--algorithm", "em", "--data", "rmc.csv", "--out", "em.csv"]):
+        pinned, both = (peak_rss_mb(["-c", PINNED, cpus, *args], tmp_path) for cpus in (one, "all"))
+        assert both <= pinned + 2.0, (args[0], pinned, both)
+
+
+# Leaves a line in a block-buffered stdout, whatever PYTHONUNBUFFERED says,
+# while a dataset of three blocks is written and read on two processes and
+# while a third child runs to its exit, then prints the rows read and the
+# number of children forked.  The first two may be killed before they exit.
+FORKED_IO = """\
+import os, sys
+sys.stdout = open(sys.stdout.fileno(), "w", closefd=False)
+print("before")
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+def counted():
+    if pid := fork():
+        forks.append(pid)
+    return pid
+os.fork = counted
+import numpy as np
+from dpem.io import _forked, read_dataset, write_dataset
+from dpem.models import ModelSpec, sample_observations
+from dpem.numeric import RngStream
+obs = sample_observations(ModelSpec("rmc", 3, 1.0, p_m=0.2), 3000, np.full(3, 0.5), RngStream(1))
+write_dataset("rmc.csv", obs)
+rows = read_dataset("rmc.csv", "rmc").n
+with _forked(lambda out: None) as child:
+    child.read()  # to the end of the pipe: the child has exited
+print(rows, len(forks))
+"""
+
+
+def test_forked_child_prints_nothing(tmp_path):
+    assert fresh(["-c", FORKED_IO], tmp_path) == "before\n3000 3\n"
 
 
 

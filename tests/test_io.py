@@ -1,6 +1,9 @@
+import builtins
 import csv
 import io
+import os
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -417,6 +420,184 @@ class TestCompleteTable:
             assert got == want and want[2] == 4
         else:
             assert np.array_equal(got, want, equal_nan=True)
+
+
+def observations(kind, n, seed=0):
+    model = ModelSpec(kind, 3, 1.0, p_m=0.3 if kind == "rmc" else 0.0)
+    return sample_observations(model, n, np.array([1.0, -2.0, 0.5]), RngStream(seed))
+
+
+class TestTwoProcesses:
+    # a dataset file of more than one block is written and parsed on two
+    # processes where there are two CPUs; each test forces both paths
+
+    @staticmethod
+    @contextmanager
+    def processes(monkeypatch, cpus):
+        """Run the block as if this process could run on cpus CPUs; yield the
+        pids of the children forked in it."""
+        forks, fork = [], os.fork
+
+        def counted():
+            if pid := fork():
+                forks.append(pid)
+            return pid
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            patch.setattr(os, "fork", counted)
+            yield forks
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def bits(table):
+        return np.ascontiguousarray(table).view(np.uint64)
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 25000])
+    @pytest.mark.parametrize("kind", ["gmm", "mrm", "rmc"])
+    def test_same_bytes_and_bits_on_either_path(self, tmp_path, monkeypatch, kind, n):
+        obs = observations(kind, n, seed=n)
+        many = n > 1024
+        written = []
+        for cpus in (1, 2):
+            path = tmp_path / f"cpus{cpus}.csv"
+            with self.processes(monkeypatch, cpus) as forks:
+                write_dataset(path, obs)
+            assert len(forks) == (cpus == 2 and many)
+            written.append(path.read_bytes())
+        assert written[0] == written[1] == csv_oracle(obs)
+        want = obs.ys if kind == "gmm" else np.column_stack(
+            [obs.xs if obs.mask is None else np.where(obs.mask, obs.xs, np.nan), obs.ys])
+        path = tmp_path / "data.csv"
+        for newline in ["\n", "\r\n", "\r"]:
+            path.write_bytes(written[0].replace(b"\n", newline.encode()))
+            for cpus in (1, 2):
+                with self.processes(monkeypatch, cpus) as forks:
+                    table = io_module._read_complete_table(path, kind)
+                # a file without \n is parsed on one process
+                assert len(forks) == (cpus == 2 and many and newline != "\r")
+                assert np.array_equal(self.bits(table), self.bits(want))
+
+    @pytest.mark.parametrize("where", [0.25, 0.75], ids=["first-half", "second-half"])
+    @pytest.mark.parametrize("kind,text", [
+        ("gmm", "1.0,oops,2.0"),  # a bad cell
+        ("rmc", "1.0,nan,,2.0"),  # the text nan in a covariate
+        ("rmc", "1.0,2.0,3.0,"),  # an empty y
+        ("mrm", "1.0,2.0,3.0,4.0,5.0"),  # a ragged row
+        ("mrm", ""),  # a blank row
+        ("gmm", "1e400,1.0,2.0"),  # overflows to inf
+        # ideographic space: the C reader skips it as float() does, but its
+        # three bytes are one character, so the row goes to the cell reader
+        ("mrm", "1.0,\u30002.0,3.0,4.0"),
+    ])
+    def test_a_row_in_either_half_reads_as_the_cell_reader_reads_it(
+            self, tmp_path, monkeypatch, kind, text, where):
+        path = tmp_path / "data.csv"
+        write_dataset(path, observations(kind, 4000))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[int(where * 4000)] = text + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        want = TestCompleteTable.outcome(path, kind, monkeypatch, cells=True)
+        for cpus in (1, 2):
+            with self.processes(monkeypatch, cpus) as forks:
+                got = TestCompleteTable.outcome(path, kind, monkeypatch, cells=False)
+            assert len(forks) == cpus - 1
+            if isinstance(want, tuple):
+                assert got == want and want[2] == int(where * 4000) + 1
+            else:
+                assert np.array_equal(self.bits(got), self.bits(want))
+
+    @pytest.mark.parametrize("death", ["exits", "sends-short"])
+    def test_a_child_that_dies_costs_no_bytes(self, tmp_path, monkeypatch, death):
+        """The child's first message never arrives whole: this process does
+        its work itself."""
+        def send(out, data):
+            if death == "sends-short":
+                out.write(len(data).to_bytes(8, "little") + data[:100])
+                out.flush()
+            os._exit(1)
+
+        obs = observations("rmc", 3000)
+        want = tmp_path / "want.csv"
+        write_dataset(want, obs)
+        table = io_module._read_complete_table(want, "rmc")
+        path = tmp_path / "data.csv"
+        with self.processes(monkeypatch, 2) as forks:
+            monkeypatch.setattr(io_module, "_send", send)
+            write_dataset(path, obs)
+            got = io_module._read_complete_table(path, "rmc")
+        assert len(forks) == 2
+        assert path.read_bytes() == want.read_bytes()
+        assert np.array_equal(self.bits(got), self.bits(table))
+
+    def test_no_child_is_left_on_any_exit(self, tmp_path, monkeypatch):
+        obs = observations("mrm", 3000)
+        path = tmp_path / "data.csv"
+        with self.processes(monkeypatch, 2) as forks:
+            write_dataset(path, obs)
+            read_dataset(path, "mrm")
+        with self.processes(monkeypatch, 2) as forks:
+            lines = path.read_text().splitlines(keepends=True)
+            lines[2500] = "1.0,oops,2.0,3.0\n"
+            path.write_text("".join(lines))
+            with pytest.raises(ParseError) as exc:
+                read_dataset(path, "mrm")
+            assert exc.value.line == 2501
+        assert len(forks) == 1
+        if os.path.exists("/dev/full"):  # every write to it fails with ENOSPC
+            with self.processes(monkeypatch, 2) as forks:
+                with pytest.raises(OSError):
+                    write_dataset("/dev/full", obs)
+            assert len(forks) == 1
+
+    def test_the_child_imports_nothing(self, tmp_path, monkeypatch):
+        parent, log = os.getpid(), tmp_path / "imports.txt"
+        real = builtins.__import__
+
+        def watched(name, *args, **kwargs):
+            if os.getpid() != parent:
+                with open(log, "a") as fh:
+                    fh.write(name + "\n")
+            return real(name, *args, **kwargs)
+
+        path = tmp_path / "data.csv"
+        with self.processes(monkeypatch, 2) as forks:
+            monkeypatch.setattr(builtins, "__import__", watched)
+            write_dataset(path, observations("rmc", 3000))
+            read_dataset(path, "rmc")
+        assert len(forks) == 2
+        assert not log.exists()
+
+
+class TestUndecodable:
+    # a byte the text encoding cannot decode is a ParseError at its physical
+    # line, wherever in the file's decoded chunks it falls
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("line", [2, 3000])
+    def test_dataset(self, tmp_path, newline, line):
+        path = tmp_path / "data.csv"
+        write_dataset(path, observations("gmm", 4000))
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        path.write_bytes(newline.encode().join(lines))
+        with pytest.raises(ParseError, match="cannot decode byte 0xff") as exc:
+            read_dataset(path, "gmm")
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("reader,text,line", [
+        (read_results, b",".join(c.encode() for c in RESULT_COLUMNS) + b"\n\xff\n", 2),
+        (read_labeled, b"f1,label\n1.0,1\n2.0\xff,0\n", 3),
+        (read_metadata, b'{\n  "n": 3,\n  "model": "\xff"\n}\n', 3),
+        (parse_config_file, b"# config\r\nn = 3\r\nseed = \xff\r\n", 3),
+    ], ids=["results", "labeled", "metadata", "config"])
+    def test_other_readers(self, tmp_path, reader, text, line):
+        path = tmp_path / "file"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match="cannot decode byte 0xff") as exc:
+            reader(path)
+        assert exc.value.line == line
 
 
 class TestLabeled:
