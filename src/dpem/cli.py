@@ -211,9 +211,8 @@ def _whole(value) -> int:
 
 def _fit_rows(fit: dict, algorithm, data, model, beta0, rng, truth, *, eps, clip,
               seed, public_truth=True) -> list[dict]:
-    """Fit one cell and return one result row per iterate.  eps is None for
-    em and clip is None unless the algorithm is clipped; their columns are
-    then left empty.  fit holds the parsed options run and sweep share."""
+    """Fit one cell: one result row per iterate, with eps, delta, T and C from
+    the trace (empty if unset).  fit holds the options run and sweep share."""
     from .estimators import run_algorithm
 
     started = time.perf_counter()
@@ -227,12 +226,12 @@ def _fit_rows(fit: dict, algorithm, data, model, beta0, rng, truth, *, eps, clip
     return [{
         "model": model.kind,
         "algorithm": algorithm,
-        "eps": "" if eps is None else float(eps),
-        "delta": "" if eps is None else trace.config["delta"],
+        "eps": trace.config.get("eps", ""),
+        "delta": trace.config.get("delta", ""),
         "d": data.d,
         "n": data.n,
         "T": trace.config["T"],
-        "C": "" if clip is None else float(clip),
+        "C": trace.config.get("clip_C", ""),
         "seed": seed,
         "iter": it,
         "error": float(error),
@@ -393,8 +392,7 @@ def cmd_run(data_path, meta_path, eps, clip, algorithm, seed, n_seeds, threads, 
         root = RngStream(seed + k)
         return _fit_rows(
             fit, algorithm, data, model, initial_beta(data.d, root.split(0)), root.split(1),
-            beta_star, eps=None if algorithm == "em" else eps,
-            clip=clip if algorithm == "clipped" else None, seed=seed + k,
+            beta_star, eps=eps, clip=clip, seed=seed + k,
             # preprocess computes beta_star from the rows and names its
             # source; only gen's beta_star is a public simulation parameter
             public_truth="source" not in meta,

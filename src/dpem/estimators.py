@@ -1,19 +1,19 @@
 """The four estimation procedures, as plain functions and as estimators.
 
-Each algorithm is a release rule run by one loop, ``_iterate``: iteration t
-reduces the per-sample values at beta^{t-1} to a d-vector release,
-plus (private variants) one Gaussian vector drawn from child stream t of
-the caller's RngStream, so traces are bitwise reproducible no matter how
-the work is scheduled.  The CLI and the estimator classes share one entry
-point, ``run_algorithm``, which resolves the ``auto`` settings, and the
-private fits share one noise calibration, ``_calibrate``.
+Each fit function builds one ``ReleasePlan``, the data that sets the
+algorithms apart: what is released each iteration, its sensitivity, its
+share rho of the budget and the sigma calibrated from them.  One loop,
+``_iterate``, runs every plan, drawing each iteration's noise from child
+stream t of the caller's RngStream, so traces are bitwise reproducible no
+matter how the work is scheduled.  The CLI and the estimator classes share
+one entry point, ``run_algorithm``, which resolves the ``auto`` settings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from .models import (
 )
 from .numeric import RngStream
 from .robust import PHI_BOUND, RobustMeanParams, robust_mean_columns
-from .validation import check_count, check_positive, check_probability, check_vector
+from .validation import (check_count, check_flag, check_positive, check_probability,
+                          check_vector)
 
 __all__ = [
     "ALGORITHMS",
@@ -119,32 +120,58 @@ def align_sign(beta0: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return beta0
 
 
-def _iterate(beta, T, samples, estimate, beta_star, config, eta=None, sigma=0.0,
-             rng=None):
-    """The one iteration loop.  For t = 1..T, ``samples(t, beta^{t-1})``
-    gives a fresh matrix of per-sample values and ``estimate`` reduces it to
-    the d-vector release (dpgem and dpem: the robust column means).  em and
-    clipped pass beta^{t-1} itself as their samples and ``grad_q_mean`` as
-    their estimate, which forms no matrix of gradients.  When sigma > 0 the
-    Gaussian mechanism adds one N(0, sigma^2 I_d) draw from child stream t of
-    rng.  beta^t is beta^{t-1} + eta * release, or the release itself when
-    eta is None.  A non-finite iterate, or an error against beta_star that
-    overflows, means the run diverged, reported with the last finite
-    iterate."""
+@dataclass(frozen=True)
+class ReleasePlan:
+    """One algorithm's iteration: release = estimate(samples(t, beta^{t-1})),
+    beta^t = beta^{t-1} + eta * release (the release itself if eta is None).
+    sigma is calibrated here alone, from one release's sensitivity and rho."""
+
+    algorithm: str
+    T: int
+    samples: Callable
+    estimate: Callable
+    eta: Optional[float]
+    settings: dict
+    budget: Optional[PrivacyBudget] = None
+    sensitivity: float = 0.0
+    rho: float = 0.0
+    add_noise: bool = False
+    sigma: float = field(init=False, default=0.0)
+
+    def __post_init__(self):
+        if self.budget is not None:
+            object.__setattr__(self, "sigma",
+                               gaussian_sigma_for_zcdp(self.sensitivity, self.rho))
+
+    def echo(self) -> dict:
+        """The trace's settings: plain values, not the closures over the data."""
+        cfg = {"algorithm": self.algorithm, **self.settings, "eta": self.eta, "T": self.T}
+        if self.budget is not None:
+            cfg.update(eps=self.budget.eps, delta=self.budget.delta,
+                       sensitivity=self.sensitivity, rho=self.rho, sigma=self.sigma,
+                       non_private_noise_disabled=not self.add_noise)
+        return cfg
+
+
+def _iterate(plan: ReleasePlan, beta, beta_star, rng) -> IterationTrace:
+    """The one loop: runs plan from beta, drawing iteration t's noise from child
+    stream t of rng.  A non-finite iterate, or an error against beta_star that
+    overflows, means the run diverged, reported with the last finite iterate."""
     betas = [beta]
     errors = None
     # a diverging run is reported once, as a ConvergenceError, not as a
     # burst of numpy's overflow/invalid RuntimeWarnings before it
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, T + 1):
+        for t in range(1, plan.T + 1):
             # the previous matrix stays bound until the next one exists, so
             # the allocator reuses its pages instead of returning them to
             # the OS and faulting them back in every iteration
-            matrix = samples(t, beta)
-            released = estimate(matrix)
-            if sigma > 0.0:
-                released = released + sigma * rng.split(t).generator.standard_normal(beta.size)
-            beta = released if eta is None else beta + eta * released
+            matrix = plan.samples(t, beta)
+            released = plan.estimate(matrix)
+            if plan.add_noise:
+                noise = rng.split(t).generator.standard_normal(beta.size)
+                released = released + plan.sigma * noise
+            beta = released if plan.eta is None else beta + plan.eta * released
             if not np.all(np.isfinite(beta)):
                 raise ConvergenceError(
                     f"diverged at iteration {t}: beta has non-finite entries",
@@ -162,7 +189,7 @@ def _iterate(beta, T, samples, estimate, beta_star, config, eta=None, sigma=0.0,
                 f"diverged at iteration {t}: estimation error overflows",
                 last_value=betas[max(t - 1, 0)],
             )
-    return IterationTrace(stack, errors, config)
+    return IterationTrace(stack, errors, plan.echo())
 
 
 def _check_run(data: ObservationSet, model: ModelSpec, beta0, truth):
@@ -178,27 +205,17 @@ def _check_run(data: ObservationSet, model: ModelSpec, beta0, truth):
     return beta0, check_vector("beta_star", truth, d=model.d)
 
 
-def _calibrate(config: dict, budget: PrivacyBudget, key: str, sensitivity: float,
-               rho: float, disable_noise: bool) -> float:
-    """The one noise calibration: sigma = sensitivity / sqrt(2 rho) for each
-    release, echoed in config under key beside the budget.  Returns the
-    sigma to add, 0 when the noise is disabled."""
-    sigma = gaussian_sigma_for_zcdp(sensitivity, rho)
-    config.update({"eps": budget.eps, "delta": budget.delta, key: sigma,
-                   "non_private_noise_disabled": bool(disable_noise)})
-    return 0.0 if disable_noise else sigma
-
-
 def _robust_schedule(count: int, tau: float, zeta: float, budget: PrivacyBudget,
                      d: int):
     """Per-coordinate robust means over count samples:
     s = sqrt(count tau eps_tilde) / (2 ln(d/zeta)), smoothing sqrt(ln(d/zeta)).
-    Returns the params and one coordinate release's sensitivity
-    2 PHI_BOUND s / count."""
+    Returns the params, one coordinate release's sensitivity
+    2 PHI_BOUND s / count, and the settings to echo."""
     log_term = math.log(d / zeta)
     s = math.sqrt(count * tau * budget.eps_tilde) / (2.0 * log_term)
     params = RobustMeanParams(s=s, beta=math.sqrt(log_term))
-    return params, 2.0 * PHI_BOUND * s / count
+    settings = {"tau": tau, "zeta": zeta, "s": s, "smoothing_beta": params.beta}
+    return params, 2.0 * PHI_BOUND * s / count, settings
 
 
 def gradient_em(
@@ -213,9 +230,10 @@ def gradient_em(
     beta, beta_star = _check_run(data, model, beta0, truth)
     eta = check_positive("eta", eta)
     T = check_count("T", T, minimum=0)
-    config = {"algorithm": "em", "eta": eta, "T": T}
-    return _iterate(beta, T, lambda t, b: b, lambda b: grad_q_mean(model, data, b),
-                    beta_star, config, eta)
+    # the samples are beta itself: grad_q_mean forms no matrix of gradients
+    plan = ReleasePlan("em", T, lambda t, b: b, lambda b: grad_q_mean(model, data, b),
+                       eta, {})
+    return _iterate(plan, beta, beta_star, None)
 
 
 def clipped_dp_gradient_em(
@@ -237,18 +255,12 @@ def clipped_dp_gradient_em(
     clip_C = check_positive("clip_C", clip_C)
     eta = check_positive("eta", eta)
     T = check_count("T", T)
-
-    config = {
-        "algorithm": "clipped",
-        "clip_C": clip_C,
-        "eta": eta,
-        "T": T,
-    }
     # one averaged d-vector per iteration, L2 sensitivity 2 clip_C / n
-    sigma = _calibrate(config, budget, "sigma_iter", 2.0 * clip_C / data.n,
-                       split_budget_alg1(budget, T), disable_noise)
-    return _iterate(beta, T, lambda t, b: b, lambda b: grad_q_mean(model, data, b, clip_C),
-                    beta_star, config, eta, sigma, rng)
+    plan = ReleasePlan(
+        "clipped", T, lambda t, b: b, lambda b: grad_q_mean(model, data, b, clip_C), eta,
+        {"clip_C": clip_C}, budget, 2.0 * clip_C / data.n, split_budget_alg1(budget, T),
+        not check_flag("disable_noise", disable_noise))
+    return _iterate(plan, beta, beta_star, rng)
 
 
 def dp_gradient_em(
@@ -282,11 +294,12 @@ def dp_gradient_em(
     eta = check_positive("eta", eta)
     T = check_count("T", T)
     zeta = check_probability("zeta", zeta)
+    shuffle = check_flag("shuffle", shuffle)
     n, d = data.n, model.d
     if n < T:
         raise DomainError(f"need n >= T, got n={n}, T={T}")
     m = n // T
-    params, sensitivity = _robust_schedule(m, tau, zeta, budget, d)
+    params, sensitivity, settings = _robust_schedule(m, tau, zeta, budget, d)
 
     if shuffle:
         order = rng.split(0).generator.permutation(n)
@@ -294,22 +307,12 @@ def dp_gradient_em(
         order = np.arange(n)
     subsets = order[: m * T].reshape(T, m)  # trailing n - mT samples unused
 
-    config = {
-        "algorithm": "dpgem",
-        "tau": tau,
-        "eta": eta,
-        "T": T,
-        "zeta": zeta,
-        "s": params.s,
-        "smoothing_beta": params.beta,
-        "m": m,
-        "shuffle": bool(shuffle),
-    }
-    sigma = _calibrate(config, budget, "sigma_coord", sensitivity,
-                       split_budget_alg2(budget, d), disable_noise)
-    return _iterate(beta, T, lambda t, b: grad_q_batch(model, data.take(subsets[t - 1]), b),
-                    lambda grads: robust_mean_columns(grads, params), beta_star, config,
-                    eta, sigma, rng)
+    plan = ReleasePlan(
+        "dpgem", T, lambda t, b: grad_q_batch(model, data.take(subsets[t - 1]), b),
+        lambda grads: robust_mean_columns(grads, params), eta,
+        {**settings, "m": m, "shuffle": shuffle}, budget, sensitivity,
+        split_budget_alg2(budget, d), not check_flag("disable_noise", disable_noise))
+    return _iterate(plan, beta, beta_star, rng)
 
 
 def dp_em_gmm(
@@ -337,21 +340,12 @@ def dp_em_gmm(
     tau = check_positive("tau", tau)
     T = check_count("T", T)
     zeta = check_probability("zeta", zeta)
-    params, sensitivity = _robust_schedule(data.n, tau, zeta, budget, model.d)
-
-    config = {
-        "algorithm": "dpem",
-        "tau": tau,
-        "T": T,
-        "zeta": zeta,
-        "s": params.s,
-        "smoothing_beta": params.beta,
-    }
-    sigma = _calibrate(config, budget, "sigma_coord", sensitivity,
-                       split_budget_alg1(budget, T) / model.d, disable_noise)
-    return _iterate(beta, T, lambda t, b: f_gmm_batch(data, b, model.sigma),
-                    lambda fs: robust_mean_columns(fs, params), beta_star, config, None,
-                    sigma, rng)
+    params, sensitivity, settings = _robust_schedule(data.n, tau, zeta, budget, model.d)
+    plan = ReleasePlan("dpem", T, lambda t, b: f_gmm_batch(data, b, model.sigma),
+                       lambda fs: robust_mean_columns(fs, params), None, settings, budget,
+                       sensitivity, split_budget_alg1(budget, T) / model.d,
+                       not check_flag("disable_noise", disable_noise))
+    return _iterate(plan, beta, beta_star, rng)
 
 
 def _is_auto(name: str, value) -> bool:

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
+    "check_flag",
     "check_finite_scalar",
     "check_positive",
     "check_probability",
@@ -16,6 +17,12 @@ __all__ = [
     "check_matrix",
     "check_count",
 ]
+
+
+def check_flag(name: str, x) -> bool:
+    if not isinstance(x, (bool, np.bool_)):  # the string "false" is truthy
+        raise DomainError(f"{name} must be a bool, got {x!r}")
+    return bool(x)
 
 
 def check_finite_scalar(name: str, x) -> float:

@@ -1,9 +1,11 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
+import dpem.estimators
 from dpem.accounting import gaussian_sigma_for_zcdp, make_budget, split_budget_alg1
 from dpem.errors import ConfigError, ConvergenceError, DomainError
 from dpem.estimators import (
@@ -236,7 +238,7 @@ class TestClippedDP:
         tr = clipped_dp_gradient_em(data, model, beta0, 2.0, 1.0, 4, budget, rng)
         cfg = tr.config
         assert cfg["algorithm"] == "clipped" and cfg["clip_C"] == 2.0
-        assert cfg["sigma_iter"] == pytest.approx(
+        assert cfg["sigma"] == pytest.approx(
             2.0 * math.sqrt(2 * 4) / (200 * budget.eps_tilde), rel=1e-12
         )
 
@@ -306,7 +308,7 @@ class TestDPGradientEM:
         params = RobustMeanParams(s=tr.config["s"], beta=tr.config["smoothing_beta"])
         released = robust_mean_columns(
             grad_q_batch(model, data.take(np.arange(tr.config["m"])), beta0), params)
-        noise = tr.config["sigma_coord"] * rng.split(1).generator.standard_normal(6)
+        noise = tr.config["sigma"] * rng.split(1).generator.standard_normal(6)
         assert np.array_equal(tr.betas[1], beta0 + 0.5 * (released + noise))
 
     @pytest.mark.parametrize("d", [2, 7, 50])
@@ -318,7 +320,7 @@ class TestDPGradientEM:
             # disjoint subsets: each iteration may spend the whole rho
             coord = 2.0 * PHI_BOUND * tr.config["s"] / tr.config["m"]
             joint = gaussian_sigma_for_zcdp(math.sqrt(d) * coord, budget.rho)
-            assert tr.config["sigma_coord"] == pytest.approx(joint, rel=1e-15)
+            assert tr.config["sigma"] == pytest.approx(joint, rel=1e-15)
 
     def test_trailing_samples_dropped(self):
         # n = 607, T = 3 -> m = 202; the last sample cannot influence the
@@ -428,7 +430,7 @@ class TestDPEMGmm:
         tr = dp_em_gmm(data, model, beta0, 4.0, 2, budget, 0.05, rng)
         params = RobustMeanParams(s=tr.config["s"], beta=tr.config["smoothing_beta"])
         released = robust_mean_columns(f_gmm_batch(data, beta0, model.sigma), params)
-        noise = tr.config["sigma_coord"] * rng.split(1).generator.standard_normal(6)
+        noise = tr.config["sigma"] * rng.split(1).generator.standard_normal(6)
         assert np.array_equal(tr.betas[1], released + noise)
 
     @pytest.mark.parametrize("d", [2, 7, 50])
@@ -440,7 +442,7 @@ class TestDPEMGmm:
             coord = 2.0 * PHI_BOUND * tr.config["s"] / 400
             joint = gaussian_sigma_for_zcdp(math.sqrt(d) * coord,
                                             split_budget_alg1(budget, T))
-            assert tr.config["sigma_coord"] == pytest.approx(joint, rel=1e-15)
+            assert tr.config["sigma"] == pytest.approx(joint, rel=1e-15)
 
     def test_deterministic(self):
         model, beta_star, data, beta0, _ = make_problem("gmm", 4, 400, 16)
@@ -631,3 +633,120 @@ class TestPublicTruth:
         with pytest.raises(ConfigError, match="tau: 'auto'"):
             run_algorithm("dpgem", data, model, beta0, RngStream(3).split(1), beta_star,
                           eta=1.0, eps=1.0, zeta=0.05, public_truth=False)
+
+
+class TestStringFlags:
+    """A flag must be a bool: the string "false" is truthy, so reading it as
+    one would silently turn the privacy noise off, or keep the shuffle on."""
+
+    @pytest.mark.parametrize("estimator", [
+        ClippedDPGradientEM(unsafe_no_noise="false", n_iter=2),
+        DPGradientEM(unsafe_no_noise="false", tau=5.0, n_iter=2),
+        DPGradientEM(shuffle="false", tau=5.0, n_iter=2),
+        DPEMGaussianMixture(unsafe_no_noise="false", tau=5.0, n_iter=2),
+    ], ids=["clipped-noise", "dpgem-noise", "dpgem-shuffle", "dpem-noise"])
+    def test_classes(self, estimator):
+        _, beta_star, data, _, _ = make_problem("gmm", 3, 200, 42)
+        with pytest.raises(DomainError, match="must be a bool, got 'false'"):
+            estimator.fit(data.ys, beta_star=beta_star)
+
+    @pytest.mark.parametrize("name,flag", [
+        ("clipped", dict(disable_noise="false")),
+        ("clipped", dict(disable_noise=0)),
+        ("dpgem", dict(disable_noise="false")),
+        ("dpgem", dict(shuffle="false")),
+        ("dpgem", dict(shuffle=None)),
+        ("dpem", dict(disable_noise="no")),
+        ("dpem", dict(disable_noise=1)),
+    ], ids=["clipped-noise-str", "clipped-noise-int", "dpgem-noise-str",
+            "dpgem-shuffle-str", "dpgem-shuffle-none", "dpem-noise-str", "dpem-noise-int"])
+    def test_functions(self, name, flag):
+        model, _, data, beta0, rng = make_problem("gmm", 3, 200, 43)
+        budget = make_budget(1.0, 1e-3)
+        fit = {
+            "clipped": lambda: clipped_dp_gradient_em(data, model, beta0, 1.0, 1.0, 2,
+                                                      budget, rng, **flag),
+            "dpgem": lambda: dp_gradient_em(data, model, beta0, 5.0, 1.0, 2, budget, 0.05,
+                                            rng, **flag),
+            "dpem": lambda: dp_em_gmm(data, model, beta0, 5.0, 2, budget, 0.05, rng,
+                                      **flag),
+        }[name]
+        with pytest.raises(DomainError, match="must be a bool"):
+            fit()
+
+    def test_numpy_bools_are_flags(self):
+        model, _, data, beta0, rng = make_problem("gmm", 3, 200, 44)
+        budget = make_budget(1.0, 1e-3)
+        runs = [dp_gradient_em(data, model, beta0, 5.0, 1.0, 2, budget, 0.05, rng,
+                               shuffle=flag, disable_noise=flag)
+                for flag in (True, np.bool_(True))]
+        assert runs[1].betas.tobytes() == runs[0].betas.tobytes()
+        assert runs[1].config["non_private_noise_disabled"] is True
+
+
+def _plan_of(monkeypatch, fit):
+    """The one ReleasePlan a fit runs, caught on its way into the loop."""
+    plans, run = [], dpem.estimators._iterate
+
+    def capture(plan, *args):
+        plans.append(plan)
+        return run(plan, *args)
+
+    monkeypatch.setattr(dpem.estimators, "_iterate", capture)
+    trace = fit()
+    (plan,) = plans
+    return plan, trace
+
+
+class TestReleasePlan:
+    @pytest.mark.parametrize("algorithm", ["clipped", "dpgem", "dpem"])
+    def test_rho_spent_adds_up_to_the_budget(self, monkeypatch, algorithm):
+        # sequential releases: T vectors (clipped), T*d coordinates (dpem);
+        # dpgem's T subsets are disjoint, so only its d coordinates compose
+        d, n, T = 5, 600, 4
+        model, _, data, beta0, rng = make_problem("gmm", d, n, 45)
+        budget = make_budget(0.7, 1e-4)
+        plan, trace = _plan_of(monkeypatch, {
+            "clipped": lambda: clipped_dp_gradient_em(data, model, beta0, 2.0, 1.0, T,
+                                                      budget, rng),
+            "dpgem": lambda: dp_gradient_em(data, model, beta0, 5.0, 1.0, T, budget, 0.05,
+                                            rng),
+            "dpem": lambda: dp_em_gmm(data, model, beta0, 5.0, T, budget, 0.05, rng),
+        }[algorithm])
+        releases = {"clipped": T, "dpgem": d, "dpem": T * d}[algorithm]
+        assert plan.rho * releases == pytest.approx(budget.rho, rel=1e-12)
+        count = {"clipped": None, "dpgem": n // T, "dpem": n}[algorithm]
+        sensitivity = (2.0 * 2.0 / n if count is None
+                       else 2.0 * PHI_BOUND * plan.settings["s"] / count)
+        assert plan.sensitivity == pytest.approx(sensitivity, rel=1e-15)
+        assert plan.sigma == pytest.approx(plan.sensitivity / math.sqrt(2.0 * plan.rho),
+                                           rel=1e-15)
+        assert plan.add_noise and plan.T == T and plan.budget == budget
+        for key in ("sensitivity", "rho", "sigma"):
+            assert trace.config[key] == getattr(plan, key)
+
+    def test_em_plan_spends_nothing(self, monkeypatch):
+        model, _, data, beta0, _ = make_problem("gmm", 3, 200, 46)
+        plan, trace = _plan_of(monkeypatch,
+                               lambda: gradient_em(data, model, beta0, 1.0, 3))
+        assert plan.budget is None and plan.sigma == 0.0 and not plan.add_noise
+        assert trace.config == {"algorithm": "em", "eta": 1.0, "T": 3}
+
+
+class TestPickle:
+    @pytest.mark.parametrize("estimator", [
+        GradientEM(n_iter=3),
+        ClippedDPGradientEM(n_iter=3),
+        DPGradientEM(tau=5.0, n_iter=3),
+        DPEMGaussianMixture(tau=5.0, n_iter=3),
+    ], ids=["em", "clipped", "dpgem", "dpem"])
+    def test_fitted_estimator_round_trips(self, estimator):
+        _, beta_star, data, _, _ = make_problem("gmm", 4, 2000, 47)
+        est = estimator.fit(data.ys, beta_star=beta_star)
+        blob = pickle.dumps(est)
+        # the trace keeps plain settings, not the plan's closures over the data
+        assert len(blob) < data.ys.nbytes // 8
+        twin = pickle.loads(blob)
+        assert twin.beta_.tobytes() == est.beta_.tobytes()
+        assert twin.trace_.betas.tobytes() == est.trace_.betas.tobytes()
+        assert twin.trace_.config == est.trace_.config
