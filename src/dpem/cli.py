@@ -7,11 +7,13 @@ of ``key = value`` lines (dotted ``command.key`` entries bind to a single
 subcommand); explicit flags win over the file, and both pass the same parser.
 
 Each command imports the library modules it runs, and with them numpy, at the
-top of its body, so ``report`` and ``--help`` load neither; ``sweep`` imports
-them before its pool forks, and the workers inherit them.  ``sweep`` is the
-only command with a process pool: ``gen``, ``run`` and ``preprocess`` fork
-one child, with no pool, to write or parse half of a dataset file of more
-than one block (see ``dpem.io``).
+top of its body, so ``report`` and ``--help`` load neither; a command forks
+only after that, so its children inherit them.  ``run`` fits its
+seeds on ``--threads`` worker processes: its own and children it forks, each
+with a fixed share of the seeds (``_run_parallel``).  ``sweep`` hands its
+tasks out from a pool of forked processes (``_run_forked``).  ``gen``,
+``run`` and ``preprocess`` also fork one child to write or parse half of a
+dataset file of more than one block (see ``dpem.io``).
 """
 
 from __future__ import annotations
@@ -153,7 +155,8 @@ def _fit_flags(n_seeds: str):
         click.option("--seed", default="0", type=INT),
         click.option("--n-seeds", default=n_seeds, type=COUNT),
         click.option("--threads", default="1", type=COUNT,
-                     help="workers: threads for run, forked processes for sweep"),
+                     help="worker processes: run forks threads - 1 and fits a share of the "
+                          "seeds itself; sweep forks a pool"),
         click.option("--out", required=True, type=click.Path(dir_okay=False)),
         click.option("--unsafe-no-noise", is_flag=True, default=False, type=BOOL,
                      help="disable privacy noise; output is NOT private"),
@@ -240,24 +243,58 @@ def _fit_rows(fit: dict, algorithm, data, model, beta0, rng, truth, *, eps, clip
 
 
 def _run_parallel(tasks, worker, threads: int) -> dict:
-    """Execute worker over keyed tasks on threads, any order; return
-    {key: result}.  One thread runs them in order in this thread."""
-    if threads <= 1:
+    """Execute worker over keyed tasks; return {key: result}.  With w =
+    min(threads, len(tasks)) > 1 and more than one CPU, w - 1 children forked
+    by io._forked run tasks j, j + w, ... (j = 1 .. w - 1) and this process
+    runs tasks 0, w, 2w, ..., so a tracer in it sees its share.  worker
+    reaches the children by fork inheritance; each sends its results, or its
+    error, pickled as one message when it ends, so a full pipe never stalls
+    it while this process fits.  Each worker stops at its first failure, and
+    the first in task order is raised: every task before it ran, so it is
+    the serial path's error.  This process runs the tasks of a child that
+    died, or whose message came short or does not unpickle, itself: that
+    costs time, never bytes.  Otherwise, and on one CPU, the tasks run in
+    order in this process."""
+    workers = min(threads, len(tasks))
+    if workers <= 1 or io._one_cpu():
         return {key: worker(spec) for key, spec in tasks}
-    from concurrent.futures import ThreadPoolExecutor
+    import pickle  # before the fork, so that no child imports it
+    from contextlib import ExitStack
 
-    return _collect(ThreadPoolExecutor(max_workers=threads), tasks, worker)
+    shares = [tasks[j::workers] for j in range(workers)]
 
+    def run(share) -> tuple:
+        """(results, None) for share run in order, or at its first failure
+        (the results before it, the error)."""
+        results = []
+        for _, spec in share:
+            try:
+                results.append(worker(spec))
+            except Exception as exc:
+                return results, exc
+        return results, None
 
-def _collect(pool, tasks, fn) -> dict:
-    """{key: fn(spec)} over the keyed tasks on pool, read in task order.  At
-    the first failure in that order the tasks not yet started are cancelled
-    and the error is raised, the one the serial path raises."""
-    try:
-        futures = {key: pool.submit(fn, spec) for key, spec in tasks}
-        return {key: future.result() for key, future in futures.items()}
-    finally:
-        pool.shutdown(cancel_futures=True)
+    def child(share):
+        return lambda out: io._send(out, pickle.dumps(run(share)))
+
+    def received(pipe, share) -> tuple:
+        if (message := io._receive(pipe)) is not None:
+            try:
+                return pickle.loads(message)
+            except Exception:  # an error whose class does not unpickle
+                pass
+        return run(share)
+
+    with ExitStack() as stack:
+        pipes = [stack.enter_context(io._forked(child(share))) for share in shares[1:]]
+        outcomes = [run(shares[0])]
+        outcomes += [received(pipe, share) for pipe, share in zip(pipes, shares[1:])]
+    failures = [(j + len(results) * workers, exc)
+                for j, (results, exc) in enumerate(outcomes) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return {key: result for share, (results, _) in zip(shares, outcomes)
+            for (key, _), result in zip(share, results)}
 
 
 # the worker of a forked pool; set in each worker process by the pool's
@@ -275,12 +312,14 @@ def _call_worker(spec):
 
 
 def _run_forked(tasks, worker, processes: int) -> dict:
-    """_run_parallel on min(processes, len(tasks)) forked worker processes,
-    for workers whose numpy calls are too short to overlap on threads.
-    worker, a closure, reaches the children by fork inheritance as the
-    pool's initializer argument and is never pickled; only the specs, the
-    results and a raised error cross the pipe.  One process runs the tasks
-    on _run_parallel's serial path."""
+    """_run_parallel on a pool of min(processes, len(tasks)) forked worker
+    processes, which hands the tasks out as workers come free.  worker, a
+    closure, reaches the children by fork inheritance as the pool's
+    initializer argument and is never pickled; only the specs, the results
+    and a raised error cross the pipe.  The results are read in task order,
+    and at the first failure in that order the tasks not yet started are
+    cancelled and the error is raised, the one the serial path raises.  One
+    process runs the tasks on _run_parallel's serial path."""
     processes = min(processes, len(tasks))
     if processes <= 1:
         return _run_parallel(tasks, worker, 1)
@@ -291,7 +330,11 @@ def _run_forked(tasks, worker, processes: int) -> dict:
     # own threads, and OpenBLAS stops its threads across a fork
     pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
                                initializer=_install_worker, initargs=(worker,))
-    return _collect(pool, tasks, _call_worker)
+    try:
+        futures = {key: pool.submit(_call_worker, spec) for key, spec in tasks}
+        return {key: future.result() for key, future in futures.items()}
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ------------------------------------------------------------------ commands

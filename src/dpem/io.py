@@ -146,21 +146,26 @@ def _write_table(path, header: list[str], rows) -> None:
 _ROWS = 1024
 
 
+def _one_cpu() -> bool:
+    """Whether this process can run on one CPU only: no os.fork or
+    os.sched_getaffinity, or one CPU in its affinity mask."""
+    return (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2)
+
+
 @contextmanager
 def _forked(work):
     """Run work(out) in a forked child process, out being a binary file that
     writes to a pipe, and yield a binary file that reads the pipe.  Yield
-    None and fork nothing if work is None or this process can run on one CPU
-    only: no os.fork or os.sched_getaffinity, or one CPU in its affinity mask.
+    None and fork nothing if work is None or _one_cpu().
 
-    The child imports nothing and ends by os._exit, so it runs no exit
-    handler and flushes none of this process's buffers, such as stdout's.
-    On leaving, this process kills the child if it still runs and reaps it,
-    on an error too.  Its exit status is not read: a caller uses only a
-    message that came in full (_receive) and does the work itself otherwise,
-    so a child that dies costs time, never bytes."""
-    if (work is None or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
+    The child runs work and ends by os._exit, so it runs no exit handler and
+    flushes none of this process's buffers, such as stdout's; io's own work
+    imports nothing.  On leaving, this process kills the child if it still
+    runs and reaps it, on an error too.  Its exit status is not read: a
+    caller uses only a message that came in full (_receive) and does the
+    work itself otherwise, so a child that dies costs time, never bytes."""
+    if work is None or _one_cpu():
         yield None
         return
     import signal  # here, so that report, which writes no dataset, does not load it

@@ -26,6 +26,8 @@ def check_flag(name: str, x) -> bool:
 
 
 def check_finite_scalar(name: str, x) -> float:
+    if isinstance(x, (bool, np.bool_)):  # float(True) is 1.0
+        raise DomainError(f"{name} must be a number, got {x!r}")
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x!r}")
@@ -48,7 +50,7 @@ def check_probability(name: str, x) -> float:
 
 
 def check_count(name: str, n, *, minimum: int = 1) -> int:
-    if not isinstance(n, (int, np.integer)):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):  # True is an int
         raise DomainError(f"{name} must be an integer, got {type(n).__name__}")
     n = int(n)
     if n < minimum:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 from concurrent.futures import process
 
@@ -9,8 +10,10 @@ from click.testing import CliRunner
 
 import dpem.cli
 import dpem.estimators
+import dpem.io
 import dpem.models
 from dpem.cli import cli
+from dpem.errors import ConvergenceError
 from dpem.estimators import (
     ClippedDPGradientEM,
     DPEMGaussianMixture,
@@ -159,6 +162,74 @@ class TestRun:
             stderr.add(result.stderr)
         assert len(stderr) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("cpus, threads, n_seeds", [
+        (2, 2, 4), (2, 3, 4), (2, 8, 3), (2, 4, 1), (1, 4, 4)])
+    def test_workers_are_forked_children(self, runner, tmp_path, processes, cpus, threads,
+                                         n_seeds):
+        """min(--threads, --n-seeds) - 1 children with two CPUs, this process
+        being the other worker, and none with one CPU or one seed."""
+        data = gen_dataset(runner, tmp_path, n=80, d=3)
+        outputs = []
+        for workers in (1, threads):
+            out = tmp_path / f"workers{workers}.csv"
+            with processes(cpus) as forks:
+                result = invoke(runner, "run", "--algorithm", "dpem", "--n-seeds", n_seeds,
+                                "--threads", workers, "--data", data, "--out", out)
+            assert result.exit_code == 0
+            assert len(forks) == (min(workers, n_seeds) - 1 if cpus == 2 else 0)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("death", ["exits", "sends-short"])
+    def test_a_child_that_dies_costs_no_bytes(self, runner, tmp_path, monkeypatch, processes,
+                                              death):
+        """No child's message arrives whole: this process runs their seeds."""
+        def send(out, data):
+            if death == "sends-short":
+                out.write(len(data).to_bytes(8, "little") + data[:100])
+                out.flush()
+            os._exit(1)
+
+        data = gen_dataset(runner, tmp_path, n=80, d=3)
+        outputs = []
+        for threads in (1, 3):
+            out = tmp_path / f"workers{threads}.csv"
+            with processes(2) as forks:
+                monkeypatch.setattr(dpem.io, "_send", send)
+                result = invoke(runner, "run", "--algorithm", "clipped", "--n-seeds", 5,
+                                "--threads", threads, "--data", data, "--out", out)
+            assert result.exit_code == 0
+            assert len(forks) == threads - 1
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    class Unloadable(Exception):
+        """Pickles by its message alone, which its __init__ cannot take back."""
+
+        def __init__(self, message, code):
+            super().__init__(f"{message} ({code})")
+
+    def test_first_failure_in_task_order_is_raised(self, processes):
+        """This process runs tasks 0 and 2 and fails at 2; the child fails
+        at 1, the serial path's error, which crosses the pipe pickled.  An
+        error that does not pickle or unpickle never arrives, and this
+        process meets it by running the child's tasks itself."""
+        class Unpicklable(Exception):  # a local class: pickle cannot name it
+            pass
+
+        for make in (ConvergenceError, Unpicklable, lambda text: self.Unloadable(text, 7)):
+            def worker(k):
+                if k in (1, 2):
+                    raise make(f"task {k}")
+                return k
+
+            for threads in (1, 2):
+                with processes(2) as forks:
+                    with pytest.raises(Exception, match="task 1") as raised:
+                        dpem.cli._run_parallel([(k, k) for k in range(4)], worker, threads)
+                assert type(raised.value) is type(make("")), raised.value
+                assert len(forks) == threads - 1
 
     def test_dpgem_improves_on_start(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, n=2000, d=10)

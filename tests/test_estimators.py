@@ -684,6 +684,27 @@ class TestStringFlags:
         assert runs[1].config["non_private_noise_disabled"] is True
 
 
+class TestBoolsAreNotNumbers:
+    """A bool is not a number: True is an int and float(True) is 1.0, so
+    reading it as one would silently fit one iteration, or at eps = 1."""
+
+    @pytest.mark.parametrize("estimator, shown", [
+        (GradientEM(n_iter=True), "T must be an integer, got bool"),
+        (GradientEM(eta=True, n_iter=2), "eta must be a number, got True"),
+        (GradientEM(sigma=np.True_, n_iter=2), "sigma must be a number, got"),
+        (ClippedDPGradientEM(eps=True, n_iter=2), "eps must be a number, got True"),
+        (ClippedDPGradientEM(clip=True, n_iter=2), "clip_C must be a number, got True"),
+        (DPGradientEM(tau=np.True_, n_iter=2), "tau must be a number, got"),
+        (DPEMGaussianMixture(tau=5.0, n_iter=2, zeta=np.False_),
+         "zeta must be a number, got"),
+    ], ids=["em-iters", "em-eta", "em-sigma-numpy", "clipped-eps", "clipped-clip",
+            "dpgem-tau-numpy", "dpem-zeta-numpy"])
+    def test_classes(self, estimator, shown):
+        _, beta_star, data, _, _ = make_problem("gmm", 3, 200, 42)
+        with pytest.raises(DomainError, match=shown):
+            estimator.fit(data.ys, beta_star=beta_star)
+
+
 def _plan_of(monkeypatch, fit):
     """The one ReleasePlan a fit runs, caught on its way into the loop."""
     plans, run = [], dpem.estimators._iterate

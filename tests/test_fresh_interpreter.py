@@ -136,7 +136,7 @@ def test_import_loads_no_scipy(module, tmp_path):
     assert loaded.strip() == "False"
 
 
-POOL = ["multiprocessing", "concurrent.futures.process"]
+POOL = ["multiprocessing", "concurrent.futures", "concurrent.futures.process"]
 
 
 @pytest.mark.parametrize("command", sorted(NO_KERNEL))
@@ -148,7 +148,7 @@ def test_command_without_kernel_loads_no_scipy(inputs, command):
 
 @pytest.mark.parametrize("command", ["help", "report"])
 def test_command_without_fits_loads_no_numerics(inputs, command):
-    """Nothing watched: no numpy, no thread pool and no fitting module."""
+    """Nothing watched: no numpy, no pool and no fitting module."""
     assert probed_modules(NO_KERNEL[command], inputs) == [""]
 
 
@@ -195,6 +195,7 @@ SWEEP = ["sweep", "--algorithm", "em", "--n-list", "50", "--d-list", "2", "--n-s
 
 
 @pytest.mark.parametrize("args, pool", [
+    # run forks its workers as io does, with neither module
     (["run", "--algorithm", "dpem", "--data", "gmm.csv", "--n-seeds", "2", "--threads", "2",
       "--out", "dpem.csv"], False),
     (SWEEP + ["--threads", "1"], False),
@@ -215,9 +216,9 @@ def test_only_a_parallel_sweep_loads_the_process_pool(inputs, args, pool):
     ["sweep", "--algorithm", "dpgem", "--model", "mrm", "--n-list", "200", "--d-list", "2",
      "--eps-list", "0.5,1", "--n-seeds", "2"],
 ], ids=["run-dpem", "sweep-dpgem"])
-def test_first_kernel_call_from_two_threads(inputs, tmp_path, command):
-    """Two workers make the process's first kernel calls at once; the bytes
-    must match a one-thread run."""
+def test_same_bytes_at_one_and_two_workers(inputs, tmp_path, command):
+    """Forked workers of a new interpreter, each making its first kernel
+    calls, write the bytes of a one-worker run."""
     outputs = []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}.csv"
@@ -407,6 +408,16 @@ def test_tracer_sees_a_one_worker_run(inputs):
     wraps: the pool span and the kernel's spans are there."""
     missing, spans = traced_spans(["run", "--algorithm", "dpem", "--data", "gmm.csv",
                                    "--n-seeds", "2", "--threads", "1", "--out", "dpem.csv"],
+                                  inputs)
+    assert missing == ""
+    assert {"cli.pool", "cli.worker", "robust.robust_mean_columns"} <= spans
+
+
+def test_tracer_sees_this_processes_share_of_two_workers(inputs):
+    """At two workers this process fits one share of the seeds itself, and
+    a forked child the other: the tracer still sees the kernel's spans."""
+    missing, spans = traced_spans(["run", "--algorithm", "dpem", "--data", "gmm.csv",
+                                   "--n-seeds", "2", "--threads", "2", "--out", "dpem2.csv"],
                                   inputs)
     assert missing == ""
     assert {"cli.pool", "cli.worker", "robust.robust_mean_columns"} <= spans

@@ -3,7 +3,6 @@ import csv
 import io
 import os
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -432,37 +431,18 @@ class TestTwoProcesses:
     # processes where there are two CPUs; each test forces both paths
 
     @staticmethod
-    @contextmanager
-    def processes(monkeypatch, cpus):
-        """Run the block as if this process could run on cpus CPUs; yield the
-        pids of the children forked in it."""
-        forks, fork = [], os.fork
-
-        def counted():
-            if pid := fork():
-                forks.append(pid)
-            return pid
-
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            patch.setattr(os, "fork", counted)
-            yield forks
-        with pytest.raises(ChildProcessError):  # every child was reaped
-            os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
     def bits(table):
         return np.ascontiguousarray(table).view(np.uint64)
 
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 25000])
     @pytest.mark.parametrize("kind", ["gmm", "mrm", "rmc"])
-    def test_same_bytes_and_bits_on_either_path(self, tmp_path, monkeypatch, kind, n):
+    def test_same_bytes_and_bits_on_either_path(self, tmp_path, processes, kind, n):
         obs = observations(kind, n, seed=n)
         many = n > 1024
         written = []
         for cpus in (1, 2):
             path = tmp_path / f"cpus{cpus}.csv"
-            with self.processes(monkeypatch, cpus) as forks:
+            with processes(cpus) as forks:
                 write_dataset(path, obs)
             assert len(forks) == (cpus == 2 and many)
             written.append(path.read_bytes())
@@ -473,7 +453,7 @@ class TestTwoProcesses:
         for newline in ["\n", "\r\n", "\r"]:
             path.write_bytes(written[0].replace(b"\n", newline.encode()))
             for cpus in (1, 2):
-                with self.processes(monkeypatch, cpus) as forks:
+                with processes(cpus) as forks:
                     table = io_module._read_complete_table(path, kind)
                 # a file without \n is parsed on one process
                 assert len(forks) == (cpus == 2 and many and newline != "\r")
@@ -492,7 +472,7 @@ class TestTwoProcesses:
         ("mrm", "1.0,\u30002.0,3.0,4.0"),
     ])
     def test_a_row_in_either_half_reads_as_the_cell_reader_reads_it(
-            self, tmp_path, monkeypatch, kind, text, where):
+            self, tmp_path, monkeypatch, processes, kind, text, where):
         path = tmp_path / "data.csv"
         write_dataset(path, observations(kind, 4000))
         lines = path.read_text().splitlines(keepends=True)
@@ -500,7 +480,7 @@ class TestTwoProcesses:
         path.write_text("".join(lines), encoding="utf-8")
         want = TestCompleteTable.outcome(path, kind, monkeypatch, cells=True)
         for cpus in (1, 2):
-            with self.processes(monkeypatch, cpus) as forks:
+            with processes(cpus) as forks:
                 got = TestCompleteTable.outcome(path, kind, monkeypatch, cells=False)
             assert len(forks) == cpus - 1
             if isinstance(want, tuple):
@@ -509,7 +489,7 @@ class TestTwoProcesses:
                 assert np.array_equal(self.bits(got), self.bits(want))
 
     @pytest.mark.parametrize("death", ["exits", "sends-short"])
-    def test_a_child_that_dies_costs_no_bytes(self, tmp_path, monkeypatch, death):
+    def test_a_child_that_dies_costs_no_bytes(self, tmp_path, monkeypatch, processes, death):
         """The child's first message never arrives whole: this process does
         its work itself."""
         def send(out, data):
@@ -523,7 +503,7 @@ class TestTwoProcesses:
         write_dataset(want, obs)
         table = io_module._read_complete_table(want, "rmc")
         path = tmp_path / "data.csv"
-        with self.processes(monkeypatch, 2) as forks:
+        with processes(2) as forks:
             monkeypatch.setattr(io_module, "_send", send)
             write_dataset(path, obs)
             got = io_module._read_complete_table(path, "rmc")
@@ -531,13 +511,13 @@ class TestTwoProcesses:
         assert path.read_bytes() == want.read_bytes()
         assert np.array_equal(self.bits(got), self.bits(table))
 
-    def test_no_child_is_left_on_any_exit(self, tmp_path, monkeypatch):
+    def test_no_child_is_left_on_any_exit(self, tmp_path, processes):
         obs = observations("mrm", 3000)
         path = tmp_path / "data.csv"
-        with self.processes(monkeypatch, 2) as forks:
+        with processes(2) as forks:
             write_dataset(path, obs)
             read_dataset(path, "mrm")
-        with self.processes(monkeypatch, 2) as forks:
+        with processes(2) as forks:
             lines = path.read_text().splitlines(keepends=True)
             lines[2500] = "1.0,oops,2.0,3.0\n"
             path.write_text("".join(lines))
@@ -546,12 +526,12 @@ class TestTwoProcesses:
             assert exc.value.line == 2501
         assert len(forks) == 1
         if os.path.exists("/dev/full"):  # every write to it fails with ENOSPC
-            with self.processes(monkeypatch, 2) as forks:
+            with processes(2) as forks:
                 with pytest.raises(OSError):
                     write_dataset("/dev/full", obs)
             assert len(forks) == 1
 
-    def test_the_child_imports_nothing(self, tmp_path, monkeypatch):
+    def test_the_child_imports_nothing(self, tmp_path, monkeypatch, processes):
         parent, log = os.getpid(), tmp_path / "imports.txt"
         real = builtins.__import__
 
@@ -562,7 +542,7 @@ class TestTwoProcesses:
             return real(name, *args, **kwargs)
 
         path = tmp_path / "data.csv"
-        with self.processes(monkeypatch, 2) as forks:
+        with processes(2) as forks:
             monkeypatch.setattr(builtins, "__import__", watched)
             write_dataset(path, observations("rmc", 3000))
             read_dataset(path, "rmc")
