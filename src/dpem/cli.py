@@ -8,12 +8,13 @@ subcommand); explicit flags win over the file, and both pass the same parser.
 
 Each command imports the library modules it runs, and with them numpy, at the
 top of its body, so ``report`` and ``--help`` load neither; a command forks
-only after that, so its children inherit them.  ``run`` fits its
-seeds on ``--threads`` worker processes: its own and children it forks, each
-with a fixed share of the seeds (``_run_parallel``).  ``sweep`` hands its
-tasks out from a pool of forked processes (``_run_forked``).  ``gen``,
-``run`` and ``preprocess`` also fork one child to write or parse half of a
-dataset file of more than one block (see ``dpem.io``).
+only after that, so its children inherit them.  ``run`` fits its seeds on
+``--threads`` worker processes, at most one per seed and per CPU: its own
+and children it forks, each with a fixed share of the seeds
+(``_run_parallel``).  ``sweep`` hands its tasks out from a pool of forked
+processes (``_run_forked``).  ``gen``, ``run`` and ``preprocess`` also fork
+one child to write or parse half of a dataset file of more than one block
+(see ``dpem.io``).
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ from .errors import ConfigError, ConvergenceError, DataError, DomainError
 
 
 def _as_int(name: str, value) -> int:
-    try:
-        return int(str(value))
-    except ValueError:
-        raise ConfigError(f"{name}: expected an integer, got {value!r}") from None
+    if (number := io._number(str(value), int)) is None:
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    return number
 
 
 def _as_count(name: str, value) -> int:
@@ -47,10 +47,9 @@ def _as_count(name: str, value) -> int:
 
 
 def _as_float(name: str, value) -> float:
-    try:
-        return float(str(value))
-    except ValueError:
-        raise ConfigError(f"{name}: expected a number, got {value!r}") from None
+    if (number := io._number(str(value))) is None:
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    return number
 
 
 def _as_bool(name: str, value) -> bool:
@@ -155,8 +154,8 @@ def _fit_flags(n_seeds: str):
         click.option("--seed", default="0", type=INT),
         click.option("--n-seeds", default=n_seeds, type=COUNT),
         click.option("--threads", default="1", type=COUNT,
-                     help="worker processes: run forks threads - 1 and fits a share of the "
-                          "seeds itself; sweep forks a pool"),
+                     help="worker processes, at most one per task and CPU: run forks all "
+                          "but one and fits a share itself; sweep forks a pool"),
         click.option("--out", required=True, type=click.Path(dir_okay=False)),
         click.option("--unsafe-no-noise", is_flag=True, default=False, type=BOOL,
                      help="disable privacy noise; output is NOT private"),
@@ -244,7 +243,7 @@ def _fit_rows(fit: dict, algorithm, data, model, beta0, rng, truth, *, eps, clip
 
 def _run_parallel(tasks, worker, threads: int) -> dict:
     """Execute worker over keyed tasks; return {key: result}.  With w =
-    min(threads, len(tasks)) > 1 and more than one CPU, w - 1 children forked
+    min(threads, len(tasks), CPUs) > 1 (io._cpus), w - 1 children forked
     by io._forked run tasks j, j + w, ... (j = 1 .. w - 1) and this process
     runs tasks 0, w, 2w, ..., so a tracer in it sees its share.  worker
     reaches the children by fork inheritance; each sends its results, or its
@@ -253,10 +252,10 @@ def _run_parallel(tasks, worker, threads: int) -> dict:
     the first in task order is raised: every task before it ran, so it is
     the serial path's error.  This process runs the tasks of a child that
     died, or whose message came short or does not unpickle, itself: that
-    costs time, never bytes.  Otherwise, and on one CPU, the tasks run in
-    order in this process."""
-    workers = min(threads, len(tasks))
-    if workers <= 1 or io._one_cpu():
+    costs time, never bytes.  Otherwise the tasks run in order in this
+    process."""
+    workers = min(threads, len(tasks), io._cpus())
+    if workers <= 1:
         return {key: worker(spec) for key, spec in tasks}
     import pickle  # before the fork, so that no child imports it
     from contextlib import ExitStack
@@ -312,15 +311,15 @@ def _call_worker(spec):
 
 
 def _run_forked(tasks, worker, processes: int) -> dict:
-    """_run_parallel on a pool of min(processes, len(tasks)) forked worker
-    processes, which hands the tasks out as workers come free.  worker, a
-    closure, reaches the children by fork inheritance as the pool's
-    initializer argument and is never pickled; only the specs, the results
-    and a raised error cross the pipe.  The results are read in task order,
-    and at the first failure in that order the tasks not yet started are
-    cancelled and the error is raised, the one the serial path raises.  One
-    process runs the tasks on _run_parallel's serial path."""
-    processes = min(processes, len(tasks))
+    """_run_parallel on a pool of min(processes, len(tasks), CPUs) forked
+    worker processes, which hands the tasks out as workers come free.
+    worker, a closure, reaches the children by fork inheritance as the
+    pool's initializer argument and is never pickled; only the specs, the
+    results and a raised error cross the pipe.  The results are read in task
+    order, and at the first failure in that order the tasks not yet started
+    are cancelled and the error is raised, the one the serial path raises.
+    One process runs the tasks on _run_parallel's serial path."""
+    processes = min(processes, len(tasks), io._cpus())
     if processes <= 1:
         return _run_parallel(tasks, worker, 1)
     import multiprocessing

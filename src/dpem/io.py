@@ -13,6 +13,9 @@ it back through a pipe.  The bytes and the parsed bits are those of one
 process, which is also what runs where there is no fork or one CPU.  A text
 file that its encoding cannot decode is a ParseError at the line of the
 first such byte.
+
+Every number read as text passes one grammar (_number), and every CSV file
+is read with csv.QUOTE_NONE: a cell is exactly the text between two commas.
 """
 
 from __future__ import annotations
@@ -68,12 +71,25 @@ def fmt(value) -> str:
     return str(value)
 
 
+# the blanks numpy's C reader skips around a number; float refuses \x1c-\x1f
+_BLANKS = " \t\v\f\x1c\x1d\x1e\x1f"
+
+
+def _number(text: str, convert=float):
+    """convert(text), convert being float or int, or None if text is not in
+    the one number grammar: ASCII without _, and the spelling convert takes
+    with _BLANKS around it.  On ASCII that is what np.loadtxt reads."""
+    if text.isascii() and "_" not in text:
+        try:
+            return convert(text.strip(_BLANKS))
+        except ValueError:
+            pass
+    return None
+
+
 def _parse_float(text: str, line: int, what: str) -> float:
-    try:
-        if math.isfinite(value := float(text)):
-            return value
-    except ValueError:
-        pass
+    if (value := _number(text)) is not None and math.isfinite(value):
+        return value
     raise ParseError(f"bad {what} value {text!r} (expected a finite number)", line)
 
 
@@ -87,15 +103,13 @@ def _dataset_columns(kind: str, width: int) -> list[str]:
 
 
 def _read_table(path, what: str, header_for):
-    """Yield (lineno, cells) for each row of a CSV table, lineno being the
-    physical line the row ends on, so a quoted cell that spans lines does not
-    shift the lines after it.  The header must equal header_for(len(header))
-    and every row must be as wide; a fault raises ParseError at its line (the
-    header is line 1), as does a row the csv module refuses, such as one with
-    a cell over its field size limit, or a byte the text encoding cannot
-    decode."""
+    """Yield (lineno, cells) for each row of a CSV table.  The header must
+    equal header_for(len(header)) and every row must be as wide; a fault
+    raises ParseError at its line (the header is line 1), as does a row the
+    csv module refuses, such as one with a cell over its field size limit,
+    or a byte the text encoding cannot decode."""
     with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, quoting=csv.QUOTE_NONE)
         try:
             header = next(reader, None)
             if header is None:
@@ -146,18 +160,18 @@ def _write_table(path, header: list[str], rows) -> None:
 _ROWS = 1024
 
 
-def _one_cpu() -> bool:
-    """Whether this process can run on one CPU only: no os.fork or
-    os.sched_getaffinity, or one CPU in its affinity mask."""
-    return (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2)
+def _cpus() -> int:
+    """The CPUs this process can run on, as its affinity mask counts them;
+    1 where there is no os.fork or os.sched_getaffinity."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if forks else 1
 
 
 @contextmanager
 def _forked(work):
     """Run work(out) in a forked child process, out being a binary file that
     writes to a pipe, and yield a binary file that reads the pipe.  Yield
-    None and fork nothing if work is None or _one_cpu().
+    None and fork nothing if work is None or there is one CPU (_cpus).
 
     The child runs work and ends by os._exit, so it runs no exit handler and
     flushes none of this process's buffers, such as stdout's; io's own work
@@ -165,7 +179,7 @@ def _forked(work):
     runs and reaps it, on an error too.  Its exit status is not read: a
     caller uses only a message that came in full (_receive) and does the
     work itself otherwise, so a child that dies costs time, never bytes."""
-    if work is None or _one_cpu():
+    if work is None or _cpus() < 2:
         yield None
         return
     import signal  # here, so that report, which writes no dataset, does not load it
@@ -230,70 +244,56 @@ def write_dataset(path, obs: ObservationSet) -> None:
 
 def read_dataset(path, kind: str) -> ObservationSet:
     """Inverse of write_dataset.  Every cell must be a finite number, except
-    that an empty x-cell of an rmc file is a missing covariate (NaN)."""
-    import numpy as np
-
+    that an empty x-cell of an rmc file is a missing covariate (NaN).  The
+    table comes from _read_complete_table; a file it refuses is walked row
+    by row only to raise its first fault at its line, and one in which no
+    fault is found is a bug, raised naming the file."""
     from .models import ObservationSet
 
-    def observations(table):
-        if kind == "gmm":
-            return ObservationSet.from_arrays(kind, table)
-        return ObservationSet.from_arrays(kind, table[:, :-1], table[:, -1])
-
-    if (table := _read_complete_table(path, kind)) is not None:
-        return observations(table)
-
-    # Otherwise cell by cell, reporting the first fault at its line.  An empty
-    # cell reads as NaN, which only an rmc x-cell may be.
-    nan, rows = math.nan, 0
-
-    def cells():
-        nonlocal rows
+    if (table := _read_complete_table(path, kind)) is None:
+        rows = 0
         for lineno, row in _read_table(path, "dataset", lambda w: _dataset_columns(kind, w)):
-            try:
-                values = [float(c) if c else nan for c in row]
-            except ValueError as exc:
-                raise ParseError(f"{exc} (expected a finite number)", lineno) from None
-            empty = row.count("") if kind == "rmc" and row[-1] else 0
+            values = [_number(c) if c else math.nan for c in row]
+            if None in values:
+                raise ParseError(f"bad cell {row[values.index(None)]!r} "
+                                 "(expected a finite number)", lineno)
+            empty = row[:-1].count("") if kind == "rmc" else 0  # missing covariates
             if sum(map(math.isfinite, values)) + empty != len(row):
                 raise ParseError("non-finite or empty cell (only an rmc x-cell may be empty)",
                                  lineno)
             rows += 1
-            yield from values
-
-    # one array grows as the rows stream in, in place of a list of row lists
-    flat = np.fromiter(cells(), dtype=float)
-    if not rows:
-        raise ParseError("dataset has no rows", 2)
-    return observations(flat.reshape(rows, -1))
+        if not rows:
+            raise ParseError("dataset has no rows", 2)
+        raise ParseError(f"bug: numpy's reader refused {path}, in which no fault was found")
+    if kind == "gmm":
+        return ObservationSet.from_arrays(kind, table)
+    return ObservationSet.from_arrays(kind, table[:, :-1], table[:, -1])
 
 
 def _read_complete_table(path, kind: str):
     """The table of a dataset file without a fault, parsed by numpy's C
     reader, or None if the file has any fault: a bad header (or one the csv
-    module refuses), no rows, a blank, short or long row, a line over the csv
-    module's field size limit, a byte the text encoding cannot decode, or a
-    cell that is not a plain finite number, except an empty rmc x-cell.
-    read_dataset's cell-by-cell reader then reports the fault at its line.
-    Both convert a cell's text with CPython's correctly rounded parser, so a
-    table read either way has the same bits.
+    module refuses), no rows, a blank, short or long row, a cell over the
+    csv module's field size limit, a byte the text encoding cannot decode,
+    or a cell outside the number grammar (_number) or not finite, except an
+    empty rmc x-cell.  read_dataset then reports the fault at its line.
 
-    A row that holds an n or N goes to the cell reader, since every spelling
-    of nan and inf does, and an empty cell of an rmc row reaches the C reader
-    as the text nan.  So every NaN in the table is an empty rmc x-cell, and
-    the table is refused if one is in the y column.
+    A row that holds an n or N is refused, since every spelling of nan and
+    inf does, and an empty cell of an rmc row reaches the C reader as the
+    text nan.  So every NaN in the table is an empty rmc x-cell, and the
+    table is refused if one is in the y column.  A row that is not ASCII is
+    refused too, so a half's lines hold exactly its bytes.
 
     A body of more than one block is split after the first \\n at or after
     its middle byte, and a forked child parses the second half (_forked)
     while this process parses the first; this process parses the second half
-    too if the child sent no rows.  A row that is not ASCII also goes to the
-    cell reader, so a half's lines hold exactly its bytes."""
+    too if the child sent no rows."""
     import numpy as np
 
     with Path(path).open(newline="") as fh:
         try:
             # only the first line: the expected names hold no line break
-            header = next(csv.reader([first := fh.readline()]), None)
+            header = next(csv.reader([first := fh.readline()], quoting=csv.QUOTE_NONE), None)
         except (csv.Error, UnicodeDecodeError):
             return None
     if header is None or header != _dataset_columns(kind, len(header)):
@@ -308,9 +308,9 @@ def _read_complete_table(path, kind: str):
         ends = 0
         while ends <= _ROWS and (chunk := raw.read(1 << 16)):
             ends += chunk.count(b"\n")
-        raw.seek((start + size) // 2)
-        # a line too long for the limit goes to the cell reader anyway
-        if ends > _ROWS and raw.readline(limit + 2).endswith(b"\n"):
+        if ends > _ROWS:
+            raw.seek((start + size) // 2)
+            raw.readline()  # to the end of the file if no \n follows
             split = raw.tell()
 
     def rows(begin: int, end: int):
@@ -323,8 +323,8 @@ def _read_complete_table(path, kind: str):
             for line in text:
                 if not line.strip("\r\n"):  # which the C reader would skip
                     raise ValueError("blank row")
-                if len(line) > limit:  # the csv module may refuse a cell in it
-                    raise ValueError("long row")
+                if len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit:
+                    raise ValueError("a cell the csv module refuses")
                 if "n" in line or "N" in line:
                     raise ValueError("nan or inf text")
                 if not line.isascii():
@@ -408,10 +408,9 @@ def read_results(path) -> list[dict]:
             if record[key] or key in ("error", "wall_ms"):  # eps, delta, C may be empty
                 record[key] = _parse_float(record[key], lineno, key)
         for key in ("d", "n", "T", "seed", "iter"):
-            try:
-                record[key] = int(record[key])
-            except ValueError:
-                raise ParseError(f"bad {key} value {record[key]!r}", lineno) from None
+            if (value := _number(record[key], int)) is None:
+                raise ParseError(f"bad {key} value {record[key]!r}", lineno)
+            record[key] = value
         rows.append(record)
     return rows
 

@@ -164,11 +164,11 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("cpus, threads, n_seeds", [
-        (2, 2, 4), (2, 3, 4), (2, 8, 3), (2, 4, 1), (1, 4, 4)])
+        (2, 2, 4), (2, 3, 4), (2, 8, 3), (2, 4, 1), (1, 4, 4), (2, 8, 8), (4, 3, 4)])
     def test_workers_are_forked_children(self, runner, tmp_path, processes, cpus, threads,
                                          n_seeds):
-        """min(--threads, --n-seeds) - 1 children with two CPUs, this process
-        being the other worker, and none with one CPU or one seed."""
+        """min(--threads, --n-seeds, CPUs) - 1 children, this process being
+        the other worker: none with one CPU or one seed."""
         data = gen_dataset(runner, tmp_path, n=80, d=3)
         outputs = []
         for workers in (1, threads):
@@ -177,7 +177,7 @@ class TestRun:
                 result = invoke(runner, "run", "--algorithm", "dpem", "--n-seeds", n_seeds,
                                 "--threads", workers, "--data", data, "--out", out)
             assert result.exit_code == 0
-            assert len(forks) == (min(workers, n_seeds) - 1 if cpus == 2 else 0)
+            assert len(forks) == min(workers, n_seeds, cpus) - 1
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
@@ -195,7 +195,7 @@ class TestRun:
         outputs = []
         for threads in (1, 3):
             out = tmp_path / f"workers{threads}.csv"
-            with processes(2) as forks:
+            with processes(3) as forks:
                 monkeypatch.setattr(dpem.io, "_send", send)
                 result = invoke(runner, "run", "--algorithm", "clipped", "--n-seeds", 5,
                                 "--threads", threads, "--data", data, "--out", out)
@@ -203,6 +203,26 @@ class TestRun:
             assert len(forks) == threads - 1
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("where", [0.25, 0.75], ids=["first-half", "second-half"])
+    @pytest.mark.parametrize("cell", ["1_0", '"1.0"', "\u30002.0"],
+                             ids=["underscore", "quoted", "ideographic-space"])
+    def test_a_cell_outside_the_grammar_exits_3_at_its_line(self, runner, tmp_path, processes,
+                                                            cell, where):
+        data = gen_dataset(runner, tmp_path, n=4000, d=3)
+        lines = data.read_text().splitlines(keepends=True)
+        line = int(where * 4000) + 1
+        lines[line - 1] = f"{cell},2.0,3.0\n"
+        data.write_text("".join(lines), encoding="utf-8")
+        for cpus in (1, 2):
+            out = tmp_path / f"cpus{cpus}.csv"
+            with processes(cpus) as forks:
+                result = runner.invoke(cli, ["run", "--algorithm", "em", "--data", str(data),
+                                             "--out", str(out)])
+            assert result.exit_code == 3, result.output
+            assert result.stderr.startswith(f"error: line {line}: ")
+            assert len(forks) == cpus - 1  # the C reader's second half
+            assert not out.exists()
 
     class Unloadable(Exception):
         """Pickles by its message alone, which its __init__ cannot take back."""
@@ -540,6 +560,36 @@ class TestOptionMessages:
         assert not out.exists()
 
 
+class TestNumberGrammar:
+    """A number from a flag or a config file follows the grammar of every
+    number in a file: ASCII, without an underscore."""
+
+    @pytest.mark.parametrize("args, config, flag", [
+        (["--eps", "1_0"], None, "eps"),
+        (["--n-seeds", "\uff11_0"], None, "n-seeds"),
+        ([], "eps = \u0662\n", "eps"),
+    ], ids=["eps-underscore", "n-seeds-fullwidth", "config-arabic-indic"])
+    def test_outside_the_grammar_exits_2(self, runner, tmp_path, shared_dataset, args, config,
+                                         flag):
+        if config is not None:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(config, encoding="utf-8")
+            args = [*args, "--config", str(cfg)]
+        out = tmp_path / "o.csv"
+        result = runner.invoke(cli, ["run", "--data", str(shared_dataset), *args,
+                                     "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {flag}: expected ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parse, text, value", [
+        (dpem.cli._as_float, "\x1f+1e-3\t", 1e-3),  # the blanks numpy's C reader skips
+        (dpem.cli._as_int, "\x1c12 ", 12),
+    ])
+    def test_inside_the_grammar(self, parse, text, value):
+        assert parse("flag", text) == value
+
+
 class TestCrossPath:
     """An estimator class and ``dpem run`` at the same seed resolve the
     same settings, draw beta^0 from root.split(0) and the noise from
@@ -793,24 +843,31 @@ class TestSweep:
         assert len(files["0.2,0.5,1"]) == 3 * len(wide)
         assert files["0.2"] == wide
 
-    def test_pool_never_outnumbers_tasks(self, runner, tmp_path, monkeypatch):
+    def test_pool_never_outnumbers_tasks(self, runner, tmp_path, monkeypatch, processes):
+        """Nor CPUs: 2 tasks on 4 CPUs and 4 tasks on 2 CPUs get a pool of 2,
+        and 4 tasks on one CPU run serially, forking nothing."""
         sizes = []
 
         class Recording(process.ProcessPoolExecutor):
             def __init__(self, max_workers=None, *args, **kwargs):
                 sizes.append(max_workers)
                 # fail before forking, should the bound ever break
-                assert max_workers <= 2, f"pool of {max_workers} for 2 tasks"
+                assert max_workers <= 2, f"pool of {max_workers}"
                 super().__init__(max_workers, *args, **kwargs)
 
         monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
         out = tmp_path / "s.csv"
-        invoke(
-            runner, "sweep", "--model", "mrm", "--n-list", "200,300", "--d-list", 3,
-            "--eps-list", 1, "--n-seeds", 1, "--iters", 2, "--threads", 64, "--out", out,
-        )
-        assert sizes == [2]
-        assert len(read_results(out)) == 2 * 3
+        for n_seeds, cpus, pool in ((1, 4, 2), (2, 2, 2), (2, 1, 0)):
+            sizes.clear()
+            with processes(cpus) as forks:
+                invoke(
+                    runner, "sweep", "--model", "mrm", "--n-list", "200,300", "--d-list", 3,
+                    "--eps-list", 1, "--n-seeds", n_seeds, "--iters", 2, "--threads", 64,
+                    "--out", out,
+                )
+            assert sizes == ([pool] if pool else [])
+            assert len(forks) == pool
+            assert len(read_results(out)) == 2 * n_seeds * 3
 
     @pytest.mark.parametrize("args, code, message", [
         (["--model", "mrm", "--algorithm", "em", "--eta", "1e6", "--iters", "200",

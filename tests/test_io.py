@@ -1,6 +1,8 @@
 import builtins
 import csv
 import io
+import itertools
+import math
 import os
 import warnings
 
@@ -162,12 +164,13 @@ class TestDatasetErrors:
     ])
     def test_fault_after_a_multiline_cell_reports_its_physical_line(
             self, tmp_path, kind, header, fault):
-        # the quoted cell of line 2 ends on line 3, so the fault is on line 5
+        # no cell is quoted, so the quote that opens on line 2 is refused
+        # there, before the fault on line 5
         p = tmp_path / "f.csv"
         p.write_text(f'{header}\n"1.0\n",2.0\n3.0,4.0\n{fault}\n')
         with pytest.raises(ParseError) as exc:
             read_dataset(p, kind)
-        assert exc.value.line == 5
+        assert exc.value.line == 2
 
     def test_first_fault_is_reported(self, tmp_path):
         # a non-finite cell before a cell that is not a number
@@ -289,21 +292,29 @@ class TestDatasetBlocks:
         assert exc.value.line == 2
 
 
+def read_oracle(path):
+    """A dataset file's table as csv.reader and float read it cell by cell,
+    an empty cell as NaN."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return np.array([[float(c) if c else math.nan for c in row] for row in rows])
+
+
+def bits(table):
+    return np.ascontiguousarray(table).view(np.uint64)
+
+
 class TestCompleteTable:
-    # a dataset file without a fault is parsed by numpy's C reader; a file
-    # with any fault goes to the cell-by-cell reader, which reports it
+    # a dataset file without a fault is parsed by numpy's C reader; in a file
+    # with any fault read_dataset walks the rows to report the first
 
     @staticmethod
-    def outcome(path, kind, monkeypatch, *, cells):
-        """read_dataset's table, by the cell-by-cell reader alone if cells,
-        or its error's class, message and line."""
-        with monkeypatch.context() as patch:
-            if cells:
-                patch.setattr(io_module, "_read_complete_table", lambda path, kind: None)
-            try:
-                obs = read_dataset(path, kind)
-            except ParseError as exc:
-                return type(exc), str(exc), exc.line
+    def outcome(path, kind):
+        """read_dataset's table, or its error's class, message and line."""
+        try:
+            obs = read_dataset(path, kind)
+        except ParseError as exc:
+            return type(exc), str(exc), exc.line
         if kind == "gmm":
             return obs.ys
         # a missing rmc covariate as NaN, so the table also holds the mask
@@ -312,7 +323,7 @@ class TestCompleteTable:
 
     @pytest.mark.parametrize("kind", ["gmm", "mrm"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-    def test_matches_cell_reader_bitwise(self, tmp_path, monkeypatch, kind, newline):
+    def test_matches_cell_reader_bitwise(self, tmp_path, kind, newline):
         cols = 4
         rng = np.random.default_rng(cols)
         table = rng.standard_normal((300, cols)) * 10.0
@@ -320,17 +331,27 @@ class TestCompleteTable:
         header = [f"y{j + 1}" for j in range(cols)] if kind == "gmm" else (
             [f"x{j + 1}" for j in range(cols - 1)] + ["y"])
         rows = [[repr(v) for v in row] for row in table.tolist()]
-        # other spellings both readers accept: padding, exponents, signs
+        # other spellings in the grammar: padding, exponents, signs
         rows[-1] = [" 1.5", "2E5 ", "+.5", "-7."]
         path = tmp_path / "data.csv"
         path.write_bytes(newline.join(",".join(r) for r in [header, *rows]).encode())
         fast = io_module._read_complete_table(path, kind)
         assert fast is not None
-        bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
-        for cells in (False, True):
-            got = self.outcome(path, kind, monkeypatch, cells=cells)
-            assert np.array_equal(bits(got), bits(fast))
+        assert np.array_equal(bits(fast), bits(read_oracle(path)))
+        assert np.array_equal(bits(self.outcome(path, kind)), bits(fast))
         assert np.array_equal(bits(fast[:-1]), bits(table[:-1]))
+
+    def test_a_wide_file_takes_the_c_reader(self, tmp_path):
+        # 160,000-character lines: only a cell over the csv module's field
+        # size limit, not a line, is a fault
+        table = np.random.default_rng(3).integers(1, 10, (3, 40_000)) / 10
+        path = tmp_path / "data.csv"
+        write_dataset(path, ObservationSet("gmm", table))
+        assert len(path.read_text().splitlines()[1]) > 159_000 > csv.field_size_limit()
+        fast = io_module._read_complete_table(path, "gmm")
+        assert fast is not None
+        assert np.array_equal(bits(fast), bits(read_oracle(path)))
+        assert np.array_equal(bits(fast), bits(table))
 
     @pytest.mark.parametrize("text", [
         "",  # empty file
@@ -350,26 +371,26 @@ class TestCompleteTable:
         "y1,y2\n1,1e400\n",  # overflows to inf
         "y1,y2\n1,#2\n",  # no comment syntax
         "y1,y2\n1;2\n",
-        'y1,y2\n"1",2\n',  # csv quoting: the cell reader accepts it
-        "y1,y2\n1_0,2\n",  # float() accepts the underscore
+        'y1,y2\n"1",2\n',  # no csv quoting
+        "y1,y2\n1_0,2\n",  # float() accepts the underscore, the grammar does not
         # a cell over the csv field size limit
         pytest.param("y1,y2\n1,2\n" + "0." + "1" * 140_000 + ",2\n", id="long-line"),
     ])
-    def test_any_fault_goes_to_the_cell_reader(self, tmp_path, monkeypatch, text):
+    def test_any_fault_goes_to_the_cell_reader(self, tmp_path, text):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode())
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy warns on a file it reads no row of
             assert io_module._read_complete_table(path, "gmm") is None
-        got = self.outcome(path, "gmm", monkeypatch, cells=False)
-        want = self.outcome(path, "gmm", monkeypatch, cells=True)
-        if isinstance(want, tuple):
-            assert got == want
-        else:
-            assert np.array_equal(got, want)
+        # the first line that is not the header or the row 1,2; a file
+        # without rows faults at line 2
+        lines = text.splitlines() + [""]
+        line = next(i for i, row in enumerate(lines, 1) if row != ("y1,y2" if i == 1 else "1,2"))
+        got = self.outcome(path, "gmm")
+        assert got[0] is ParseError and got[2] == line and "bug" not in got[1]
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-    def test_rmc_empty_cells_match_cell_reader_bitwise(self, tmp_path, monkeypatch, newline):
+    def test_rmc_empty_cells_match_cell_reader_bitwise(self, tmp_path, newline):
         rng = np.random.default_rng(5)
         table = rng.standard_normal((300, 6)) * 10.0
         table[:, :-1][rng.random((300, 5)) < 0.3] = np.nan
@@ -388,12 +409,11 @@ class TestCompleteTable:
         path.write_bytes(newline.join(",".join(r) for r in [header, *rows]).encode())
         fast = io_module._read_complete_table(path, "rmc")
         assert fast is not None
-        bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
-        got, want = (self.outcome(path, "rmc", monkeypatch, cells=cells) for cells in (False, True))
-        assert np.array_equal(bits(got), bits(want))
+        want = read_oracle(path)
         empty = np.array([[c == "" for c in r] for r in rows])
         assert np.array_equal(np.isnan(fast), empty) and np.array_equal(np.isnan(want), empty)
         assert np.array_equal(bits(fast[~empty]), bits(want[~empty]))
+        assert np.array_equal(self.outcome(path, "rmc"), fast, equal_nan=True)
         assert np.array_equal(bits(want[6:][~empty[6:]]), bits(table[6:][~empty[6:]]))
 
     @pytest.mark.parametrize("row", [
@@ -404,21 +424,52 @@ class TestCompleteTable:
         "1e400,,2.0",  # overflows to inf
         "1.0,,",  # an empty y
         ",,",  # every cell empty
-        '"1.0",,2.0',  # csv quoting: the cell reader accepts it
-        "1_0,,2.0",  # float() accepts the underscore
+        '"1.0",,2.0',  # no csv quoting
+        "1_0,,2.0",  # float() accepts the underscore, the grammar does not
         # a cell over the csv field size limit
         pytest.param("0." + "1" * 140_000 + ",,2.0", id="long-line"),
     ])
-    def test_any_rmc_fault_goes_to_the_cell_reader(self, tmp_path, monkeypatch, row):
+    def test_any_rmc_fault_goes_to_the_cell_reader(self, tmp_path, row):
         path = tmp_path / "data.csv"
         path.write_text(f"x1,x2,y\n1.0,,2.0\n,1.0,2.0\n{row}\n3.0,4.0,5.0\n")
         assert io_module._read_complete_table(path, "rmc") is None
-        got = self.outcome(path, "rmc", monkeypatch, cells=False)
-        want = self.outcome(path, "rmc", monkeypatch, cells=True)
-        if isinstance(want, tuple):
-            assert got == want and want[2] == 4
-        else:
-            assert np.array_equal(got, want, equal_nan=True)
+        got = self.outcome(path, "rmc")
+        assert got[0] is ParseError and got[2] == 4 and "bug" not in got[1]
+
+    @pytest.mark.parametrize("kind", ["gmm", "rmc"])
+    def test_a_file_without_a_fault_is_a_bug_to_the_locator(self, tmp_path, monkeypatch, kind):
+        # the row-by-row walk only locates faults: it never returns a table
+        path = tmp_path / "data.csv"
+        write_dataset(path, observations(kind, 20))
+        monkeypatch.setattr(io_module, "_read_complete_table", lambda path, kind: None)
+        with pytest.raises(ParseError, match=f"bug: .*{path.name}") as exc:
+            read_dataset(path, kind)
+        assert exc.value.line is None
+
+
+# every spelling padded by every blank numpy's C reader skips, and by other
+# control characters, on either side
+SPELLINGS = ["1", "-1.5", "+.5", "7.", "2E5", "1e-3", "0012", "1_0", "0x10", "1e400", "nan",
+             "-Infinity", "", ".", "e5", "1 2", "1.0.0", '"1"']
+PADDING = ["", " ", "\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x00", "\x08", "\x0e",
+           "\x7f"]
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_grammar_accepts_what_numpy_reads_finite(spelling):
+    for left, right in itertools.product(PADDING, PADDING):
+        cell = left + spelling + right
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # on a line numpy reads no row of
+                table = np.loadtxt([cell + "\n"], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            table = None
+        read = table is not None and table.shape == (1, 1) and np.isfinite(table).all()
+        value = io_module._number(cell)
+        assert (value is not None and math.isfinite(value)) == read, repr(cell)
+        if read:
+            assert bits(table[0]) == bits([value]), repr(cell)
 
 
 def observations(kind, n, seed=0):
@@ -429,10 +480,6 @@ def observations(kind, n, seed=0):
 class TestTwoProcesses:
     # a dataset file of more than one block is written and parsed on two
     # processes where there are two CPUs; each test forces both paths
-
-    @staticmethod
-    def bits(table):
-        return np.ascontiguousarray(table).view(np.uint64)
 
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 25000])
     @pytest.mark.parametrize("kind", ["gmm", "mrm", "rmc"])
@@ -457,7 +504,7 @@ class TestTwoProcesses:
                     table = io_module._read_complete_table(path, kind)
                 # a file without \n is parsed on one process
                 assert len(forks) == (cpus == 2 and many and newline != "\r")
-                assert np.array_equal(self.bits(table), self.bits(want))
+                assert np.array_equal(bits(table), bits(want))
 
     @pytest.mark.parametrize("where", [0.25, 0.75], ids=["first-half", "second-half"])
     @pytest.mark.parametrize("kind,text", [
@@ -467,26 +514,23 @@ class TestTwoProcesses:
         ("mrm", "1.0,2.0,3.0,4.0,5.0"),  # a ragged row
         ("mrm", ""),  # a blank row
         ("gmm", "1e400,1.0,2.0"),  # overflows to inf
-        # ideographic space: the C reader skips it as float() does, but its
-        # three bytes are one character, so the row goes to the cell reader
+        # ideographic space: float() skips it, but the grammar takes ASCII only
         ("mrm", "1.0,\u30002.0,3.0,4.0"),
     ])
     def test_a_row_in_either_half_reads_as_the_cell_reader_reads_it(
-            self, tmp_path, monkeypatch, processes, kind, text, where):
+            self, tmp_path, processes, kind, text, where):
         path = tmp_path / "data.csv"
         write_dataset(path, observations(kind, 4000))
         lines = path.read_text().splitlines(keepends=True)
         lines[int(where * 4000)] = text + "\n"
         path.write_text("".join(lines), encoding="utf-8")
-        want = TestCompleteTable.outcome(path, kind, monkeypatch, cells=True)
+        outcomes = []
         for cpus in (1, 2):
             with processes(cpus) as forks:
-                got = TestCompleteTable.outcome(path, kind, monkeypatch, cells=False)
+                outcomes.append(TestCompleteTable.outcome(path, kind))
             assert len(forks) == cpus - 1
-            if isinstance(want, tuple):
-                assert got == want and want[2] == int(where * 4000) + 1
-            else:
-                assert np.array_equal(self.bits(got), self.bits(want))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is ParseError and outcomes[0][2] == int(where * 4000) + 1
 
     @pytest.mark.parametrize("death", ["exits", "sends-short"])
     def test_a_child_that_dies_costs_no_bytes(self, tmp_path, monkeypatch, processes, death):
@@ -509,7 +553,7 @@ class TestTwoProcesses:
             got = io_module._read_complete_table(path, "rmc")
         assert len(forks) == 2
         assert path.read_bytes() == want.read_bytes()
-        assert np.array_equal(self.bits(got), self.bits(table))
+        assert np.array_equal(bits(got), bits(table))
 
     def test_no_child_is_left_on_any_exit(self, tmp_path, processes):
         obs = observations("mrm", 3000)
@@ -610,11 +654,12 @@ class TestLabeled:
         assert exc.value.line == 3
 
     def test_fault_after_a_multiline_cell_reports_its_physical_line(self, tmp_path):
+        # the quoted cell is refused on its first line, before the fault on line 5
         p = tmp_path / "l.csv"
         p.write_text('f1,f2,label\n"1.0\n",2.0,1\n-1.0,-2.0,0\n1.0,bad,1\n')
         with pytest.raises(ParseError) as exc:
             read_labeled(p)
-        assert exc.value.line == 5
+        assert exc.value.line == 2
 
 
 class TestMetadata:
@@ -685,12 +730,14 @@ class TestResults:
     def test_fault_after_a_multiline_cell_reports_its_physical_line(self, tmp_path, fault):
         p = tmp_path / "r.csv"
         write_results(p, [self.row(model="g\nmm"), self.row(seed=8), self.row(seed=9)])
-        lines = p.read_text().splitlines()  # the first row spans lines 2 and 3
+        lines = p.read_text().splitlines()  # the writer quotes the cell "g\nmm"
         lines[4] = lines[4].replace(",100,", ",ten,") if fault == "bad_int" else lines[4] + ","
         p.write_text("\n".join(lines) + "\n")
+        # no cell is quoted, so the row is cut at the line break in it, and
+        # its first line is refused before the fault on line 5
         with pytest.raises(ParseError) as exc:
             read_results(p)
-        assert exc.value.line == 5
+        assert exc.value.line == 2
 
     @pytest.mark.parametrize("key", ["error", "wall_ms"])
     def test_empty_measurement_reports_line(self, tmp_path, key):
