@@ -17,12 +17,12 @@ _SUBMODULE = {name: module for module, names in {
     "estimators": ("ClippedDPGradientEM", "DPEMGaussianMixture", "DPGradientEM",
                    "GradientEM", "IterationTrace", "clipped_dp_gradient_em", "dp_em_gmm",
                    "dp_gradient_em", "gradient_em", "initial_beta"),
-    "models": ("ModelSpec", "ObservationSet", "f_gmm", "grad_q", "grad_q_mean",
-               "preprocess_real_gmm", "q_value", "sample_observations", "tau_bound"),
+    "models": ("ModelSpec", "ObservationSet", "grad_q_mean", "preprocess_real_gmm",
+               "sample_observations", "tau_bound"),
     "numeric": ("RngStream", "max_eigenvalue", "sample_gaussian"),
-    "robust": ("PHI_BOUND", "RobustMeanParams", "central_dp_mean", "correction_C",
-               "local_dp_mean", "phi", "robust_mean", "select_params_central",
-               "select_params_nonprivate", "select_params_local", "smoothed_phi"),
+    "robust": ("PHI_BOUND", "RobustMeanParams", "central_dp_mean", "local_dp_mean",
+               "robust_mean", "select_params_central", "select_params_nonprivate",
+               "select_params_local", "smoothed_phi"),
 }.items() for name in names}
 
 __version__ = "0.1.0"

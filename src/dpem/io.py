@@ -60,15 +60,25 @@ SUMMARY_COLUMNS = [
 ]
 
 
+# what an unquoted cell cannot hold; Python 3.11's QUOTE_NONE writer lets \r through
+_UNQUOTED = frozenset(',"\r\n')
+
+
 def fmt(value) -> str:
-    """Shortest exact decimal text for a float; plain text otherwise."""
+    """Shortest exact decimal text for a finite float; plain text otherwise.
+    What the readers refuse is refused here: a NaN or an infinity, and text
+    holding a comma, a quote or a line break (no cell is quoted)."""
     if value is None:
         return ""
     if isinstance(value, float):  # np.float64 subclasses float
-        if math.isnan(value):
-            raise DataError("refusing to serialize NaN")
+        if not math.isfinite(value):
+            raise DataError(f"refusing to serialize the non-finite number {value!r}")
         return repr(float(value))
-    return str(value)
+    text = str(value)
+    if not _UNQUOTED.isdisjoint(text):
+        raise DataError(f"refusing to serialize {text!r}: a cell may not hold a comma, "
+                        "a quote or a line break")
+    return text
 
 
 # the blanks numpy's C reader skips around a number; float refuses \x1c-\x1f
@@ -145,8 +155,9 @@ def _undecodable(path, exc: UnicodeDecodeError) -> ParseError:
 
 
 def _write_table(path, header: list[str], rows) -> None:
+    rows = list(rows)  # a cell fmt refuses leaves path untouched
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONE)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -420,13 +431,15 @@ def write_summary(path, rows: list[dict]) -> None:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """key = value lines; '#' starts a comment; keys may be dotted."""
+    """key = value lines; '#' starts a comment; keys may be dotted, and a
+    key given twice is refused at its second line."""
     out: dict[str, str] = {}
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # read_text ends every line with \n; splitlines would also break at \f
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -436,5 +449,7 @@ def parse_config_file(path) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ParseError("empty key", lineno)
+        if key in out:
+            raise ParseError(f"key {key!r} given twice", lineno)
         out[key] = value.strip()
     return out

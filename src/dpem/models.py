@@ -1,6 +1,6 @@
-"""The three latent-variable models: samplers, per-sample objective values
-and gradients, the GMM fixed-point map, second-moment bounds, and the
-labeled-data-to-GMM preprocessing pipeline.
+"""The three latent-variable models: samplers, the batched per-sample
+gradients and their (clipped) mean, the GMM fixed-point map, second-moment
+bounds, and the labeled-data-to-GMM preprocessing pipeline.
 
 Models (parameter beta, noise std sigma):
   gmm  y = z * beta + v,        z Rademacher, v ~ N(0, sigma^2 I)
@@ -33,13 +33,8 @@ __all__ = [
     "ModelSpec",
     "ObservationSet",
     "sample_observations",
-    "grad_q",
     "grad_q_batch",
     "grad_q_mean",
-    "q_value",
-    "m_beta",
-    "K_beta",
-    "f_gmm",
     "f_gmm_batch",
     "tau_bound",
     "preprocess_real_gmm",
@@ -211,57 +206,10 @@ def sample_observations(
 _ROWS = 1024
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # evaluate exp on negative arguments only
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def _check_sample(model: ModelSpec, sample):
-    if model.kind == "gmm":
-        return (check_vector("y", sample, d=model.d),)
-    if model.kind == "mrm":
-        x, y = sample
-        return check_vector("x", x, d=model.d), check_finite_scalar("y", y)
-    x_obs, mask, y = sample
-    x_obs = check_vector("x_obs", x_obs, d=model.d)
-    mask = np.asarray(mask)
-    if mask.dtype != bool or mask.shape != x_obs.shape:
-        raise DomainError("mask must be boolean with x_obs's shape")
-    return x_obs, mask, check_finite_scalar("y", y)
-
-
-def grad_q(model: ModelSpec, sample, beta) -> np.ndarray:
-    """Per-sample ascent direction of the surrogate objective at beta.
-
-    gmm: (2 w - 1) y - beta with w = sigmoid(<beta, y>/sigma^2)
-    mrm: (2 w - 1) y x - x x^T beta with w = sigmoid(y <beta, x>/sigma^2)
-    rmc: y m_beta - K_beta beta
-    """
-    beta = check_vector("beta", beta, d=model.d)
-    parts = _check_sample(model, sample)
-    s2 = model.sigma**2
-    if model.kind == "gmm":
-        (y,) = parts
-        # 2w - 1 evaluated as tanh(t/2): no cancellation near w = 1/2, and
-        # tanh's odd symmetry keeps grad_q(y) == grad_q(-y) bitwise
-        return np.tanh(0.5 * np.dot(beta, y) / s2) * y - beta
-    if model.kind == "mrm":
-        x, y = parts
-        return np.tanh(0.5 * y * np.dot(beta, x) / s2) * y * x - x * np.dot(x, beta)
-    x_obs, mask, y = parts
-    m = m_beta(x_obs, mask, y, beta, model.sigma)
-    return y * m - K_beta(x_obs, mask, y, beta, model.sigma) @ beta
-
-
 def grad_q_batch(model: ModelSpec, data: ObservationSet, beta) -> np.ndarray:
-    """(n, d) matrix of per-sample gradients; same algebra as grad_q,
-    evaluated _ROWS rows at a time into one new array."""
+    """(n, d) matrix of the per-sample ascent directions g_i of the
+    surrogate objective at beta, whose mean grad_q_mean takes (each g_i is
+    written out there), evaluated _ROWS rows at a time into one new array."""
     if data.kind != model.kind:
         raise DomainError(f"data kind {data.kind!r} does not match model {model.kind!r}")
     beta = check_vector("beta", beta, d=model.d)
@@ -286,7 +234,8 @@ def grad_q_batch(model: ModelSpec, data: ObservationSet, beta) -> np.ndarray:
         # u = (1 - z) * m up to the sign of a zero, since sentinel entries are 0
         u = ((ys - dot_obs) / denom)[:, None] * mb
         m = xs + u
-        # ys m - K_beta beta = ys m - ((mb + m <m, beta>) - u <u, beta>)
+        # ys m - K beta, with K = diag(1 - z) + m m^T - u u^T the conditional
+        # second moment, is ys m - ((mb + m <m, beta>) - u <u, beta>)
         np.multiply(m, (m @ beta)[:, None], out=block)
         block += mb
         u *= (u @ beta)[:, None]
@@ -362,61 +311,6 @@ def grad_q_mean(model: ModelSpec, data: ObservationSet, beta, clip=None) -> np.n
     if model.kind == "mrm":
         return (a @ xs) / data.n
     return (a @ xs + beta * (r @ miss)) / data.n
-
-
-def q_value(model: ModelSpec, sample, beta, beta_prime) -> float:
-    """Per-sample surrogate objective q(beta; beta_prime); additive terms
-    constant in beta are dropped.  Its beta-gradient at beta = beta_prime
-    equals grad_q."""
-    beta = check_vector("beta", beta, d=model.d)
-    beta_prime = check_vector("beta_prime", beta_prime, d=model.d)
-    parts = _check_sample(model, sample)
-    s2 = model.sigma**2
-    if model.kind == "gmm":
-        (y,) = parts
-        w = float(_sigmoid(np.dot(beta_prime, y) / s2))
-        return -0.5 * (
-            w * float(np.sum((y - beta) ** 2)) + (1.0 - w) * float(np.sum((y + beta) ** 2))
-        )
-    if model.kind == "mrm":
-        x, y = parts
-        w = float(_sigmoid(y * np.dot(beta_prime, x) / s2))
-        r = float(np.dot(x, beta))
-        return -0.5 * (w * (y - r) ** 2 + (1.0 - w) * (y + r) ** 2)
-    x_obs, mask, y = parts
-    m = m_beta(x_obs, mask, y, beta_prime, model.sigma)
-    k = K_beta(x_obs, mask, y, beta_prime, model.sigma)
-    return float(y * np.dot(beta, m) - 0.5 * np.dot(beta, k @ beta))
-
-
-def m_beta(x_obs, mask, y, beta, sigma: float) -> np.ndarray:
-    """Conditional mean of the full covariate given the observed part:
-    z*x + ((y - <beta, z*x>) / (sigma^2 + ||(1-z)*beta||^2)) (1-z)*beta,
-    with z the observed-coordinate indicator."""
-    x_obs = check_vector("x_obs", x_obs)
-    beta = check_vector("beta", beta, d=x_obs.size)
-    y = check_finite_scalar("y", y)
-    sigma = check_positive("sigma", sigma)
-    miss = 1.0 - np.asarray(mask, dtype=float)
-    denom = sigma**2 + float(np.sum(miss * beta * beta))  # >= sigma^2 > 0
-    return x_obs + ((y - float(np.dot(beta, x_obs))) / denom) * (miss * beta)
-
-
-def K_beta(x_obs, mask, y, beta, sigma: float) -> np.ndarray:
-    """Conditional second moment of the full covariate:
-    diag(1-z) + m m^T - [(1-z)*m][(1-z)*m]^T; exactly symmetric."""
-    m = m_beta(x_obs, mask, y, beta, sigma)
-    miss = 1.0 - np.asarray(mask, dtype=float)
-    u = miss * m
-    return np.diag(miss) + np.outer(m, m) - np.outer(u, u)
-
-
-def f_gmm(y, beta_prime, sigma: float) -> np.ndarray:
-    """GMM fixed-point map (2 w - 1) y; satisfies f_gmm(y, b) - b = grad_q."""
-    y = check_vector("y", y)
-    beta_prime = check_vector("beta_prime", beta_prime, d=y.size)
-    sigma = check_positive("sigma", sigma)
-    return np.tanh(0.5 * np.dot(beta_prime, y) / sigma**2) * y
 
 
 def f_gmm_batch(data: ObservationSet, beta_prime, sigma: float) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Robust mean estimation by smoothed soft truncation, plus its private forms.
 
-The estimator soft-truncates each sample, smooths the truncation with
-multiplicative Gaussian noise (closed form below), averages, and for the
-private variants adds Gaussian noise, calibrated on the zCDP scale of
-``dpem.accounting``, either once to the mean (central model) or to every
-per-user release (local model).
+The estimator soft-truncates each sample by phi(x) = x - x^3/6 on
+[-sqrt(2), sqrt(2)], saturating at +-2*sqrt(2)/3 outside, smooths the
+truncation with multiplicative Gaussian noise (closed form below), averages,
+and for the private variants adds Gaussian noise, calibrated on the zCDP
+scale of ``dpem.accounting``, either once to the mean (central model) or to
+every per-user release (local model).
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from .validation import (
     check_finite_scalar,
     check_positive,
     check_probability,
+    check_vector,
 )
 
 __all__ = [
     "PHI_BOUND",
     "RobustMeanParams",
-    "phi",
-    "correction_C",
     "smoothed_phi",
     "robust_mean",
     "robust_mean_columns",
@@ -210,29 +210,6 @@ class RobustMeanParams:
         object.__setattr__(self, "s", check_positive("s", self.s))
         object.__setattr__(self, "beta", check_positive("beta", self.beta))
         object.__setattr__(self, "sigma", check_positive("sigma", self.sigma, allow_zero=True))
-
-
-def phi(x):
-    """Soft truncation: x - x^3/6 on [-sqrt(2), sqrt(2)], saturating at
-    +-2*sqrt(2)/3 outside.  Odd, continuous, |phi| <= 2*sqrt(2)/3."""
-    c = np.clip(x, -_SQRT2, _SQRT2)
-    out = c - c**3 / 6.0
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def correction_C(a: float, b: float) -> float:
-    """Correction term of the smoothed truncation's closed form:
-    E phi(a + b*xi) = a(1 - b^2/2) - a^3/6 + C(a, b) for xi ~ N(0, 1).
-    """
-    a = check_finite_scalar("a", a)
-    b = check_finite_scalar("b", b)
-    if b <= 0:
-        raise DomainError(f"b must be > 0, got {b!r}")
-    a, b = np.array([a]), np.array([b])
-    v = np.stack(_v_pair(a, b))
-    return float(_correction_vec(a, a * a, a * a * a / 6.0, b, b * b, v, np.empty(6))[0])
 
 
 def _v_pair(a, b, v_minus=None, v_plus=None):
@@ -441,19 +418,9 @@ def smoothed_phi(x: float, p: RobustMeanParams) -> float:
     return float(_smoothed_phi_array(np.asarray(x), p.s, p.beta))
 
 
-def _check_samples(xs) -> np.ndarray:
-    """xs as a nonempty finite 1-d array."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise DomainError(f"xs must be a nonempty 1-d sequence, got shape {xs.shape}")
-    if not np.all(np.isfinite(xs)):
-        raise DomainError("xs must have finite entries")
-    return xs
-
-
 def robust_mean(xs, p: RobustMeanParams) -> float:
     """Average of per-sample smoothed truncations; deterministic."""
-    return float(np.mean(_smoothed_phi_array(_check_samples(xs), p.s, p.beta)))
+    return float(np.mean(_smoothed_phi_array(check_vector("xs", xs), p.s, p.beta)))
 
 
 def robust_mean_columns(matrix, p: RobustMeanParams) -> np.ndarray:
@@ -527,7 +494,7 @@ def central_dp_mean(xs, tau: float, eps: float, delta: float, zeta: float,
                     rng: RngStream) -> float:
     """Robust mean of the n = len(xs) samples plus one draw of N(0, sigma^2)
     calibrated to the mean's sensitivity."""
-    xs = _check_samples(xs)
+    xs = check_vector("xs", xs)
     p = select_params_central(xs.size, tau, eps, delta, zeta)
     return robust_mean(xs, p) + sample_gaussian(rng, 0.0, p.sigma)
 
@@ -536,7 +503,7 @@ def local_dp_mean(xs, tau: float, eps: float, delta: float, zeta: float,
                   rng: RngStream) -> float:
     """Each of the n = len(xs) users releases their smoothed truncation plus
     N(0, sigma^2); the output is the average of the n releases."""
-    xs = _check_samples(xs)
+    xs = check_vector("xs", xs)
     p = select_params_local(xs.size, tau, eps, delta, zeta)
     releases = _smoothed_phi_array(xs, p.s, p.beta)
     return float(np.mean(releases + p.sigma * rng.generator.standard_normal(xs.size)))

@@ -28,8 +28,8 @@ from dpem.estimators import (
 )
 from dpem.models import (
     ModelSpec,
-    grad_q,
-    q_value,
+    ObservationSet,
+    grad_q_batch,
     sample_observations,
     tau_bound,
 )
@@ -44,6 +44,7 @@ from dpem.robust import (
     select_params_nonprivate,
     smoothed_phi,
 )
+from oracles import grad_q, q_value
 
 SWAP_SENSITIVITY = 2.0 * PHI_BOUND  # 4 sqrt(2) / 3
 
@@ -191,15 +192,22 @@ def test_04_gradient_correctness():
                 sample = (np.where(mask, rng.standard_normal(4), 0.0), mask,
                           float(rng.standard_normal()))
             beta = rng.standard_normal(4) * 0.8
-            g = grad_q(model, sample, beta)
             fd = np.empty(4)
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = h
                 fd[j] = (q_value(model, sample, beta + e, beta)
                          - q_value(model, sample, beta - e, beta)) / (2.0 * h)
-            worst = max(worst, float(np.linalg.norm(fd - g))
-                        / max(float(np.linalg.norm(g)), 1.0))
+            # the oracle, and the package's row for the sample: the
+            # gradient that dpgem releases
+            if kind == "gmm":
+                row = ObservationSet(kind, sample[None, :])
+            else:
+                row = ObservationSet(kind, np.array([sample[-1]]),
+                                     *(part[None, :] for part in sample[:-1]))
+            for g in (grad_q(model, sample, beta), grad_q_batch(model, row, beta)[0]):
+                worst = max(worst, float(np.linalg.norm(fd - g))
+                            / max(float(np.linalg.norm(g)), 1.0))
 
     # fully observed covariates: the masked path must collapse to the plain
     # least-squares gradient with zero float slack

@@ -690,6 +690,17 @@ class TestConfigFile:
         assert result.exit_code == 3
         assert "error: line 3:" in result.stderr
 
+    def test_repeated_key_exits_3(self, runner, tmp_path):
+        data = gen_dataset(runner, tmp_path, n=60, d=3)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("eps = 0.1\nn-seeds = 2\neps = 10\n")
+        out = tmp_path / "r.csv"
+        result = runner.invoke(cli, ["run", "--algorithm", "dpgem", "--data", str(data),
+                                     "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 3
+        assert "error: line 3: key 'eps' given twice" in result.stderr
+        assert not out.exists()
+
     def test_dotted_key_of_another_command_ignored(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, n=60, d=3)
         cfg = tmp_path / "exp.cfg"

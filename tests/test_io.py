@@ -43,7 +43,11 @@ class TestFmt:
     @given(st.floats(allow_nan=False, width=64))
     @settings(max_examples=300, deadline=None)
     def test_round_trip_exact(self, x):
-        assert float(fmt(x)) == x or (np.isinf(x) and np.isinf(float(fmt(x))))
+        if np.isinf(x):
+            with pytest.raises(DataError, match="non-finite"):
+                fmt(x)
+        else:
+            assert float(fmt(x)) == x
 
     def test_numpy_floats(self):
         assert float(fmt(np.float64(1) / 3)) == 1 / 3
@@ -729,15 +733,27 @@ class TestResults:
     @pytest.mark.parametrize("fault", ["bad_int", "ragged"])
     def test_fault_after_a_multiline_cell_reports_its_physical_line(self, tmp_path, fault):
         p = tmp_path / "r.csv"
-        write_results(p, [self.row(model="g\nmm"), self.row(seed=8), self.row(seed=9)])
-        lines = p.read_text().splitlines()  # the writer quotes the cell "g\nmm"
-        lines[4] = lines[4].replace(",100,", ",ten,") if fault == "bad_int" else lines[4] + ","
+        write_results(p, [self.row(), self.row(seed=8), self.row(seed=9)])
+        lines = p.read_text().splitlines()
+        # the first row's model as the quoted cell "g\nmm", over lines 2 and 3
+        lines[1] = lines[1].replace("gmm,", '"g\nmm",', 1)
+        lines[3] = lines[3].replace(",100,", ",ten,") if fault == "bad_int" else lines[3] + ","
         p.write_text("\n".join(lines) + "\n")
         # no cell is quoted, so the row is cut at the line break in it, and
         # its first line is refused before the fault on line 5
         with pytest.raises(ParseError) as exc:
             read_results(p)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("error", math.inf), ("wall_ms", -math.inf), ("model", "g,mm"),
+        ("algorithm", 'dp"gem'), ("model", "g\rmm"), ("model", "g\nmm"),
+    ])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, key, value):
+        p = tmp_path / "r.csv"
+        with pytest.raises(DataError):
+            write_results(p, [self.row(), self.row(**{key: value})])
+        assert not p.exists()
 
     @pytest.mark.parametrize("key", ["error", "wall_ms"])
     def test_empty_measurement_reports_line(self, tmp_path, key):
@@ -752,16 +768,32 @@ class TestResults:
         write_results(p, [])
         assert read_results(p) == []
 
-    def test_summary_write(self, tmp_path):
-        p = tmp_path / "s.csv"
-        write_summary(p, [dict(
+    @staticmethod
+    def summary_row(**kw):
+        base = dict(
             model="gmm", algorithm="dpgem", eps=0.5, delta=1e-4, d=3, n=100,
             T=5, C="", iter=5, n_seeds=20, median_error=0.5,
             q25_error=0.4, q75_error=0.6,
-        )])
+        )
+        base.update(kw)
+        return base
+
+    def test_summary_write(self, tmp_path):
+        p = tmp_path / "s.csv"
+        write_summary(p, [self.summary_row()])
         lines = p.read_text().splitlines()
         assert lines[0].startswith("model,algorithm,eps")
         assert lines[1].endswith("20,0.5,0.4,0.6")
+
+    @pytest.mark.parametrize("key,value", [
+        ("median_error", math.inf), ("q75_error", -math.inf), ("model", "g,mm"),
+        ("algorithm", 'dp"gem'), ("model", "g\rmm"), ("model", "g\nmm"),
+    ])
+    def test_summary_writer_refuses_what_a_reader_refuses(self, tmp_path, key, value):
+        p = tmp_path / "s.csv"
+        with pytest.raises(DataError):
+            write_summary(p, [self.summary_row(), self.summary_row(**{key: value})])
+        assert not p.exists()
 
 
 class TestConfigFile:
@@ -788,6 +820,14 @@ class TestConfigFile:
         p.write_text(" = 3\n")
         with pytest.raises(ParseError):
             parse_config_file(p)
+
+    def test_repeated_key_refused_at_its_second_line(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        # \f is no line break: the second eps is on physical line 4
+        p.write_text("eps = 0.1\f\nrun.eps = 0.5\n# stricter\n eps=10\n")
+        with pytest.raises(ParseError, match="'eps' given twice") as exc:
+            parse_config_file(p)
+        assert exc.value.line == 4
 
     def test_value_may_contain_equals(self, tmp_path):
         p = tmp_path / "c.cfg"

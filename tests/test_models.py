@@ -10,21 +10,17 @@ from dpem.errors import DomainError
 from dpem.estimators import clipped_dp_gradient_em
 from dpem.models import (
     MODEL_KINDS,
-    K_beta,
     ModelSpec,
     ObservationSet,
-    f_gmm,
     f_gmm_batch,
-    grad_q,
     grad_q_batch,
     grad_q_mean,
-    m_beta,
     preprocess_real_gmm,
-    q_value,
     sample_observations,
     tau_bound,
 )
 from dpem.numeric import RngStream
+from oracles import K_beta, f_gmm, grad_q, m_beta, q_value
 
 
 def make_sample(model, rng):

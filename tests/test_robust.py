@@ -16,9 +16,7 @@ from dpem.robust import (
     PHI_BOUND,
     RobustMeanParams,
     central_dp_mean,
-    correction_C,
     local_dp_mean,
-    phi,
     robust_mean,
     robust_mean_columns,
     select_params_central,
@@ -26,6 +24,7 @@ from dpem.robust import (
     select_params_local,
     smoothed_phi,
 )
+from oracles import correction_C, phi
 from quadrature import expectation_under_gaussian
 
 SQRT2 = math.sqrt(2.0)
