@@ -15,11 +15,20 @@ and children it forks, each with a fixed share of the seeds
 processes (``_run_forked``).  ``gen``, ``run`` and ``preprocess`` also fork
 one child to write or parse half of a dataset file of more than one block
 (see ``dpem.io``).
+
+Since dpem runs in parallel by processes, importing this module pins BLAS
+to one thread per process: it sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS to 1, whatever the caller exported, before any command
+loads numpy.  BLAS threads split a large matrix-vector product's sums, so
+results would otherwise depend on the host in their last bits, and they
+oversubscribe the CPUs that the worker processes use.  A process that
+loaded numpy before this module keeps its BLAS threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 
@@ -28,6 +37,9 @@ import click
 from . import io
 from .base import ALGORITHMS, MODEL_KINDS
 from .errors import ConfigError, ConvergenceError, DataError, DomainError
+
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                "1"))
 
 
 # ---------------------------------------------------------------- option glue
@@ -154,8 +166,9 @@ def _fit_flags(n_seeds: str):
         click.option("--seed", default="0", type=INT),
         click.option("--n-seeds", default=n_seeds, type=COUNT),
         click.option("--threads", default="1", type=COUNT,
-                     help="worker processes, at most one per task and CPU: run forks all "
-                          "but one and fits a share itself; sweep forks a pool"),
+                     help="worker processes, at most one per task and CPU, each on one "
+                          "BLAS thread: run forks all but one and fits a share itself; "
+                          "sweep forks a pool"),
         click.option("--out", required=True, type=click.Path(dir_okay=False)),
         click.option("--unsafe-no-noise", is_flag=True, default=False, type=BOOL,
                      help="disable privacy noise; output is NOT private"),
@@ -326,7 +339,7 @@ def _run_forked(tasks, worker, processes: int) -> dict:
     from concurrent.futures.process import ProcessPoolExecutor
 
     # fork is safe here: the pool forks every worker before it starts its
-    # own threads, and OpenBLAS stops its threads across a fork
+    # own threads, and BLAS runs on this process's thread alone (see above)
     pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
                                initializer=_install_worker, initargs=(worker,))
     try:

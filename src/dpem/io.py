@@ -229,25 +229,30 @@ def _receive(reader) -> bytes | None:
 def write_dataset(path, obs: ObservationSet) -> None:
     """gmm: y1..yd.  mrm/rmc: x1..xd,y; rmc leaves missing x-cells empty.
     A forked child formats the odd blocks (_forked), this process the even
-    ones and any the child did not send, and this process writes them all."""
+    ones and any the child did not send, and this process writes them all.
+    Each block's table is built from obs's arrays as it is formatted, so
+    neither process holds a second copy of the whole table."""
     import numpy as np
 
-    table = obs.ys if obs.kind == "gmm" else np.column_stack(
-        [obs.xs if obs.mask is None else np.where(obs.mask, obs.xs, np.nan), obs.ys])
-    starts = range(0, len(table), _ROWS)
+    starts = range(0, obs.n, _ROWS)
 
     def block(i: int) -> bytes:
+        rows = slice(i, i + _ROWS)
+        table = obs.ys[rows] if obs.kind == "gmm" else np.column_stack([
+            obs.xs[rows] if obs.mask is None else np.where(obs.mask[rows], obs.xs[rows], np.nan),
+            obs.ys[rows]])
         # the observations are finite, so NaN marks exactly the missing
         # cells, and no finite float's repr contains the text nan
         return "".join(",".join(map(repr, row)) + "\n" for row in
-                       table[i:i + _ROWS].tolist()).replace("nan", "").encode()
+                       table.tolist()).replace("nan", "").encode()
 
     def odd_blocks(out) -> None:
         for i in starts[1::2]:
             _send(out, block(i))
 
     with Path(path).open("wb") as fh, _forked(odd_blocks if len(starts) > 1 else None) as child:
-        fh.write((",".join(_dataset_columns(obs.kind, table.shape[1])) + "\n").encode())
+        width = obs.d if obs.kind == "gmm" else obs.d + 1
+        fh.write((",".join(_dataset_columns(obs.kind, width)) + "\n").encode())
         for k, i in enumerate(starts):
             sent = _receive(child) if k % 2 else None
             fh.write(block(i) if sent is None else sent)

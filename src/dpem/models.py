@@ -179,14 +179,23 @@ class ObservationSet:
 def sample_observations(
     model: ModelSpec, n: int, beta_star, rng: RngStream
 ) -> ObservationSet:
-    """n samples of the model at beta_star, drawn from rng's generator."""
+    """n samples of the model at beta_star, drawn from rng's generator.
+
+    The n x d array of draws becomes the data in place, and the other n x d
+    terms (gmm's z * beta_star, rmc's uniforms for the mask) are made _ROWS
+    rows at a time, so the set is about the only table held.  The generator
+    fills an array in stream order, so drawing in blocks draws the same
+    values, and the sums are those of whole-array arithmetic bit for bit."""
     n = check_count("n", n)
     beta_star = check_vector("beta_star", beta_star, d=model.d)
     gen = rng.generator
     if model.kind == "gmm":
         z = gen.integers(0, 2, size=n) * 2 - 1
-        v = gen.standard_normal((n, model.d)) * model.sigma
-        return ObservationSet("gmm", z[:, None] * beta_star + v)
+        v = gen.standard_normal((n, model.d))
+        v *= model.sigma
+        for i in range(0, n, _ROWS):
+            v[i:i + _ROWS] += z[i:i + _ROWS, None] * beta_star
+        return ObservationSet("gmm", v)
     if model.kind == "mrm":
         z = gen.integers(0, 2, size=n) * 2 - 1
         x = gen.standard_normal((n, model.d))
@@ -195,14 +204,19 @@ def sample_observations(
     x = gen.standard_normal((n, model.d))
     # the response uses the full covariate; masking happens afterwards
     y = x @ beta_star + model.sigma * gen.standard_normal(n)
-    mask = gen.random((n, model.d)) >= model.p_m
-    return ObservationSet("rmc", y, np.where(mask, x, 0.0), mask)
+    mask = np.empty((n, model.d), dtype=bool)
+    for i in range(0, n, _ROWS):
+        rows = mask[i:i + _ROWS]
+        np.greater_equal(gen.random(rows.shape), model.p_m, out=rows)
+    np.copyto(x, 0.0, where=~mask)
+    return ObservationSet("rmc", y, x, mask)
 
 
 # Rows per block of grad_q_batch, so that the allocator reuses each block's
-# temporaries instead of faulting n x d ones in again on every call.  A
-# multiple of 4: OpenBLAS's dgemv_t takes its dot products 4 rows at a time,
-# and blocks that start elsewhere change last bits.
+# temporaries instead of faulting n x d ones in again on every call, and of
+# sample_observations' n x d terms.  A multiple of 4: OpenBLAS's dgemv_t
+# takes its dot products 4 rows at a time, and blocks that start elsewhere
+# change last bits.
 _ROWS = 1024
 
 

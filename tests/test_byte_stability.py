@@ -28,6 +28,15 @@ GEN = {
             "aaee5642d8e0f301dc5c94a12ee05994a6ef0d5cb96fc44b96163d6470637c4a"),
 }
 
+# every layout at 2500 rows: three blocks of gen's sampling and writing
+GEN_BLOCKS = {
+    "gmm": ([], "1cb08b31a70bd257ddfb466ec3b3086fd45df4ba09f1ed324b0cf0d849f2296a"),
+    "mrm": (["--model", "mrm"],
+            "0b1991f1abef5b06ff87ca13c7a0f0fcb5d8e6db7fb9b530cc26d5b9f2ff9746"),
+    "rmc": (["--model", "rmc", "--p-m", "0.2"],
+            "94ab320261216b2a12b6794edd6a26547d9b5827e589e7a14d6d05833e839135"),
+}
+
 # report of the pinned run files of these algorithms (em leaves eps, delta
 # and C empty; clipped fills all three)
 REPORTS = {
@@ -97,6 +106,14 @@ def test_gen_digest(tmp_path, model):
     args, digest = GEN[model]
     out = tmp_path / f"{model}.csv"
     invoke("gen", "--n", 150, "--d", 3, "--seed", 5, *args, "--out", out)
+    assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("model", sorted(GEN_BLOCKS))
+def test_multi_block_gen_digest(tmp_path, model):
+    args, digest = GEN_BLOCKS[model]
+    out = tmp_path / f"{model}.csv"
+    invoke("gen", "--n", 2500, "--d", 3, "--seed", 5, *args, "--out", out)
     assert sha256(out) == digest
 
 

@@ -10,9 +10,11 @@ loaded, and a second harness makes every scipy import fail, as if scipy were
 not installed.  The check that a kernel call holds no memory once it
 returns runs in a fresh interpreter too: memory that an earlier call in the
 test process still held would escape a trace started after it.  So do the
-traced peaks of writing and reading a dataset file, the peak RSS of the
+traced peaks of sampling, writing and reading a dataset, the peak RSS of the
 commands that write and read one on two processes, and a check that the
-forked child flushes none of its parent's output.
+forked child flushes none of its parent's output.  The BLAS threads a CLI
+process runs are counted in a fresh interpreter too, since the test process
+loaded numpy before dpem.cli could pin them.
 """
 
 import os
@@ -85,10 +87,11 @@ cli.main(args=sys.argv[1:], prog_name="dpem")
 """
 
 
-def fresh(args, cwd):
-    """Run a new interpreter with this checkout's dpem on its path; its stdout."""
+def fresh(args, cwd, env=()):
+    """Run a new interpreter with this checkout's dpem on its path, and the
+    variables env on top of this process's; its stdout."""
     path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -291,15 +294,80 @@ def test_dataset_files_stream(tmp_path):
     # whole-table Python lists peaked at 5.4x (write) and 7.5x (read);
     # rows streamed through 1024-row blocks and one growing array read 1.9x
     # and 3.6x; building the rmc covariates in one owned copy reads 2.4x.
-    # The children hold the inherited table and one block (1.10x), or their
-    # half of the rows and its bytes (1.03x); a writing child that held its
-    # half as Python floats read 3.29x
+    # A write that built the whole NaN-marked table first read 1.95x, and
+    # its child, which inherited that table, 1.10x; each block's table
+    # built from the observations reads 0.33x and 0.10x.  The reading child
+    # holds its half of the rows and its bytes (1.03x); a writing child
+    # that held its half as Python floats read 3.29x
     write, read, write_child, read_child = map(
         float, fresh(["-c", DATASET_PEAKS], tmp_path).split())
-    assert write < 3.0
+    assert write < 0.5
     assert read < 3.0
-    assert write_child < 1.5
+    assert write_child < 0.25
     assert read_child < 1.5
+
+
+# Prints the traced peaks of sampling 25000x20 rmc (p_m = 0.2) and gmm
+# observations, each as a multiple of its dataset file's table of floats
+# (21 and 20 columns).  A small draw first makes each model's one-time
+# allocations, so they are not counted.
+SAMPLING_PEAKS = """\
+import tracemalloc
+import numpy as np
+from dpem.models import ModelSpec, sample_observations
+from dpem.numeric import RngStream
+for kind, p_m, width in (("rmc", 0.2, 21), ("gmm", 0.0, 20)):
+    model = ModelSpec(kind, 20, 1.0, p_m=p_m)
+    sample_observations(model, 10, np.full(20, 0.5), RngStream(3))
+    tracemalloc.start()
+    sample_observations(model, 25000, np.full(20, 0.5), RngStream(3))
+    print(tracemalloc.get_traced_memory()[1] / (25000 * width * 8))
+    tracemalloc.stop()
+"""
+
+
+def test_sampling_holds_one_table(tmp_path):
+    # whole-array arithmetic read 2.38x (rmc: the masked copy beside the
+    # mask's n x d uniforms) and 2.18x (gmm: z * beta_star beside the
+    # scaled normals); in place, with those terms made 1024 rows at a
+    # time, 1.43x and 1.18x: the table, the mask and the set's checks
+    rmc, gmm = map(float, fresh(["-c", SAMPLING_PEAKS], tmp_path).split())
+    assert rmc < 1.6
+    assert gmm < 1.3
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Prints the threads this process runs after import dpem.cli and one
+# 25000x20 matrix-vector product, which BLAS would split across threads.
+THREADS_AFTER_PRODUCT = """\
+import os
+import dpem.cli
+import numpy as np
+np.ones((25000, 20)) @ np.ones(20)
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_cli_runs_one_blas_thread(tmp_path):
+    """Whatever the caller exported: dpem runs in parallel by processes."""
+    env = dict.fromkeys(BLAS_THREADS, "2")
+    assert fresh(["-c", THREADS_AFTER_PRODUCT], tmp_path, env) == "1\n"
+
+
+def test_run_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path):
+    # 23040 x 20 is the fewest rows at d = 20 at which OpenBLAS 0.3.31
+    # splits em's matrix-vector products across two threads; the run's
+    # error cells then differed in their last bits
+    fresh(["-m", "dpem.cli", "gen", "--model", "rmc", "--p-m", "0.2", "--n", "23040",
+           "--d", "20", "--out", "rmc.csv"], tmp_path)
+    outputs = []
+    for threads in ("1", "2"):
+        fresh(["-m", "dpem.cli", "run", "--algorithm", "em", "--data", "rmc.csv",
+               "--out", f"em{threads}.csv"], tmp_path, dict.fromkeys(BLAS_THREADS, threads))
+        outputs.append((tmp_path / f"em{threads}.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 # Runs the dpem CLI on the arguments after the first, which names the one
