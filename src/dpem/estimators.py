@@ -27,6 +27,7 @@ from .accounting import (
 from .base import ALGORITHMS, BaseEstimator
 from .errors import ConfigError, ConvergenceError, DomainError
 from .models import (
+    _ROWS,
     ModelSpec,
     ObservationSet,
     f_gmm_batch,
@@ -35,7 +36,7 @@ from .models import (
     tau_bound,
 )
 from .numeric import RngStream
-from .robust import PHI_BOUND, RobustMeanParams, robust_mean_columns
+from .robust import PHI_BOUND, RobustMeanParams, RowSource, robust_mean_columns
 from .validation import (check_count, check_flag, check_positive, check_probability,
                           check_vector)
 
@@ -155,19 +156,18 @@ class ReleasePlan:
 
 def _iterate(plan: ReleasePlan, beta, beta_star, rng) -> IterationTrace:
     """The one loop: runs plan from beta, drawing iteration t's noise from child
-    stream t of rng.  A non-finite iterate, or an error against beta_star that
-    overflows, means the run diverged, reported with the last finite iterate."""
+    stream t of rng.  The robust plans' samples are a RowSource, whose rows
+    are made a block at a time as the kernel takes them, so an iteration
+    holds no n x d matrix.  A non-finite per-sample value or iterate, or an
+    error against beta_star that overflows, means the run diverged, reported
+    with the last finite iterate."""
     betas = [beta]
     errors = None
     # a diverging run is reported once, as a ConvergenceError, not as a
     # burst of numpy's overflow/invalid RuntimeWarnings before it
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, plan.T + 1):
-            # the previous matrix stays bound until the next one exists, so
-            # the allocator reuses its pages instead of returning them to
-            # the OS and faulting them back in every iteration
-            matrix = plan.samples(t, beta)
-            released = plan.estimate(matrix)
+            released = plan.estimate(plan.samples(t, beta))
             if plan.add_noise:
                 noise = rng.split(t).generator.standard_normal(beta.size)
                 released = released + plan.sigma * noise
@@ -190,6 +190,22 @@ def _iterate(plan: ReleasePlan, beta, beta_star, rng) -> IterationTrace:
                 last_value=betas[max(t - 1, 0)],
             )
     return IterationTrace(stack, errors, plan.echo())
+
+
+def _sample_rows(t: int, beta, shape: tuple, batch: Callable) -> RowSource:
+    """Iteration t's per-sample values at beta^{t-1} = beta, as a RowSource
+    whose blocks start at multiples of _ROWS, where grad_q_batch starts its
+    own, so each row has the bits of a whole-matrix call; batch(part) gives
+    the rows in the slice part.  A non-finite value means the run diverged."""
+    def rows(part):
+        values = batch(part)
+        if not np.all(np.isfinite(values)):
+            raise ConvergenceError(
+                f"diverged at iteration {t}: per-sample values have non-finite entries",
+                last_value=beta)
+        return values
+
+    return RowSource(shape, rows, _ROWS)
 
 
 def _check_run(data: ObservationSet, model: ModelSpec, beta0, truth):
@@ -307,9 +323,12 @@ def dp_gradient_em(
         order = np.arange(n)
     subsets = order[: m * T].reshape(T, m)  # trailing n - mT samples unused
 
+    def samples(t, b):
+        return _sample_rows(t, b, (m, d),
+                            lambda part: grad_q_batch(model, data.take(subsets[t - 1][part]), b))
+
     plan = ReleasePlan(
-        "dpgem", T, lambda t, b: grad_q_batch(model, data.take(subsets[t - 1]), b),
-        lambda grads: robust_mean_columns(grads, params), eta,
+        "dpgem", T, samples, lambda grads: robust_mean_columns(grads, params), eta,
         {**settings, "m": m, "shuffle": shuffle}, budget, sensitivity,
         split_budget_alg2(budget, d), not check_flag("disable_noise", disable_noise))
     return _iterate(plan, beta, beta_star, rng)
@@ -341,7 +360,12 @@ def dp_em_gmm(
     T = check_count("T", T)
     zeta = check_probability("zeta", zeta)
     params, sensitivity, settings = _robust_schedule(data.n, tau, zeta, budget, model.d)
-    plan = ReleasePlan("dpem", T, lambda t, b: f_gmm_batch(data, b, model.sigma),
+
+    def samples(t, b):
+        return _sample_rows(t, b, (data.n, model.d),
+                            lambda part: f_gmm_batch(data.rows(part), b, model.sigma))
+
+    plan = ReleasePlan("dpem", T, samples,
                        lambda fs: robust_mean_columns(fs, params), None, settings, budget,
                        sensitivity, split_budget_alg1(budget, T) / model.d,
                        not check_flag("disable_noise", disable_noise))

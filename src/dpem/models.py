@@ -105,8 +105,11 @@ class ObservationSet:
                 mask = np.asarray(self.mask).view()
                 if mask is None or mask.dtype != bool or mask.shape != xs.shape:
                     raise DomainError("rmc mask must be boolean with xs's shape")
-                if np.any(xs[~mask] != 0.0):
-                    raise DomainError("unobserved xs entries must hold the 0 sentinel")
+                # _ROWS rows at a time, so the check holds no n x d temporary
+                for i in range(0, xs.shape[0], _ROWS):
+                    rows = slice(i, i + _ROWS)
+                    if np.any(xs[rows] != 0.0, where=~mask[rows]):
+                        raise DomainError("unobserved xs entries must hold the 0 sentinel")
                 mask.setflags(write=False)
                 object.__setattr__(self, "mask", mask)
             elif self.mask is not None:
@@ -157,22 +160,28 @@ class ObservationSet:
         return self.ys.shape[1] if self.kind == "gmm" else self.xs.shape[1]
 
     def take(self, indices) -> "ObservationSet":
-        """The rows at the 1-d indices, as a new set with frozen copies.  The
-        rows were checked when this set was built, so they are not checked
-        again (dp_gradient_em takes a subset every iteration)."""
+        """The rows at the 1-d indices, as a new set with frozen copies (see
+        rows; dp_gradient_em takes a subset every iteration)."""
         idx = np.asarray(indices)
         if idx.ndim != 1:
             raise DomainError(f"indices must be 1-d, got shape {idx.shape}")
+        subset = self.rows(idx)
+        if subset.n == 0:
+            raise DomainError("indices select no rows")
+        return subset
+
+    def rows(self, part) -> "ObservationSet":
+        """The rows that part, a slice or 1-d indices, selects: a new set of
+        frozen views or copies.  The rows were checked when this set was
+        built, so they are not checked again."""
         subset = object.__new__(ObservationSet)
         object.__setattr__(subset, "kind", self.kind)
         for name in ("ys", "xs", "mask"):
-            rows = getattr(self, name)
-            if rows is not None:
-                rows = rows[idx]
-                rows.setflags(write=False)
-            object.__setattr__(subset, name, rows)
-        if subset.n == 0:
-            raise DomainError("indices select no rows")
+            values = getattr(self, name)
+            if values is not None:
+                values = values[part]
+                values.setflags(write=False)
+            object.__setattr__(subset, name, values)
         return subset
 
 

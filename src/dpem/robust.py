@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "smoothed_phi",
     "robust_mean",
     "robust_mean_columns",
+    "RowSource",
     "select_params_nonprivate",
     "select_params_central",
     "select_params_local",
@@ -189,9 +191,11 @@ _WINDOW_CHUNK_NODES = 1 << 16
 # 5000x50 calls (2-core Xeon, 2 MiB L2 per core): smaller blocks pay numpy's
 # per-call cost (+36 % at 2**14) and larger ones spill the cache (+8 % at
 # 2**17, +12 % at 2**18), and each numpy call stays long enough for two pool
-# threads to overlap.  Nothing is held once a call returns.  A block of
-# n entries lays its rows end to end on the first _FLOAT_ROWS * n floats, so
-# that any run of them is one contiguous array.
+# threads to overlap.  robust_mean_columns takes its rows in blocks of about
+# this many entries, so a call holds the scratch, one block of values and
+# one block of results, however many rows it reads; nothing is held once it
+# returns.  A block of n entries lays its rows end to end on the first
+# _FLOAT_ROWS * n floats, so that any run of them is one contiguous array.
 _BLOCK = 1 << 16
 _FLOAT_ROWS = 15  # a and b, then _closed_form's 13
 
@@ -362,15 +366,21 @@ def _smoothed_phi_array(x: np.ndarray, s: float, beta: float) -> np.ndarray:
     """Vectorized smoothed truncation; x any shape, finite.  The result is a
     new array, filled _BLOCK entries at a time on scratch rows of this call."""
     x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    out = np.empty(flat.size)
+    out = np.empty(x.shape)
+    floats = np.empty(_FLOAT_ROWS * min(x.size, _BLOCK))
+    _smoothed_phi_into(x.ravel(), s, beta, out.reshape(-1), floats)
+    return out
+
+
+def _smoothed_phi_into(flat: np.ndarray, s: float, beta: float, out: np.ndarray,
+                       floats: np.ndarray) -> None:
+    """The smoothed truncation of the 1-d flat into out, _BLOCK entries at a
+    time on floats, which holds _FLOAT_ROWS min(flat.size, _BLOCK) or more."""
     scale = s * math.sqrt(beta)
     b_cut = _correction_gate(beta)
-    floats = np.empty(_FLOAT_ROWS * min(flat.size, _BLOCK))
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         _smoothed_phi_block(flat[block], s, scale, b_cut, out[block], floats)
-    return out.reshape(x.shape)
 
 
 def _smoothed_phi_block(x: np.ndarray, s: float, scale: float, b_cut: float,
@@ -423,14 +433,59 @@ def robust_mean(xs, p: RobustMeanParams) -> float:
     return float(np.mean(_smoothed_phi_array(check_vector("xs", xs), p.s, p.beta)))
 
 
+class RowSource:
+    """An (n, d) matrix made a block of rows at a time: source[i:j] computes
+    rows i..j-1 as a C-ordered float array, which the source has checked
+    finite.  robust_mean_columns takes the rows in blocks that start at
+    multiples of step and holds one block at once; np.asarray builds the
+    whole matrix."""
+
+    def __init__(self, shape: tuple, rows: Callable[[slice], np.ndarray], step: int):
+        self.shape, self.step, self._rows = shape, step, rows
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        return self._rows(part)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self[0 : self.shape[0]], dtype=dtype)
+
+
 def robust_mean_columns(matrix, p: RobustMeanParams) -> np.ndarray:
-    """Per-column robust mean of an (n, d) value matrix."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise DomainError(f"matrix must be a nonempty (n, d) array, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise DomainError("matrix must have finite entries")
-    return _smoothed_phi_array(matrix, p.s, p.beta).mean(axis=0)
+    """Per-column robust mean of an (n, d) value matrix or RowSource.
+
+    The rows go through the kernel a block at a time, each block about
+    _BLOCK entries and a multiple of the source's step rows, into one
+    reused buffer whose first row holds the sum of the rows before the
+    block.  numpy sums axis 0 of a C-ordered array row by row, in order,
+    so reducing that buffer carries .mean(axis=0)'s sum bit for bit.  At
+    d = 1 the column is contiguous and numpy sums it pairwise instead, so
+    it is one block.  A last row left on its own joins the block before
+    it: numpy takes a one-row matrix product as a dot product, which
+    rounds otherwise than the matrix-vector product a source's whole
+    matrix would take."""
+    if isinstance(matrix, RowSource):
+        step = matrix.step
+    else:
+        step, matrix = 1, np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.size == 0:
+            raise DomainError(f"matrix must be a nonempty (n, d) array, got shape {matrix.shape}")
+        if not np.all(np.isfinite(matrix)):
+            raise DomainError("matrix must have finite entries")
+    n, d = matrix.shape
+    rows = n if d == 1 else min(n, step * max(1, _BLOCK // (step * d)))
+    most = min(rows + 1, n)
+    values = np.empty((most + 1, d))
+    total = np.empty(d)
+    floats = np.empty(_FLOAT_ROWS * min(most * d, _BLOCK))
+    stops = [*range(rows, n - 1, rows), n]
+    for start, stop in zip([0, *stops], stops):
+        k = stop - start
+        _smoothed_phi_into(matrix[start:stop].reshape(-1), p.s, p.beta,
+                           values[1 : k + 1].reshape(-1), floats)
+        # the first block's sum starts at its first row, as numpy's does
+        np.add.reduce(values[1 if start == 0 else 0 : k + 1], axis=0, out=total)
+        values[0] = total
+    return total / n
 
 
 def select_params_nonprivate(n: int, tau: float, zeta: float) -> RobustMeanParams:

@@ -455,6 +455,23 @@ class TestRun:
         assert "estimation error overflows" in result.stderr
         assert runtime_warnings == []
 
+    @pytest.mark.parametrize("eta, message", [
+        ("3e306", "iteration 2: per-sample values have non-finite entries"),
+        ("1e306", "iteration 1: estimation error overflows"),
+        ("5e307", "iteration 1: beta has non-finite entries"),
+    ])
+    def test_diverging_dpgem_exits_4(self, runner, tmp_path, eta, message):
+        # at 3e306 beta^1 is finite and the second subset's gradients at it
+        # overflow, which exited 2 as a matrix with non-finite entries
+        data = gen_dataset(runner, tmp_path, model="mrm", n=400, d=3, seed=1)
+        result, runtime_warnings = invoke_quiet(runner, [
+            "run", "--algorithm", "dpgem", "--data", str(data), "--eps", "0.1",
+            "--seed", "1", "--eta", eta, "--out", str(tmp_path / "o.csv"),
+        ])
+        assert result.exit_code == 4, result.output
+        assert f"error: diverged at {message}" in result.stderr
+        assert runtime_warnings == []
+
     def test_unsafe_no_noise_warns_on_stderr(self, runner, tmp_path):
         data = gen_dataset(runner, tmp_path, n=50, d=3)
         out = tmp_path / "rows.csv"

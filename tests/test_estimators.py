@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dpem.estimators
+from dpem import robust
 from dpem.accounting import gaussian_sigma_for_zcdp, make_budget, split_budget_alg1
 from dpem.errors import ConfigError, ConvergenceError, DomainError
 from dpem.estimators import (
@@ -310,6 +311,21 @@ class TestDPGradientEM:
             grad_q_batch(model, data.take(np.arange(tr.config["m"])), beta0), params)
         noise = tr.config["sigma"] * rng.split(1).generator.standard_normal(6)
         assert np.array_equal(tr.betas[1], beta0 + 0.5 * (released + noise))
+
+    def test_overflowing_gradients_raise_convergence_error(self):
+        # beta^1 is finite, but the second subset's gradients at it overflow:
+        # the fit diverged, which the kernel refused as bad input before
+        model, beta_star, data, _, _ = make_problem("mrm", 3, 400, 0)
+        est = DPGradientEM(model="mrm", eta=3e306, eps=0.1, random_state=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="diverged at iteration 2: per-sample"
+                               ) as info:
+                est.fit(data.xs, data.ys, beta_star=beta_star)
+        last = info.value.last_value
+        assert np.all(np.isfinite(last)) and np.abs(last).max() > 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(grad_q_batch(model, data, last)))
 
     @pytest.mark.parametrize("d", [2, 7, 50])
     def test_joint_sigma_equals_per_coordinate(self, d):
@@ -752,6 +768,59 @@ class TestReleasePlan:
                                lambda: gradient_em(data, model, beta0, 1.0, 3))
         assert plan.budget is None and plan.sigma == 0.0 and not plan.add_noise
         assert trace.config == {"algorithm": "em", "eta": 1.0, "T": 3}
+
+
+def _kernel_branches(x, p):
+    """Whether the kernel meets far entries at p, and closed-form corrections
+    whose normal CDF takes _ndtr's tail (|V| >= 8 sqrt 2) and its centre
+    (|V| < sqrt 2)."""
+    a = x / p.s
+    b = np.abs(x) / (p.s * math.sqrt(p.beta))
+    far = (np.abs(a) > robust._CLOSED_FORM_LIMIT) | (b > robust._CLOSED_FORM_LIMIT)
+    gated = ~far & (b > robust._correction_gate(p.beta))
+    v = np.abs(np.concatenate([(math.sqrt(2.0) - a[gated]) / b[gated],
+                               (math.sqrt(2.0) + a[gated]) / b[gated]]))
+    return far.any(), (v >= 8.0 * math.sqrt(2.0)).any(), (v < math.sqrt(2.0)).any()
+
+
+class TestStreamedReleases:
+    """dpgem and dpem stream each release's per-sample rows through the kernel
+    a block at a time; the release keeps the bits of the kernel's column
+    means over the whole matrix."""
+
+    @pytest.mark.parametrize("d", [1, 5, 50, 70])
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049, 5000])
+    @pytest.mark.parametrize("algorithm, kind", [
+        ("dpgem", "gmm"), ("dpgem", "mrm"), ("dpgem", "rmc"), ("dpem", "gmm")])
+    def test_bit_for_bit(self, monkeypatch, algorithm, kind, n, d):
+        model, _, data, beta0, rng = make_problem(kind, d, n, 60 + d,
+                                                  p_m=0.2 if kind == "rmc" else 0.0)
+        budget = make_budget(0.5, 1e-5)
+        if algorithm == "dpgem":  # one subset of all n rows, shuffled
+            plan, _ = _plan_of(monkeypatch, lambda: dp_gradient_em(
+                data, model, beta0, 5.0, 1.0, 1, budget, 0.05, rng))
+            whole = grad_q_batch(model, data.take(rng.split(0).generator.permutation(n)),
+                                 beta0)
+        else:
+            plan, _ = _plan_of(monkeypatch, lambda: dp_em_gmm(
+                data, model, beta0, 5.0, 1, budget, 0.05, rng))
+            whole = f_gmm_batch(data, beta0, model.sigma)
+        smoothing = plan.settings["smoothing_beta"]
+        # the plan's truncation, and one that puts the largest values in the
+        # far regime and spreads the rest over the closed form's branches
+        params = [RobustMeanParams(plan.settings["s"], smoothing),
+                  RobustMeanParams(np.abs(whole).max() / 20.0, smoothing)]
+        assert all(map(any, zip(*(_kernel_branches(whole, p) for p in params))))
+        # blocks of 1024 rows at every d, as well as the default's
+        for block in (robust._BLOCK, 1024):
+            monkeypatch.setattr(robust, "_BLOCK", block)
+            for p in params:
+                streamed = robust_mean_columns(plan.samples(1, beta0), p).tobytes()
+                assert streamed == robust_mean_columns(whole, p).tobytes(), (block, p)
+                values = robust._smoothed_phi_array(whole, p.s, p.beta)
+                assert streamed == values.mean(axis=0).tobytes(), (block, p)
+        assert (plan.estimate(plan.samples(1, beta0)).tobytes()
+                == robust_mean_columns(whole, params[0]).tobytes())
 
 
 class TestPickle:

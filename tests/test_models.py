@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,30 @@ class TestObservationSet:
         obs = ObservationSet("rmc", np.zeros(3), xs=np.where(mask, xs, 0.0), mask=mask)
         assert obs.n == 3 and obs.d == 2
 
+    def test_rmc_sentinel_enforced_in_every_block(self):
+        # the check runs 1024 rows at a time; a bad cell in the third block
+        # is refused as one in the first is
+        mask = np.ones((3000, 2), dtype=bool)
+        mask[2500, 1] = False
+        xs = np.where(mask, 1.0, -0.0)
+        assert ObservationSet("rmc", np.zeros(3000), xs=xs, mask=mask).n == 3000
+        xs[2500, 1] = 1e-300
+        with pytest.raises(DomainError, match="unobserved xs entries must hold the 0 sentinel"):
+            ObservationSet("rmc", np.zeros(3000), xs=xs, mask=mask)
+
+    def test_rmc_sentinel_check_holds_no_table(self):
+        obs = sample_observations(ModelSpec("rmc", 20, 1.0, p_m=0.2), 25000, np.ones(20),
+                                  RngStream(2))
+        tracemalloc.start()
+        try:
+            ObservationSet("rmc", obs.ys, obs.xs, obs.mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the finiteness check's n x d bools are 0.125 of the covariates'
+        # bytes; a gather of the missing cells took 0.31 more
+        assert peak < 0.15 * obs.xs.nbytes
+
     def test_nonfinite_rejected(self):
         ys = np.zeros((3, 2))
         ys[1, 0] = np.nan
@@ -136,6 +161,18 @@ class TestObservationSet:
                 assert got.tobytes() == want.tobytes()
                 with pytest.raises(ValueError):
                     got[0] = got[0]
+
+    def test_rows_are_frozen_views(self):
+        obs = sample_observations(ModelSpec("rmc", 3, 1.0, p_m=0.3), 10, np.ones(3),
+                                  RngStream(1))
+        sub = obs.rows(slice(4, 9))
+        assert sub.kind == "rmc" and sub.n == 5 and sub.d == 3
+        for name in ("ys", "xs", "mask"):
+            got, parent = getattr(sub, name), getattr(obs, name)
+            assert np.shares_memory(got, parent)
+            assert got.tobytes() == parent[4:9].tobytes()
+            with pytest.raises(ValueError):
+                got[0] = got[0]
 
     def test_take_rejects_bad_indices(self):
         obs = sample_observations(ModelSpec("mrm", 2, 1.0), 10, np.ones(2), RngStream(1))

@@ -498,6 +498,20 @@ class TestKernelBlocks:
         assert values.ravel()[::3].tobytes() == mat.ravel()[::3].tobytes()
         assert np.array_equal(np.frombuffer(default[1]), per_entry.mean(axis=0))
 
+    @pytest.mark.parametrize("block", [1, 7, 64, 2**16])
+    def test_column_means_are_numpys(self, monkeypatch, block):
+        # the sums carried across blocks add the rows in .mean(axis=0)'s
+        # order: row by row, a -0.0 column staying -0.0, and pairwise down
+        # a single column
+        g = RngStream(14).generator
+        monkeypatch.setattr(robust, "_BLOCK", block)
+        for shape in ((1, 3), (2, 3), (3, 3), (200, 1), (57, 2), (70, 5), (300, 20)):
+            mat = g.standard_t(3, shape) * 4.0
+            mat[:, -1] = -0.0
+            want = robust._smoothed_phi_array(mat, FAR_S, FAR_BETA).mean(axis=0)
+            got = robust_mean_columns(mat, self.P)
+            assert got.tobytes() == want.tobytes(), shape
+
     def test_results_do_not_alias_scratch(self):
         g = RngStream(11).generator
         first, second = (g.standard_t(3, (700, 100)) * 4.0 for _ in range(2))
