@@ -16,10 +16,10 @@ _SUBMODULE = {name: module for module, names in {
     "errors": ("ConfigError", "ConvergenceError", "DataError", "DomainError", "ParseError"),
     "estimators": ("ClippedDPGradientEM", "DPEMGaussianMixture", "DPGradientEM",
                    "GradientEM", "IterationTrace", "clipped_dp_gradient_em", "dp_em_gmm",
-                   "dp_gradient_em", "gradient_em", "initial_beta"),
+                   "dp_gradient_em", "gradient_em"),
     "models": ("ModelSpec", "ObservationSet", "grad_q_mean", "preprocess_real_gmm",
                "sample_observations", "tau_bound"),
-    "numeric": ("RngStream", "max_eigenvalue", "sample_gaussian"),
+    "numeric": ("RngStream", "initial_beta", "max_eigenvalue", "sample_gaussian"),
     "robust": ("PHI_BOUND", "RobustMeanParams", "central_dp_mean", "local_dp_mean",
                "robust_mean", "select_params_central", "select_params_nonprivate",
                "select_params_local", "smoothed_phi"),

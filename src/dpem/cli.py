@@ -8,13 +8,22 @@ subcommand); explicit flags win over the file, and both pass the same parser.
 
 Each command imports the library modules it runs, and with them numpy, at the
 top of its body, so ``report`` and ``--help`` load neither; a command forks
-only after that, so its children inherit them.  ``run`` fits its seeds on
-``--threads`` worker processes, at most one per seed and per CPU: its own
-and children it forks, each with a fixed share of the seeds
-(``_run_parallel``).  ``sweep`` hands its tasks out from a pool of forked
-processes (``_run_forked``).  ``gen``, ``run`` and ``preprocess`` also fork
-one child to write or parse half of a dataset file of more than one block
-(see ``dpem.io``).
+only after that, so its children inherit them.  ``gen`` and ``preprocess``
+load the models and ``dpem.numeric`` but no fitting module; ``run`` and
+``sweep`` add ``dpem.estimators`` and ``dpem.accounting``, and only their
+dpgem and dpem fits load the kernel, ``dpem.robust`` (and numpy.polynomial
+on its first far-regime entry).  ``run`` fits its seeds on ``--threads``
+worker processes, at most one per seed and per CPU: its own and children it
+forks, each with a fixed share of the seeds (``_run_parallel``).  ``sweep``
+hands its tasks out from a pool of forked processes (``_run_forked``).
+``gen``, ``run`` and ``preprocess`` also fork one child to write or parse
+half of a dataset file of more than one block (see ``dpem.io``).
+
+Before any command runs, the group marks OpenSSL's ``_hashlib`` absent,
+unless the process already loaded it.  numpy.random imports ``secrets`` and
+so hashlib, which would otherwise map libcrypto into every process that
+draws, though no command hashes.  hashlib then works on CPython's builtin
+hashes, in this process and in any later importer in it.
 
 Since dpem runs in parallel by processes, importing this module pins BLAS
 to one thread per process: it sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
@@ -372,6 +381,9 @@ class _ExitCodes(click.Group):
 @click.group(cls=_ExitCodes)
 def cli():
     """Differentially private EM benchmark harness."""
+    # before any command loads numpy, whose numpy.random imports secrets and
+    # so hashlib (see the module docstring); SeedSequence hashes by itself
+    sys.modules.setdefault("_hashlib", None)
 
 
 @cli.command("gen")
@@ -386,9 +398,8 @@ def cli():
 @config_option
 def cmd_gen(model, n, d, snr, sigma, p_m, seed, out):
     """Generate a synthetic dataset plus its metadata sidecar."""
-    from .estimators import initial_beta
     from .models import ModelSpec, sample_observations
-    from .numeric import RngStream
+    from .numeric import RngStream, initial_beta
 
     model_kind = _check_model(model)
     model = ModelSpec(model_kind, d, sigma, p_m)
@@ -419,9 +430,11 @@ def cmd_gen(model, n, d, snr, sigma, p_m, seed, out):
 def cmd_run(data_path, meta_path, eps, clip, algorithm, seed, n_seeds, threads, out,
             **fit):
     """Run one algorithm on an existing dataset, once per seed."""
-    from .estimators import initial_beta
+    # _fit_rows' module, imported before the data is read, so that compiling
+    # it adds nothing to the peak
+    from . import estimators  # noqa: F401
     from .models import ModelSpec
-    from .numeric import RngStream
+    from .numeric import RngStream, initial_beta
     from .validation import check_vector
 
     _warn_if_no_noise(fit)
@@ -475,9 +488,10 @@ def cmd_sweep(model, algorithm, n_list, d_list, eps_list, clip_list, snr, sigma,
     algorithm).  Synthetic data is drawn once per (n, d, seed) and shared
     by that seed's eps x clip cells; rows come out in canonical order no
     matter how many worker processes execute the tasks."""
-    from .estimators import initial_beta
+    # _fit_rows' module, compiled before the pool forks, which then inherits it
+    from . import estimators  # noqa: F401
     from .models import ModelSpec, sample_observations
-    from .numeric import RngStream
+    from .numeric import RngStream, initial_beta
 
     model_kind = _check_model(model)
     algorithm = _check_algorithm(algorithm, model_kind)

@@ -7,6 +7,8 @@ share rho of the budget and the sigma calibrated from them.  One loop,
 stream t of the caller's RngStream, so traces are bitwise reproducible no
 matter how the work is scheduled.  The CLI and the estimator classes share
 one entry point, ``run_algorithm``, which resolves the ``auto`` settings.
+The kernel, ``dpem.robust``, is imported by the robust plans alone, so em
+and clipped fits never load it.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from .models import (
     grad_q_mean,
     tau_bound,
 )
-from .numeric import RngStream
-from .robust import PHI_BOUND, RobustMeanParams, RowSource, robust_mean_columns
+from .numeric import RngStream, initial_beta
 from .validation import (check_count, check_flag, check_positive, check_probability,
                           check_vector)
 
@@ -92,17 +93,6 @@ class IterationTrace:
         if self.errors is None:
             raise DomainError("trace carries no ground-truth errors")
         return float(self.errors[-1])
-
-
-def initial_beta(d: int, rng: RngStream) -> np.ndarray:
-    """Random unit-norm starting point: a seeded Gaussian direction."""
-    d = check_count("d", d)
-    v = rng.generator.standard_normal(d)
-    norm = float(np.linalg.norm(v))
-    while norm == 0.0:  # essentially impossible; redraw keeps the contract
-        v = rng.generator.standard_normal(d)
-        norm = float(np.linalg.norm(v))
-    return v / norm
 
 
 SIGN_SYMMETRIC_KINDS = ("gmm", "mrm")
@@ -197,6 +187,8 @@ def _sample_rows(t: int, beta, shape: tuple, batch: Callable) -> RowSource:
     whose blocks start at multiples of _ROWS, where grad_q_batch starts its
     own, so each row has the bits of a whole-matrix call; batch(part) gives
     the rows in the slice part.  A non-finite value means the run diverged."""
+    from .robust import RowSource
+
     def rows(part):
         values = batch(part)
         if not np.all(np.isfinite(values)):
@@ -225,13 +217,18 @@ def _robust_schedule(count: int, tau: float, zeta: float, budget: PrivacyBudget,
                      d: int):
     """Per-coordinate robust means over count samples:
     s = sqrt(count tau eps_tilde) / (2 ln(d/zeta)), smoothing sqrt(ln(d/zeta)).
-    Returns the params, one coordinate release's sensitivity
-    2 PHI_BOUND s / count, and the settings to echo."""
+    Returns the release's estimate, the kernel's column means of a
+    per-sample matrix or RowSource, one coordinate release's sensitivity
+    2 PHI_BOUND s / count, and the settings to echo.  robust_mean_columns is
+    looked up at this call, so a wrapper rebound over it is seen."""
+    from .robust import PHI_BOUND, RobustMeanParams, robust_mean_columns
+
     log_term = math.log(d / zeta)
     s = math.sqrt(count * tau * budget.eps_tilde) / (2.0 * log_term)
     params = RobustMeanParams(s=s, beta=math.sqrt(log_term))
     settings = {"tau": tau, "zeta": zeta, "s": s, "smoothing_beta": params.beta}
-    return params, 2.0 * PHI_BOUND * s / count, settings
+    return (lambda rows: robust_mean_columns(rows, params),
+            2.0 * PHI_BOUND * s / count, settings)
 
 
 def gradient_em(
@@ -315,7 +312,7 @@ def dp_gradient_em(
     if n < T:
         raise DomainError(f"need n >= T, got n={n}, T={T}")
     m = n // T
-    params, sensitivity, settings = _robust_schedule(m, tau, zeta, budget, d)
+    estimate, sensitivity, settings = _robust_schedule(m, tau, zeta, budget, d)
 
     if shuffle:
         order = rng.split(0).generator.permutation(n)
@@ -328,7 +325,7 @@ def dp_gradient_em(
                             lambda part: grad_q_batch(model, data.take(subsets[t - 1][part]), b))
 
     plan = ReleasePlan(
-        "dpgem", T, samples, lambda grads: robust_mean_columns(grads, params), eta,
+        "dpgem", T, samples, estimate, eta,
         {**settings, "m": m, "shuffle": shuffle}, budget, sensitivity,
         split_budget_alg2(budget, d), not check_flag("disable_noise", disable_noise))
     return _iterate(plan, beta, beta_star, rng)
@@ -359,15 +356,15 @@ def dp_em_gmm(
     tau = check_positive("tau", tau)
     T = check_count("T", T)
     zeta = check_probability("zeta", zeta)
-    params, sensitivity, settings = _robust_schedule(data.n, tau, zeta, budget, model.d)
+    estimate, sensitivity, settings = _robust_schedule(data.n, tau, zeta, budget,
+                                                       model.d)
 
     def samples(t, b):
         return _sample_rows(t, b, (data.n, model.d),
                             lambda part: f_gmm_batch(data.rows(part), b, model.sigma))
 
-    plan = ReleasePlan("dpem", T, samples,
-                       lambda fs: robust_mean_columns(fs, params), None, settings, budget,
-                       sensitivity, split_budget_alg1(budget, T) / model.d,
+    plan = ReleasePlan("dpem", T, samples, estimate, None, settings, budget, sensitivity,
+                       split_budget_alg1(budget, T) / model.d,
                        not check_flag("disable_noise", disable_noise))
     return _iterate(plan, beta, beta_star, rng)
 

@@ -241,10 +241,10 @@ def write_dataset(path, obs: ObservationSet) -> None:
         table = obs.ys[rows] if obs.kind == "gmm" else np.column_stack([
             obs.xs[rows] if obs.mask is None else np.where(obs.mask[rows], obs.xs[rows], np.nan),
             obs.ys[rows]])
-        # the observations are finite, so NaN marks exactly the missing
+        text = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+        # the observations are finite, so NaN marks exactly the missing rmc
         # cells, and no finite float's repr contains the text nan
-        return "".join(",".join(map(repr, row)) + "\n" for row in
-                       table.tolist()).replace("nan", "").encode()
+        return (text if obs.mask is None else text.replace("nan", "")).encode()
 
     def odd_blocks(out) -> None:
         for i in starts[1::2]:

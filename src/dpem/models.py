@@ -66,6 +66,14 @@ class ModelSpec:
         object.__setattr__(self, "p_m", p_m)
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """np.all(np.isfinite(values)), _ROWS rows at a time, so the check holds
+    no n x d temporary."""
+    values = np.atleast_1d(values)
+    return all(np.isfinite(values[i : i + _ROWS]).all()
+               for i in range(0, values.shape[0], _ROWS))
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """n samples for one model.  gmm: ys is (n, d).  mrm: xs is (n, d) and
@@ -84,7 +92,7 @@ class ObservationSet:
         # arrays are frozen through views, so the caller's own arrays stay
         # writeable; no copy is made
         ys = np.asarray(self.ys, dtype=float).view()
-        if not np.all(np.isfinite(ys)):
+        if not _all_finite(ys):
             raise DomainError("ys must have finite entries")
         if self.kind == "gmm":
             if ys.ndim != 2 or ys.shape[0] == 0:
@@ -97,7 +105,7 @@ class ObservationSet:
             xs = np.asarray(self.xs, dtype=float).view() if self.xs is not None else None
             if xs is None or xs.ndim != 2 or xs.shape[0] != ys.shape[0]:
                 raise DomainError(f"{self.kind} xs must be (n, d) matching ys")
-            if not np.all(np.isfinite(xs)):
+            if not _all_finite(xs):
                 raise DomainError("xs must have finite entries")
             xs.setflags(write=False)
             object.__setattr__(self, "xs", xs)

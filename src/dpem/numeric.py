@@ -1,7 +1,7 @@
 """Deterministic numerics shared by every module.
 
-Splittable RNG streams, seeded scalar sampling and the top eigenvalue of a
-symmetric PSD matrix.
+Splittable RNG streams, seeded scalar sampling, a seeded unit-norm starting
+point and the top eigenvalue of a symmetric PSD matrix.
 """
 
 from __future__ import annotations
@@ -9,11 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .validation import check_finite_scalar, check_matrix
+from .validation import check_count, check_finite_scalar, check_matrix
 
 __all__ = [
     "RngStream",
     "sample_gaussian",
+    "initial_beta",
     "max_eigenvalue",
 ]
 
@@ -63,6 +64,17 @@ def sample_gaussian(rng: RngStream, mean: float, std: float) -> float:
     if std == 0.0:
         return mean
     return mean + std * float(rng.generator.standard_normal())
+
+
+def initial_beta(d: int, rng: RngStream) -> np.ndarray:
+    """Random unit-norm starting point: a seeded Gaussian direction."""
+    d = check_count("d", d)
+    v = rng.generator.standard_normal(d)
+    norm = float(np.linalg.norm(v))
+    while norm == 0.0:  # essentially impossible; redraw keeps the contract
+        v = rng.generator.standard_normal(d)
+        norm = float(np.linalg.norm(v))
+    return v / norm
 
 
 def max_eigenvalue(m) -> float:

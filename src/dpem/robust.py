@@ -10,6 +10,7 @@ every per-user release (local model).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -176,8 +177,15 @@ def _ndtr(x, floats):
 
 # 32-point Gauss-Legendre panels, <= 0.25 std wide, resolve the window
 # integrand (cubic times normal pdf) to machine precision.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_POINTS = 32
 _PANEL_WIDTH = 0.25
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The rule's nodes and weights, computed on the first far-regime entry,
+    so a process that meets none never loads numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(_GL_POINTS)
 
 # Far-regime entries are integrated in chunks of at most this many
 # quadrature nodes, which bounds the temporaries however many entries are far.
@@ -341,7 +349,7 @@ def _window_expectation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(np.diff(sorted_panels, prepend=0))
     for start, group in zip(starts, np.split(windowed[order], starts[1:])):
         panels = int(sorted_panels[start])
-        rows = max(1, _WINDOW_CHUNK_NODES // (panels * _GL_NODES.size))
+        rows = max(1, _WINDOW_CHUNK_NODES // (panels * _GL_POINTS))
         for k in range(0, group.size, rows):
             idx = group[k : k + rows]
             out[idx] += _window_integral(a[idx], b[idx], lo[idx], hi[idx], panels)
@@ -351,14 +359,15 @@ def _window_expectation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _window_integral(a, b, lo, hi, panels: int) -> np.ndarray:
     """Integral of phi(a + b*u) * pdf(u) over [lo, hi], one row per entry,
     by `panels` equal Gauss-Legendre panels."""
+    nodes, weights = _gauss_legendre()
     edges = np.linspace(lo, hi, panels + 1, axis=-1)
     mid = (edges[:, :-1] + edges[:, 1:]) / 2.0
     half = (edges[:, 1:] - edges[:, :-1]) / 2.0
-    u = mid[:, :, None] + half[:, :, None] * _GL_NODES
+    u = mid[:, :, None] + half[:, :, None] * nodes
     z = a[:, None, None] + b[:, None, None] * u
     pdf = np.exp(-0.5 * u * u) * _INV_SQRT_2PI
     # the cube as a product: z**3 is a libm pow call per node, ~80x slower
-    panel_sums = ((z - z * z * z / 6.0) * pdf) @ _GL_WEIGHTS
+    panel_sums = ((z - z * z * z / 6.0) * pdf) @ weights
     return np.sum(half * panel_sums, axis=-1)
 
 

@@ -14,7 +14,9 @@ traced peaks of sampling, writing and reading a dataset, the peak RSS of the
 commands that write and read one on two processes, and a check that the
 forked child flushes none of its parent's output.  The BLAS threads a CLI
 process runs are counted in a fresh interpreter too, since the test process
-loaded numpy before dpem.cli could pin them.
+loaded numpy before dpem.cli could pin them.  So are the modules each
+command loads: no command loads OpenSSL's _hashlib, only the robust fits
+load the kernel, and only its far regime numpy.polynomial.
 """
 
 import os
@@ -41,11 +43,13 @@ import dpem.cli
 from dpem.cli import cli
 WATCHED = ("scipy", "scipy.special", "multiprocessing", "concurrent.futures.process",
            "numpy", "concurrent.futures", "dpem.estimators", "dpem.models", "dpem.robust",
-           "dpem.numeric", "dpem.accounting", "dpem.validation")
+           "dpem.numeric", "dpem.accounting", "dpem.validation", "_hashlib",
+           "numpy.polynomial")
 install = dpem.cli._install_worker
 
 def loaded():
-    return [m for m in WATCHED if m in sys.modules]
+    # a module marked absent is held as None
+    return [m for m in WATCHED if sys.modules.get(m) is not None]
 
 def install_probed(worker):
     def probed(spec):
@@ -144,9 +148,16 @@ POOL = ["multiprocessing", "concurrent.futures", "concurrent.futures.process"]
 
 @pytest.mark.parametrize("command", sorted(NO_KERNEL))
 def test_command_without_kernel_loads_no_scipy(inputs, command):
-    """Neither scipy nor the process pool."""
-    loaded = probed_modules(NO_KERNEL[command], inputs)
-    assert not {"scipy", "scipy.special", *POOL} & set(loaded)
+    """Neither scipy, the process pool nor OpenSSL's _hashlib, which
+    numpy.random's secrets import loads unless the cli group has marked it
+    absent.  No fit here loads the kernel, which dpem.estimators imports in
+    the robust plans alone, nor the kernel's numpy.polynomial, and gen loads
+    no fitting module."""
+    loaded = set(probed_modules(NO_KERNEL[command], inputs))
+    assert not {"scipy", "scipy.special", *POOL, "_hashlib", "dpem.robust",
+                "numpy.polynomial"} & loaded
+    if command.startswith("gen"):
+        assert not {"dpem.estimators", "dpem.accounting"} & loaded
 
 
 @pytest.mark.parametrize("command", ["help", "report"])
@@ -173,8 +184,67 @@ KERNEL = {
 
 @pytest.mark.parametrize("command", sorted(KERNEL))
 def test_kernel_loads_no_scipy(inputs, command):
-    loaded = probed_modules(KERNEL[command], inputs)
-    assert not {"scipy", "scipy.special"} & set(loaded)
+    """The kernel without scipy or _hashlib, in the process and in the
+    forked sweep's workers."""
+    loaded = set(probed_modules(KERNEL[command], inputs))
+    assert "dpem.robust" in loaded
+    assert not {"scipy", "scipy.special", "_hashlib"} & loaded
+
+
+# Prints whether numpy.polynomial is loaded after a kernel call that meets
+# only the closed form, then after one that meets the far regime.
+QUADRATURE = """\
+import sys
+import numpy as np
+from dpem.robust import RobustMeanParams, robust_mean_columns
+params = RobustMeanParams(s=1.0, beta=1.0)
+for value in (0.5, 50.0):
+    robust_mean_columns(np.full((4, 2), value), params)
+    print("numpy.polynomial" in sys.modules)
+"""
+
+
+def test_kernel_loads_its_quadrature_on_first_far_entry(tmp_path):
+    """The far regime's Gauss-Legendre rule comes from numpy.polynomial."""
+    assert fresh(["-c", QUADRATURE], tmp_path).split() == ["False", "True"]
+
+
+# Runs a command, then prints whether _hashlib is loaded and a SHA-256.
+HASH_AFTER_COMMAND = """\
+import sys
+from dpem.cli import cli
+try:
+    cli.main(args=["gen", "--n", "50", "--d", "3", "--out", "g.csv"], prog_name="dpem")
+except SystemExit as exc:
+    if exc.code:
+        raise
+import hashlib
+print(sys.modules.get("_hashlib") is not None, hashlib.sha256(b"abc").hexdigest())
+"""
+
+
+def test_hashlib_works_after_a_command(tmp_path):
+    """hashlib falls back to CPython's builtin hashes."""
+    assert fresh(["-c", HASH_AFTER_COMMAND], tmp_path).split()[-2:] == [
+        "False", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"]
+
+
+# Loads _hashlib, runs a command through CliRunner, then prints whether the
+# module held in sys.modules is still the one loaded.
+HASHLIB_LOADED_FIRST = """\
+import sys
+import _hashlib
+from click.testing import CliRunner
+from dpem.cli import cli
+result = CliRunner().invoke(cli, ["gen", "--n", "50", "--d", "3", "--out", "g.csv"])
+assert result.exit_code == 0, result.output
+print(sys.modules["_hashlib"] is _hashlib)
+"""
+
+
+def test_cli_keeps_a_loaded_hashlib(tmp_path):
+    """A caller that loaded _hashlib before a command keeps it."""
+    assert fresh(["-c", HASHLIB_LOADED_FIRST], tmp_path) == "True\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -413,16 +483,41 @@ cli.main(args=sys.argv[2:], prog_name="dpem")
 """
 
 
+# Runs a new interpreter on its own arguments and prints that process's peak
+# RSS in MB, from wait4, which also counts the children it reaped.
+PEAK_RSS = """\
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0
+print(usage.ru_maxrss / 1024)
+"""
+
+
 def peak_rss_mb(args, cwd) -> float:
-    """The peak RSS of a new interpreter running args, from wait4, which
-    also counts the children it reaped."""
-    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    proc = subprocess.Popen([sys.executable, *args], cwd=cwd, stdout=subprocess.DEVNULL,
-                            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    return usage.ru_maxrss / 1024
+    """The peak RSS of a new interpreter running args.  It is started from
+    a second new interpreter, not from the test process: a child that
+    subprocess starts by vfork keeps its parent's peak RSS as a floor."""
+    return float(fresh(["-c", PEAK_RSS, *args], cwd))
+
+
+# Runs the dpem CLI on its own arguments after loading _hashlib, and with it
+# OpenSSL's libcrypto, as a caller that hashed before it would.
+HASHLIB_FIRST = """\
+import hashlib, runpy
+runpy.run_module("dpem.cli", run_name="__main__")
+"""
+
+
+def test_cli_maps_no_openssl(inputs):
+    """A relative bound, which holds on any host: without libcrypto a
+    clipped run's peak RSS is at least 2 MB below the same command's in a
+    process that loaded _hashlib first (3.3 MB lower on the 25000x20 rmc
+    file, 48.5 against 45.2 MB)."""
+    args = ["run", "--algorithm", "clipped", "--data", "rmc.csv", "--out", "c-rss.csv"]
+    lean = peak_rss_mb(["-m", "dpem.cli", *args], inputs)
+    hashed = peak_rss_mb(["-c", HASHLIB_FIRST, *args], inputs)
+    assert lean <= hashed - 2.0, (lean, hashed)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,

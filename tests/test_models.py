@@ -114,9 +114,33 @@ class TestObservationSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the finiteness check's n x d bools are 0.125 of the covariates'
-        # bytes; a gather of the missing cells took 0.31 more
-        assert peak < 0.15 * obs.xs.nbytes
+        # 0.011 of the covariates' bytes: each check's bools for 1024 rows.
+        # A whole-table finiteness check took 0.125, and a gather of the
+        # missing cells 0.31 more
+        assert peak < 0.02 * obs.xs.nbytes
+
+    @pytest.mark.parametrize("kind", ["gmm", "mrm"])
+    def test_finiteness_check_holds_no_table(self, kind):
+        obs = sample_observations(ModelSpec(kind, 20, 1.0), 25000, np.ones(20), RngStream(2))
+        table = obs.ys if kind == "gmm" else obs.xs
+        tracemalloc.start()
+        try:
+            ObservationSet(kind, obs.ys, obs.xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 0.006 of the table's bytes; np.all(np.isfinite(table)) took 0.125
+        assert peak < 0.02 * table.nbytes
+
+    @pytest.mark.parametrize("kind, name", [("gmm", "ys"), ("mrm", "ys"), ("mrm", "xs"),
+                                            ("rmc", "ys"), ("rmc", "xs")])
+    def test_nonfinite_rejected_in_every_block(self, kind, name):
+        obs = sample_observations(ModelSpec(kind, 3, 1.0), 3000, np.ones(3), RngStream(2))
+        arrays = {"ys": obs.ys, "xs": obs.xs, "mask": obs.mask}
+        arrays[name] = np.array(arrays[name])
+        arrays[name][2500] = np.inf
+        with pytest.raises(DomainError, match=f"{name} must have finite entries"):
+            ObservationSet(kind, **arrays)
 
     def test_nonfinite_rejected(self):
         ys = np.zeros((3, 2))
