@@ -12,18 +12,22 @@ only after that, so its children inherit them.  ``gen`` and ``preprocess``
 load the models and ``dpem.numeric`` but no fitting module; ``run`` and
 ``sweep`` add ``dpem.estimators`` and ``dpem.accounting``, and only their
 dpgem and dpem fits load the kernel, ``dpem.robust`` (and numpy.polynomial
-on its first far-regime entry).  ``run`` fits its seeds on ``--threads``
-worker processes, at most one per seed and per CPU: its own and children it
-forks, each with a fixed share of the seeds (``_run_parallel``).  ``sweep``
-hands its tasks out from a pool of forked processes (``_run_forked``).
+on its first far-regime entry), which the command imports before it reads
+data or forks, so that no worker compiles it again.  ``run`` fits its
+seeds on ``--threads`` worker processes, at most one per seed and per CPU:
+its own and children it forks, each with a fixed share of the seeds
+(``_run_parallel``).  ``sweep`` hands its tasks out from a pool of forked
+processes (``_run_forked``).
 ``gen``, ``run`` and ``preprocess`` also fork one child to write or parse
 half of a dataset file of more than one block (see ``dpem.io``).
 
 Before any command runs, the group marks OpenSSL's ``_hashlib`` absent,
-unless the process already loaded it.  numpy.random imports ``secrets`` and
-so hashlib, which would otherwise map libcrypto into every process that
-draws, though no command hashes.  hashlib then works on CPython's builtin
-hashes, in this process and in any later importer in it.
+unless the process already loaded it, and takes its mark back when the
+command's context closes.  numpy.random imports ``secrets`` and so hashlib,
+which would otherwise map libcrypto into every process that draws, though
+no command hashes.  hashlib, imported during the command, then works on
+CPython's builtin hashes; a later ``import _hashlib`` in the process loads
+OpenSSL.
 
 Since dpem runs in parallel by processes, importing this module pins BLAS
 to one thread per process: it sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
@@ -192,6 +196,12 @@ def _fit_flags(n_seeds: str):
         return func
 
     return decorate
+
+
+def _load_kernel(algorithm: str) -> None:
+    """Import dpem.robust for the robust fits, before the command forks."""
+    if algorithm in ("dpgem", "dpem"):
+        from . import robust  # noqa: F401
 
 
 def _warn_if_no_noise(fit: dict) -> None:
@@ -378,12 +388,20 @@ class _ExitCodes(click.Group):
             sys.exit(next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)))
 
 
+def _unmark_hashlib() -> None:
+    """Take back the group's absent mark, unless _hashlib is loaded now."""
+    if sys.modules.get("_hashlib", False) is None:
+        del sys.modules["_hashlib"]
+
+
 @click.group(cls=_ExitCodes)
 def cli():
     """Differentially private EM benchmark harness."""
     # before any command loads numpy, whose numpy.random imports secrets and
     # so hashlib (see the module docstring); SeedSequence hashes by itself
-    sys.modules.setdefault("_hashlib", None)
+    if "_hashlib" not in sys.modules:
+        sys.modules["_hashlib"] = None
+        click.get_current_context().call_on_close(_unmark_hashlib)
 
 
 @cli.command("gen")
@@ -441,6 +459,7 @@ def cmd_run(data_path, meta_path, eps, clip, algorithm, seed, n_seeds, threads, 
     meta = io.read_metadata(meta_path or f"{data_path}.meta.json")
     model_kind = _meta_field(meta, "model", _check_model)
     algorithm = _check_algorithm(algorithm, model_kind)
+    _load_kernel(algorithm)
     data = io.read_dataset(data_path, model_kind)
     for key, value in (("n", data.n), ("d", data.d)):
         if _meta_field(meta, key, _whole) != value:
@@ -495,6 +514,7 @@ def cmd_sweep(model, algorithm, n_list, d_list, eps_list, clip_list, snr, sigma,
 
     model_kind = _check_model(model)
     algorithm = _check_algorithm(algorithm, model_kind)
+    _load_kernel(algorithm)
     eps_values = eps_list if algorithm != "em" else (None,)
     clip_values = clip_list if algorithm == "clipped" else (None,)
     _warn_if_no_noise(fit)

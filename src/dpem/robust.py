@@ -60,38 +60,34 @@ _CLOSED_FORM_LIMIT = 10.0
 # The closed form adds C(a, b) only where V = min(V-, V+) < V*(beta), a
 # gate it tests on b (_correction_gate), and V*(beta) <= _V_BOUND.  Beyond
 # V* the computed |C| is below |value| 2^-55, under ulp(value)/4, so
-# value + C rounds back to value: skipping C changes no bit.  The bound,
-# for V >= V* (> 8.9): the kernel has b = |a|/sqrt(beta), so
-# V = (sqrt2 - |a|)/b gives |a| = sqrt2 sqrt(beta)/(V + sqrt(beta)) < sqrt2,
-# b <= sqrt2/V and |value| = |a| (1 - b^2/2 - a^2/6) >= (2/3)|a|.  With
-# p = e^{-V^2/2}/sqrt(2 pi), both V+- >= V give F+- = ndtr(-V+-) <= p/V,
-# E+- = e^{-V+-^2/2} <= sqrt(2 pi) p, V+- E+- <= V sqrt(2 pi) p and
-# (2 + V+-^2) E+- <= (2 + V^2) sqrt(2 pi) p.  Each term of C, and its bound
-# over (2/3)|a|:
-#   t1 = PHI_BOUND (F- - F+)                 <= PHI_BOUND p/V  -> p (1/V + 1/sqrt(beta))
-#   t2 = -(a - a^3/6)(F- + F+)               <= 2|a| p/V      -> 3p/V
-#   t3 = b (1 - a^2/2)(E+ - E-)/sqrt(2 pi)   <= b p           -> (3/2) p/sqrt(beta)
-#   t4 = (a b^2/2)(F+ + F- + (V+ E+ + V- E-)/sqrt(2 pi))
-#                                            <= |a| b^2 (V + 1/V) p -> 3p (1/V + 1/V^3)
-#   t5 = b^3 ((2 + V-^2)E- - (2 + V+^2)E+)/(6 sqrt(2 pi))
-#                                            <= b^3 (2 + V^2) p/6  -> (1/2 + 1/V^2) p/sqrt(beta)
-# so |C|/|value| <= p (7/V + 3/V^3 + (3 + 1/V^2)/sqrt(beta))
-#                <= e^{-V^2/2} (10 + 4/sqrt(beta))/sqrt(2 pi)    (V >= 1).
-# The computed factors exceed their bounds by a few ulps at most, which a
-# factor 2 covers; V* is where twice the last line equals 2^-55.  It is 9.0
-# at beta >= 1 and grows as beta falls, to 28.7 at beta = 5e-324: the
-# 1/sqrt(beta) terms come from t1, which carries no factor a, and from t3
-# and t5, which carry b = |a|/sqrt(beta) in its place.
+# value + C rounds back to value: skipping C changes no bit.  The bound:
+# with Y = a + b xi and g(y) = (y - sqrt2)^2 (y + 2 sqrt2)/6 >= 0, phi(y)
+# is y - y^3/6 + g(y) above sqrt2 and y - y^3/6 - g(-y) below -sqrt2, so
+# C = E[g(Y) 1{Y > sqrt2}] - E[g(-Y) 1{Y < -sqrt2}], two nonnegative tails.
+# With xi = V- + u the first is E[b^2 u^2 (3 sqrt2 + b u)/6; u > 0] <=
+# pdf(V-) (sqrt2 b^2/V-^3 + b^3/V-^4), as pdf(V- + u) <= pdf(V-) e^{-V- u};
+# the second is the same at V+.  The kernel has b = |a|/sqrt(beta), and
+# V = (sqrt2 - |a|)/b gives b <= sqrt2/V and, for V >= sqrt3, |value| =
+# |a| (1 - b^2/2 - a^2/6) >= (2/3)|a|.  So
+#   |C|/|value| <= 3 pdf(V) (V^-4 + V^-6)/sqrt(beta).
+# At V* each computed term of C is below 3e-12 |value|, so their rounding
+# stays far inside a factor 2: V* is where twice the bound equals 2^-55.
 _V_BOUND = 40.0
 
 
+@functools.cache
 def _correction_cutoff(beta: float) -> float:
-    """V*(beta), where e^{-V*^2/2} (10 + 4/sqrt(beta))/sqrt(2 pi) = 2^-56:
-    the closed form skips C(a, b) where min(V-, V+) >= V*.  V* < 28.7 for
-    every positive double beta; the clamp at _V_BOUND is a safety bound
-    that keeps V* inside the clip of V."""
-    scale = (10.0 + 4.0 / math.sqrt(beta)) * _INV_SQRT_2PI
-    return min(_V_BOUND, math.sqrt(2.0 * math.log(scale * 2.0**56)))
+    """V*(beta), the V >= sqrt3 past which twice the bound at _V_BOUND,
+    6 pdf(V) (V^-4 + V^-6)/sqrt(beta), is below 2^-55, found by bisection
+    and rounded up to a hundredth: the closed form skips C(a, b) where
+    min(V-, V+) >= V*.  It is 7.85 at beta = 1, 7.61 at 50 and 28.21 at
+    beta = 5e-324."""
+    log_target = math.log(2.0**-55 / 6.0 * math.sqrt(2.0 * math.pi)) + 0.5 * math.log(beta)
+    lo, hi = math.sqrt(3.0), _V_BOUND
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        above = math.log(mid**-4 + mid**-6) - mid * mid / 2.0 > log_target
+        lo, hi = (mid, hi) if above else (lo, mid)
+    return math.ceil(hi * 100.0) / 100.0
 
 
 # The normal CDF is Cephes ndtr, erf and erfc, with their coefficients from
@@ -136,9 +132,10 @@ def _ndtr(x, floats):
     Every step is Cephes ndtr's, so each value is scipy's wherever np.exp
     rounds as libm's exp does; elsewhere they were at most 4 ulp apart on a
     dense grid over [-40, 40].  The [1, 8) form runs on all of x, and the
-    entries outside it are evaluated again on their own.  Finite |x| <=
-    _V_BOUND raises no floating-point warning; at larger |x| the values stay
-    right."""
+    entries outside it are evaluated again on their own; the z >= 8 form
+    serves the far regime and corrections at beta > 3.1 only (below, V+ <
+    V* + 2 sqrt(beta) < 8 sqrt2).  Finite |x| <= _V_BOUND raises no
+    floating-point warning; at larger |x| the values stay right."""
     n = x.size
     z, poly = floats[: 2 * n].reshape(2, n)
     np.abs(np.multiply(x, _SQRT1_2, out=z), out=z)
@@ -291,8 +288,8 @@ def _correction_gate(beta: float) -> float:
     """The b above which the closed form adds C(a, b).  With the kernel's
     b = |a|/sqrt(beta), min(V-, V+) = sqrt2/b - sqrt(beta), so min(V-, V+) <
     V*(beta) is b > sqrt2/(V* + sqrt(beta)).  The margin 1e-6 covers the
-    rounding of the computed V; the few entries it adds lie past V*, where C
-    rounds away."""
+    rounding of the computed V; the few entries it adds lie past V*, where
+    |C| <= 3 pdf(V) (V^-4 + V^-6)/sqrt(beta) |value| rounds away."""
     return _SQRT2 / (_correction_cutoff(beta) + math.sqrt(beta)) * (1.0 - 1e-6)
 
 
@@ -300,9 +297,9 @@ def _closed_form(a, b, value, floats, b_cut):
     """Write E phi(a + b*xi) = (a(1 - b^2/2) - a^3/6) + C(a, b) into value,
     over 1-d arrays of n entries, for 0 < b and |a|, b <= _CLOSED_FORM_LIMIT,
     on 13 n entries of floats.  C is added only where b > b_cut =
-    _correction_gate(beta), which holds wherever min(V-, V+) < V*(beta);
-    beyond V* |C| < ulp(value)/4 (bound at _V_BOUND), so every value is
-    bit-identical to adding C everywhere."""
+    _correction_gate(beta), which holds wherever V = min(V-, V+) < V*(beta);
+    beyond V* |C| <= 3 pdf(V) (V^-4 + V^-6) |value|/sqrt(beta) < ulp(value)/4
+    (_V_BOUND), so every value is bit-identical to adding C everywhere."""
     n = a.size
     a2, cubic, b2 = floats[: 3 * n].reshape(3, n)
     _powers(a, b, a2, cubic, b2)

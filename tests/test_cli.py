@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 import warnings
 from concurrent.futures import process
 
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dpem
 import dpem.cli
 import dpem.estimators
 import dpem.io
 import dpem.models
+import dpem.robust
 from dpem.cli import cli
 from dpem.errors import ConvergenceError
 from dpem.estimators import (
@@ -947,6 +950,38 @@ class TestSweep:
             outcomes[threads] = result.exit_code, result.stderr
         assert outcomes[1] == (2, "error: need n >= T, got n=5, T=10\n")
         assert outcomes[2] == outcomes[1]
+
+
+
+class TestKernelImport:
+    """run and sweep import the kernel before they fork, so that no worker
+    compiles it again; em and clipped never import it."""
+
+    class Entered(Exception):
+        pass
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("algorithm", ["dpem", "dpgem", "clipped"])
+    def test_kernel_loaded_before_the_workers(self, runner, tmp_path, monkeypatch, command,
+                                              algorithm):
+        data = gen_dataset(runner, tmp_path, n=60, d=3)
+        # unload the kernel, which this module imported; monkeypatch restores it
+        monkeypatch.delitem(sys.modules, "dpem.robust")
+        monkeypatch.delattr(dpem, "robust")
+        seen = []
+
+        def entered(*args):
+            seen.append("dpem.robust" in sys.modules)
+            raise self.Entered
+
+        monkeypatch.setattr(dpem.cli, "_run_parallel", entered)
+        monkeypatch.setattr(dpem.cli, "_run_forked", entered)
+        inputs = (["--data", data] if command == "run"
+                  else ["--n-list", "60", "--d-list", "3", "--n-seeds", "2"])
+        result = runner.invoke(cli, [command, "--algorithm", algorithm, *map(str, inputs),
+                                     "--threads", "2", "--out", str(tmp_path / "r.csv")])
+        assert isinstance(result.exception, self.Entered), result.output
+        assert seen == [algorithm != "clipped"]
 
 
 class TestPreprocess:

@@ -806,10 +806,13 @@ class TestStreamedReleases:
                 data, model, beta0, 5.0, 1, budget, 0.05, rng))
             whole = f_gmm_batch(data, beta0, model.sigma)
         smoothing = plan.settings["smoothing_beta"]
-        # the plan's truncation, and one that puts the largest values in the
-        # far regime and spreads the rest over the closed form's branches
+        # the plan's truncation, one that puts the largest values in the far
+        # regime and spreads the rest over the closed form's branches, and
+        # the plan's at a wider smoothing: below beta = 3.1 no corrected
+        # entry reaches _ndtr's z >= 8 form, whose V+ is past 8 sqrt2
         params = [RobustMeanParams(plan.settings["s"], smoothing),
-                  RobustMeanParams(np.abs(whole).max() / 20.0, smoothing)]
+                  RobustMeanParams(np.abs(whole).max() / 20.0, smoothing),
+                  RobustMeanParams(plan.settings["s"], 16.0)]
         assert all(map(any, zip(*(_kernel_branches(whole, p) for p in params))))
         # blocks of 1024 rows at every d, as well as the default's
         for block in (robust._BLOCK, 1024):

@@ -229,6 +229,22 @@ def test_hashlib_works_after_a_command(tmp_path):
         "False", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"]
 
 
+# Runs a command without click's exit, then imports _hashlib and prints a
+# name that only OpenSSL's hashlib has.
+IMPORT_AFTER_COMMAND = """\
+from dpem.cli import cli
+cli.main(args=["gen", "--n", "50", "--d", "3", "--out", "g.csv"], prog_name="dpem",
+         standalone_mode=False)
+import _hashlib
+print(hasattr(_hashlib, "openssl_sha256"))
+"""
+
+
+def test_hashlib_importable_after_a_command(tmp_path):
+    """The group takes its absent mark back when the command ends."""
+    assert fresh(["-c", IMPORT_AFTER_COMMAND], tmp_path).split()[-1] == "True"
+
+
 # Loads _hashlib, runs a command through CliRunner, then prints whether the
 # module held in sys.modules is still the one loaded.
 HASHLIB_LOADED_FIRST = """\

@@ -200,6 +200,68 @@ class TestCorrectionC:
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+def exact_tail(v, b):
+    """E[g(a + b xi); xi > v] in mpmath, with g(y) = (y - sqrt2)^2 (y + 2
+    sqrt2)/6 and v = (sqrt2 - a)/b: with u = xi - v, g = b^2 u^2 (3 sqrt2 +
+    b u)/6, and xi's tail moments give E[u^2; u > 0] and E[u^3; u > 0]."""
+    q, p = mpmath.ncdf(-v), mpmath.npdf(v)
+    second = (1 + v * v) * q - v * p
+    third = (v * v + 2) * p - v * (v * v + 3) * q
+    return b * b * (3 * mpmath.sqrt(2) * second + b * third) / 6
+
+
+def exact_correction(a, b):
+    """C(a, b) = E[g(Y); Y > sqrt2] - E[g(-Y); Y < -sqrt2], Y = a + b xi,
+    in mpmath: the tails at V- and V+."""
+    root2 = mpmath.sqrt(2)
+    return exact_tail((root2 - a) / b, b) - exact_tail((root2 + a) / b, b)
+
+
+def correction_bound(v, beta):
+    """The bound on |C|/|value| at robust._V_BOUND, in mpmath."""
+    return 3 * mpmath.npdf(v) * (v**-4 + v**-6) / mpmath.sqrt(beta)
+
+
+class TestCorrectionBound:
+    """The bound that lets the closed form skip C(a, b) past V*(beta)."""
+
+    def test_exact_correction_matches_kernel(self):
+        # the mpmath form of C, where C is far from negligible
+        with mpmath.workdps(50):
+            for a, b in ((0.5, 0.5), (1.2, 0.9), (-0.7, 2.0), (3.0, 0.4), (0.16, 0.16)):
+                want = exact_correction(mpmath.mpf(a), mpmath.mpf(b))
+                assert correction_C(a, b) == pytest.approx(float(want), abs=1e-14), (a, b)
+
+    @pytest.mark.parametrize("beta", GATE_BETAS)
+    def test_bound_holds_past_the_cutoff(self, beta):
+        # exact |C|/|value| on the kernel's entries whose V = min(V-, V+) runs
+        # over [V*, V* + 4]; V+ - V- = 2 sqrt(beta) cancels the digits of
+        # sqrt(beta) in C, which the working precision adds to its 50
+        v_cut = robust._correction_cutoff(beta)
+        digits = 50 + max(0, -math.floor(math.log10(math.sqrt(beta))))
+        with mpmath.workdps(digits):
+            root = mpmath.sqrt(mpmath.mpf(beta))
+            for v in mpmath.linspace(mpmath.mpf(v_cut), v_cut + 4, 41):
+                a = mpmath.sqrt(2) * root / (v + root)
+                b = a / root
+                value = a * (1 - b * b / 2 - a * a / 6)
+                ratio = abs(exact_correction(a, b) / value)
+                assert ratio <= correction_bound(v, beta), (beta, v)
+                assert ratio < mpmath.mpf(2) ** -56, (beta, v)
+
+    @pytest.mark.parametrize("beta", GATE_BETAS)
+    def test_cutoff_meets_the_bound(self, beta):
+        v_cut = robust._correction_cutoff(beta)
+        with mpmath.workdps(50):
+            assert 2 * correction_bound(mpmath.mpf(v_cut), beta) <= mpmath.mpf(2) ** -55
+        assert v_cut <= robust._V_BOUND
+
+    def test_cutoff_stays_tight(self):
+        # the plans' beta = sqrt(log(1/zeta)) at zeta = 1e-3; the five-term
+        # bound this one replaced put V* at 9.0
+        assert robust._correction_cutoff(math.sqrt(math.log(1000.0))) < 8.0
+
+
 class TestRobustMeanParams:
     def test_validation(self):
         with pytest.raises(DomainError):
