@@ -69,16 +69,16 @@ def gaussian_sigma_for_zcdp(sensitivity: float, rho: float) -> float:
 
 
 def split_budget_alg1(budget: PrivacyBudget, T: int) -> float:
-    """Per-iteration rho for an algorithm touching the full dataset every
-    iteration: sequential composition, rho_iter = eps_tilde^2 / T."""
+    """Per-iteration rho, eps_tilde^2 / T, of T sequentially composed full-data
+    releases, as a ReleasePlan divides it; kept for callers and bench/tracer.py."""
     T = check_count("T", T)
     return budget.rho / T
 
 
 def split_budget_alg2(budget: PrivacyBudget, d: int) -> float:
     """Per-coordinate rho when each iteration works on its own disjoint
-    subset: iterations compose in parallel, so only the d coordinate
-    releases split the budget and rho_coord = eps_tilde^2 / d, whatever
-    the number of iterations."""
+    subset: iterations compose in parallel, so only the d coordinate releases
+    split the budget, rho_coord = eps_tilde^2 / d whatever the number of
+    iterations, as a ReleasePlan divides it; kept for callers and bench/tracer.py."""
     d = check_count("d", d)
     return budget.rho / d

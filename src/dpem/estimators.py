@@ -1,14 +1,15 @@
 """The four estimation procedures, as plain functions and as estimators.
 
-Each fit function builds one ``ReleasePlan``, the data that sets the
-algorithms apart: what is released each iteration, its sensitivity, its
-share rho of the budget and the sigma calibrated from them.  One loop,
-``_iterate``, runs every plan, drawing each iteration's noise from child
-stream t of the caller's RngStream, so traces are bitwise reproducible no
-matter how the work is scheduled.  The CLI and the estimator classes share
-one entry point, ``run_algorithm``, which resolves the ``auto`` settings.
-The kernel, ``dpem.robust``, is imported by the robust plans alone, so em
-and clipped fits never load it.
+One builder, ``plan_for``, checks a fit's settings and returns its
+``ReleasePlan``, the data that sets the algorithms apart: each iteration's
+release, its sensitivity, and the counts of composed releases that the
+budget is divided over, from which the plan derives rho and sigma.  Each fit
+runs its plan in the one loop, ``_iterate``, which draws iteration t's noise
+from child stream t of the caller's RngStream, so traces are bitwise
+reproducible however the work is scheduled.  ``run_algorithm``, the CLI's and
+the estimator classes' one entry point, resolves the ``auto`` settings.  The
+kernel, ``dpem.robust``, is imported by the robust plans alone, so em and
+clipped fits never load it.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .accounting import (
-    PrivacyBudget,
-    gaussian_sigma_for_zcdp,
-    make_budget,
-    split_budget_alg1,
-    split_budget_alg2,
-)
+from .accounting import PrivacyBudget, gaussian_sigma_for_zcdp, make_budget
 from .base import ALGORITHMS, BaseEstimator
 from .errors import ConfigError, ConvergenceError, DomainError
 from .models import (
@@ -115,7 +110,8 @@ def align_sign(beta0: np.ndarray, reference: np.ndarray) -> np.ndarray:
 class ReleasePlan:
     """One algorithm's iteration: release = estimate(samples(t, beta^{t-1})),
     beta^t = beta^{t-1} + eta * release (the release itself if eta is None).
-    sigma is calibrated here alone, from one release's sensitivity and rho."""
+    Here alone rho is set, budget.rho divided by each count of composed releases
+    in ``divisions`` in turn (by their product the last bit can differ), and sigma."""
 
     algorithm: str
     T: int
@@ -125,14 +121,18 @@ class ReleasePlan:
     settings: dict
     budget: Optional[PrivacyBudget] = None
     sensitivity: float = 0.0
-    rho: float = 0.0
+    divisions: tuple = ()
     add_noise: bool = False
+    rho: float = field(init=False, default=0.0)
     sigma: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.budget is not None:
-            object.__setattr__(self, "sigma",
-                               gaussian_sigma_for_zcdp(self.sensitivity, self.rho))
+            rho = self.budget.rho
+            for count in self.divisions:
+                rho /= count
+            object.__setattr__(self, "rho", rho)
+            object.__setattr__(self, "sigma", gaussian_sigma_for_zcdp(self.sensitivity, rho))
 
     def echo(self) -> dict:
         """The trace's settings: plain values, not the closures over the data."""
@@ -213,22 +213,69 @@ def _check_run(data: ObservationSet, model: ModelSpec, beta0, truth):
     return beta0, check_vector("beta_star", truth, d=model.d)
 
 
-def _robust_schedule(count: int, tau: float, zeta: float, budget: PrivacyBudget,
-                     d: int):
-    """Per-coordinate robust means over count samples:
-    s = sqrt(count tau eps_tilde) / (2 ln(d/zeta)), smoothing sqrt(ln(d/zeta)).
-    Returns the release's estimate, the kernel's column means of a
-    per-sample matrix or RowSource, one coordinate release's sensitivity
-    2 PHI_BOUND s / count, and the settings to echo.  robust_mean_columns is
-    looked up at this call, so a wrapper rebound over it is seen."""
+def plan_for(algorithm: str, data: ObservationSet, model: ModelSpec, rng, *, T, eta=None,
+             budget: Optional[PrivacyBudget] = None, clip=None, tau=None, zeta=None,
+             shuffle=True, disable_noise=False) -> ReleasePlan:
+    """One fit's ReleasePlan, built without running it: settings checked in the
+    fit function's argument order (clip is clip_C), dpgem's shuffle drawn from
+    child stream 0 of rng.  A robust release is the kernel's column means over
+    count samples at s = sqrt(count tau eps_tilde) / (2 ln(d/zeta)), smoothing
+    sqrt(ln(d/zeta)); the kernel is looked up here, so a rebound one is seen."""
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {algorithm!r}")
+    if algorithm == "dpem" and model.kind != "gmm":
+        raise DomainError(f"dp_em_gmm requires the gmm model, got {model.kind!r}")
+    if algorithm == "clipped":
+        clip = check_positive("clip_C", clip)
+    if algorithm in ("dpgem", "dpem"):
+        tau = check_positive("tau", tau)
+    if algorithm != "dpem":
+        eta = check_positive("eta", eta)
+    T = check_count("T", T, minimum=0 if algorithm == "em" else 1)
+    if algorithm == "em":
+        # the samples are beta itself: grad_q_mean forms no matrix of gradients
+        return ReleasePlan("em", T, lambda t, b: b, lambda b: grad_q_mean(model, data, b),
+                           eta, {})
+    if algorithm != "clipped":
+        zeta = check_probability("zeta", zeta)
+    n, d = data.n, model.d
+    if algorithm == "dpgem":
+        shuffle = check_flag("shuffle", shuffle)
+        if n < T:
+            raise DomainError(f"need n >= T, got n={n}, T={T}")
+    if not isinstance(budget, PrivacyBudget):  # a plan without one would add no noise
+        raise DomainError(f"budget must be a PrivacyBudget, got {budget!r}")
+    add_noise = not check_flag("disable_noise", disable_noise)
+    if algorithm == "clipped":
+        # one averaged d-vector per iteration, L2 sensitivity 2 clip_C / n
+        return ReleasePlan("clipped", T, lambda t, b: b,
+                           lambda b: grad_q_mean(model, data, b, clip), eta,
+                           {"clip_C": clip}, budget, 2.0 * clip / n, (T,), add_noise)
     from .robust import PHI_BOUND, RobustMeanParams, robust_mean_columns
 
+    count = n // T if algorithm == "dpgem" else n
     log_term = math.log(d / zeta)
     s = math.sqrt(count * tau * budget.eps_tilde) / (2.0 * log_term)
     params = RobustMeanParams(s=s, beta=math.sqrt(log_term))
     settings = {"tau": tau, "zeta": zeta, "s": s, "smoothing_beta": params.beta}
-    return (lambda rows: robust_mean_columns(rows, params),
-            2.0 * PHI_BOUND * s / count, settings)
+    if algorithm == "dpem":
+        def samples(t, b):
+            return _sample_rows(t, b, (n, d),
+                                lambda part: f_gmm_batch(data.rows(part), b, model.sigma))
+
+        eta, divisions = None, (T, d)
+    else:
+        order = rng.split(0).generator.permutation(n) if shuffle else np.arange(n)
+        subsets = order[: count * T].reshape(T, count)  # trailing n - mT samples unused
+
+        def samples(t, b):
+            return _sample_rows(t, b, (count, d), lambda part: grad_q_batch(
+                model, data.take(subsets[t - 1][part]), b))
+
+        settings.update(m=count, shuffle=shuffle)
+        divisions = (d,)
+    return ReleasePlan(algorithm, T, samples, lambda rows: robust_mean_columns(rows, params),
+                       eta, settings, budget, 2.0 * PHI_BOUND * s / count, divisions, add_noise)
 
 
 def gradient_em(
@@ -241,12 +288,7 @@ def gradient_em(
 ) -> IterationTrace:
     """Non-private iteration beta^{t+1} = beta^t + eta * mean gradient."""
     beta, beta_star = _check_run(data, model, beta0, truth)
-    eta = check_positive("eta", eta)
-    T = check_count("T", T, minimum=0)
-    # the samples are beta itself: grad_q_mean forms no matrix of gradients
-    plan = ReleasePlan("em", T, lambda t, b: b, lambda b: grad_q_mean(model, data, b),
-                       eta, {})
-    return _iterate(plan, beta, beta_star, None)
+    return _iterate(plan_for("em", data, model, None, T=T, eta=eta), beta, beta_star, None)
 
 
 def clipped_dp_gradient_em(
@@ -265,15 +307,8 @@ def clipped_dp_gradient_em(
     N(0, sigma^2 I_d) noise; the full dataset is reused every iteration,
     so the T releases compose sequentially."""
     beta, beta_star = _check_run(data, model, beta0, truth)
-    clip_C = check_positive("clip_C", clip_C)
-    eta = check_positive("eta", eta)
-    T = check_count("T", T)
-    # one averaged d-vector per iteration, L2 sensitivity 2 clip_C / n
-    plan = ReleasePlan(
-        "clipped", T, lambda t, b: b, lambda b: grad_q_mean(model, data, b, clip_C), eta,
-        {"clip_C": clip_C}, budget, 2.0 * clip_C / data.n, split_budget_alg1(budget, T),
-        not check_flag("disable_noise", disable_noise))
-    return _iterate(plan, beta, beta_star, rng)
+    return _iterate(plan_for("clipped", data, model, rng, T=T, eta=eta, budget=budget,
+                             clip=clip_C, disable_noise=disable_noise), beta, beta_star, rng)
 
 
 def dp_gradient_em(
@@ -303,32 +338,9 @@ def dp_gradient_em(
     Delta / sqrt(2 rho / d) = sqrt(d) Delta / sqrt(2 rho), the same sigma.
     """
     beta, beta_star = _check_run(data, model, beta0, truth)
-    tau = check_positive("tau", tau)
-    eta = check_positive("eta", eta)
-    T = check_count("T", T)
-    zeta = check_probability("zeta", zeta)
-    shuffle = check_flag("shuffle", shuffle)
-    n, d = data.n, model.d
-    if n < T:
-        raise DomainError(f"need n >= T, got n={n}, T={T}")
-    m = n // T
-    estimate, sensitivity, settings = _robust_schedule(m, tau, zeta, budget, d)
-
-    if shuffle:
-        order = rng.split(0).generator.permutation(n)
-    else:
-        order = np.arange(n)
-    subsets = order[: m * T].reshape(T, m)  # trailing n - mT samples unused
-
-    def samples(t, b):
-        return _sample_rows(t, b, (m, d),
-                            lambda part: grad_q_batch(model, data.take(subsets[t - 1][part]), b))
-
-    plan = ReleasePlan(
-        "dpgem", T, samples, estimate, eta,
-        {**settings, "m": m, "shuffle": shuffle}, budget, sensitivity,
-        split_budget_alg2(budget, d), not check_flag("disable_noise", disable_noise))
-    return _iterate(plan, beta, beta_star, rng)
+    return _iterate(plan_for("dpgem", data, model, rng, T=T, eta=eta, budget=budget, tau=tau,
+                             zeta=zeta, shuffle=shuffle, disable_noise=disable_noise),
+                    beta, beta_star, rng)
 
 
 def dp_em_gmm(
@@ -350,23 +362,11 @@ def dp_em_gmm(
     sigma^2 = 16 s^2 d T / (9 n^2 eps_tilde^2).  Each iteration's d-vector
     is noised by one joint N(0, sigma^2 I_d) draw: at L2 sensitivity
     sqrt(d) Delta and rho/T per iteration that is the same sigma."""
-    if model.kind != "gmm":
+    if model.kind != "gmm":  # before the data are checked against the model
         raise DomainError(f"dp_em_gmm requires the gmm model, got {model.kind!r}")
     beta, beta_star = _check_run(data, model, beta0, truth)
-    tau = check_positive("tau", tau)
-    T = check_count("T", T)
-    zeta = check_probability("zeta", zeta)
-    estimate, sensitivity, settings = _robust_schedule(data.n, tau, zeta, budget,
-                                                       model.d)
-
-    def samples(t, b):
-        return _sample_rows(t, b, (data.n, model.d),
-                            lambda part: f_gmm_batch(data.rows(part), b, model.sigma))
-
-    plan = ReleasePlan("dpem", T, samples, estimate, None, settings, budget, sensitivity,
-                       split_budget_alg1(budget, T) / model.d,
-                       not check_flag("disable_noise", disable_noise))
-    return _iterate(plan, beta, beta_star, rng)
+    return _iterate(plan_for("dpem", data, model, rng, T=T, budget=budget, tau=tau,
+                             zeta=zeta, disable_noise=disable_noise), beta, beta_star, rng)
 
 
 def _is_auto(name: str, value) -> bool:
@@ -393,9 +393,8 @@ def run_algorithm(algorithm: str, data: ObservationSet, model: ModelSpec, beta0,
     truth computed from the rows, as ``preprocess`` computes beta_star,
     would let the release read private data outside the budget; with
     ``public_truth=False`` tau='auto' is refused and beta0 is kept, so the
-    truth only scores the trace.  The four
-    functions are looked up by their module names at call time, so anything
-    rebound over those names also sees these calls."""
+    truth only scores the trace.  The four fit functions are looked up by
+    their module names at call time, so a wrapper rebound over one sees it."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {algorithm!r}")
     beta0, beta_star = _check_run(data, model, beta0, truth)

@@ -7,9 +7,11 @@ import pytest
 
 import dpem.estimators
 from dpem import robust
-from dpem.accounting import gaussian_sigma_for_zcdp, make_budget, split_budget_alg1
+from dpem.accounting import (gaussian_sigma_for_zcdp, make_budget, split_budget_alg1,
+                             split_budget_alg2)
 from dpem.errors import ConfigError, ConvergenceError, DomainError
 from dpem.estimators import (
+    ALGORITHMS,
     ClippedDPGradientEM,
     DPEMGaussianMixture,
     DPGradientEM,
@@ -22,6 +24,7 @@ from dpem.estimators import (
     dp_gradient_em,
     gradient_em,
     initial_beta,
+    plan_for,
     run_algorithm,
 )
 from dpem.models import (
@@ -721,37 +724,38 @@ class TestBoolsAreNotNumbers:
             estimator.fit(data.ys, beta_star=beta_star)
 
 
-def _plan_of(monkeypatch, fit):
-    """The one ReleasePlan a fit runs, caught on its way into the loop."""
-    plans, run = [], dpem.estimators._iterate
+# each algorithm's settings as plan_for takes them; _fit passes them to the fit function
+SETTINGS = {"em": dict(eta=1.0), "clipped": dict(eta=1.0, clip=2.0),
+            "dpgem": dict(eta=1.0, tau=5.0, zeta=0.05), "dpem": dict(tau=5.0, zeta=0.05)}
 
-    def capture(plan, *args):
-        plans.append(plan)
-        return run(plan, *args)
 
-    monkeypatch.setattr(dpem.estimators, "_iterate", capture)
-    trace = fit()
-    (plan,) = plans
-    return plan, trace
+def _fit(algorithm, data, model, beta0, T, budget, rng, truth=None):
+    """The public fit function's trace at SETTINGS[algorithm]."""
+    k = SETTINGS[algorithm]
+    return {
+        "em": lambda: gradient_em(data, model, beta0, k["eta"], T, truth),
+        "clipped": lambda: clipped_dp_gradient_em(data, model, beta0, k["clip"], k["eta"],
+                                                  T, budget, rng, truth),
+        "dpgem": lambda: dp_gradient_em(data, model, beta0, k["tau"], k["eta"], T, budget,
+                                        k["zeta"], rng, truth),
+        "dpem": lambda: dp_em_gmm(data, model, beta0, k["tau"], T, budget, k["zeta"], rng,
+                                  truth),
+    }[algorithm]()
 
 
 class TestReleasePlan:
     @pytest.mark.parametrize("algorithm", ["clipped", "dpgem", "dpem"])
-    def test_rho_spent_adds_up_to_the_budget(self, monkeypatch, algorithm):
+    def test_rho_spent_adds_up_to_the_budget(self, algorithm):
         # sequential releases: T vectors (clipped), T*d coordinates (dpem);
         # dpgem's T subsets are disjoint, so only its d coordinates compose
         d, n, T = 5, 600, 4
         model, _, data, beta0, rng = make_problem("gmm", d, n, 45)
         budget = make_budget(0.7, 1e-4)
-        plan, trace = _plan_of(monkeypatch, {
-            "clipped": lambda: clipped_dp_gradient_em(data, model, beta0, 2.0, 1.0, T,
-                                                      budget, rng),
-            "dpgem": lambda: dp_gradient_em(data, model, beta0, 5.0, 1.0, T, budget, 0.05,
-                                            rng),
-            "dpem": lambda: dp_em_gmm(data, model, beta0, 5.0, T, budget, 0.05, rng),
-        }[algorithm])
-        releases = {"clipped": T, "dpgem": d, "dpem": T * d}[algorithm]
-        assert plan.rho * releases == pytest.approx(budget.rho, rel=1e-12)
+        plan = plan_for(algorithm, data, model, rng, T=T, budget=budget,
+                        **SETTINGS[algorithm])
+        trace = _fit(algorithm, data, model, beta0, T, budget, rng)
+        assert plan.divisions == {"clipped": (T,), "dpgem": (d,), "dpem": (T, d)}[algorithm]
+        assert plan.rho * math.prod(plan.divisions) == pytest.approx(budget.rho, rel=1e-12)
         count = {"clipped": None, "dpgem": n // T, "dpem": n}[algorithm]
         sensitivity = (2.0 * 2.0 / n if count is None
                        else 2.0 * PHI_BOUND * plan.settings["s"] / count)
@@ -762,12 +766,72 @@ class TestReleasePlan:
         for key in ("sensitivity", "rho", "sigma"):
             assert trace.config[key] == getattr(plan, key)
 
-    def test_em_plan_spends_nothing(self, monkeypatch):
+    def test_em_plan_spends_nothing(self):
         model, _, data, beta0, _ = make_problem("gmm", 3, 200, 46)
-        plan, trace = _plan_of(monkeypatch,
-                               lambda: gradient_em(data, model, beta0, 1.0, 3))
+        plan = plan_for("em", data, model, None, T=3, eta=1.0)
+        trace = gradient_em(data, model, beta0, 1.0, 3)
         assert plan.budget is None and plan.sigma == 0.0 and not plan.add_noise
+        assert plan.divisions == () and plan.rho == 0.0
         assert trace.config == {"algorithm": "em", "eta": 1.0, "T": 3}
+
+    @pytest.mark.parametrize("algorithm", ["clipped", "dpgem", "dpem"])
+    def test_private_plan_needs_a_budget(self, algorithm):
+        # a plan without a budget would calibrate no sigma and add no noise
+        model, _, data, beta0, rng = make_problem("gmm", 3, 200, 47)
+        with pytest.raises(DomainError, match="budget must be a PrivacyBudget, got None"):
+            _fit(algorithm, data, model, beta0, 2, None, rng)
+
+    def test_rho_is_divided_in_turn(self):
+        # dpem's rho is (rho / T) / d, as split_budget_alg1 then d gives it; at
+        # this setting rho / (T d) differs in the last bit, so a plan that
+        # divided by the product would fail here
+        T, d = 6, 3
+        model, _, data, _, rng = make_problem("gmm", d, 200, 48)
+        budget = make_budget(1.0, float(200) ** -1.1)
+        plans = {algorithm: plan_for(algorithm, data, model, rng, T=T, budget=budget,
+                                     **SETTINGS[algorithm])
+                 for algorithm in ("clipped", "dpgem", "dpem")}
+        assert plans["clipped"].rho == split_budget_alg1(budget, T)
+        assert plans["dpgem"].rho == split_budget_alg2(budget, d)
+        assert plans["dpem"].rho == split_budget_alg1(budget, T) / d
+        assert budget.rho / (T * d) != plans["dpem"].rho
+
+    @pytest.mark.parametrize("algorithm, kind", [
+        (algorithm, kind) for algorithm in ALGORITHMS for kind in ("gmm", "mrm", "rmc")
+        if algorithm != "dpem" or kind == "gmm"])
+    def test_plan_reproduces_its_fit(self, algorithm, kind):
+        model, beta_star, data, beta0, rng = make_problem(kind, 4, 300, 49,
+                                                          p_m=0.2 if kind == "rmc" else 0.0)
+        budget = make_budget(0.8, 1e-4)
+        trace = _fit(algorithm, data, model, beta0, 3, budget, rng, beta_star)
+        plan = plan_for(algorithm, data, model, rng, T=3, budget=budget, **SETTINGS[algorithm])
+        replay = dpem.estimators._iterate(plan, beta0, beta_star, rng)
+        assert replay.betas.tobytes() == trace.betas.tobytes()
+        assert replay.errors.tobytes() == trace.errors.tobytes()
+        assert replay.config == trace.config
+
+    def test_run_algorithm_calls_each_public_fit(self, monkeypatch):
+        # the benchmark's tracer times fits at these four names; run_algorithm
+        # must reach them, not run plan_for's plans itself
+        names = {"em": "gradient_em", "clipped": "clipped_dp_gradient_em",
+                 "dpgem": "dp_gradient_em", "dpem": "dp_em_gmm"}
+        calls = dict.fromkeys(names.values(), 0)
+
+        def counting(name, fit):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fit(*args, **kwargs)
+            return wrapper
+
+        for name in names.values():
+            monkeypatch.setattr(dpem.estimators, name,
+                                counting(name, getattr(dpem.estimators, name)))
+        model, beta_star, data, beta0, rng = make_problem("gmm", 3, 200, 50)
+        for algorithm, name in names.items():
+            before = dict(calls)
+            run_algorithm(algorithm, data, model, beta0, rng, beta_star, iters=2, eta=1.0,
+                          eps=1.0, clip=1.0, tau=5.0, zeta=0.05)
+            assert calls == {**before, name: before[name] + 1}, algorithm
 
 
 def _kernel_branches(x, p):
@@ -797,13 +861,13 @@ class TestStreamedReleases:
                                                   p_m=0.2 if kind == "rmc" else 0.0)
         budget = make_budget(0.5, 1e-5)
         if algorithm == "dpgem":  # one subset of all n rows, shuffled
-            plan, _ = _plan_of(monkeypatch, lambda: dp_gradient_em(
-                data, model, beta0, 5.0, 1.0, 1, budget, 0.05, rng))
+            plan = plan_for("dpgem", data, model, rng, T=1, eta=1.0, budget=budget,
+                            tau=5.0, zeta=0.05)
             whole = grad_q_batch(model, data.take(rng.split(0).generator.permutation(n)),
                                  beta0)
         else:
-            plan, _ = _plan_of(monkeypatch, lambda: dp_em_gmm(
-                data, model, beta0, 5.0, 1, budget, 0.05, rng))
+            plan = plan_for("dpem", data, model, rng, T=1, budget=budget, tau=5.0,
+                            zeta=0.05)
             whole = f_gmm_batch(data, beta0, model.sigma)
         smoothing = plan.settings["smoothing_beta"]
         # the plan's truncation, one that puts the largest values in the far
