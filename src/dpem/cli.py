@@ -29,13 +29,12 @@ no command hashes.  hashlib, imported during the command, then works on
 CPython's builtin hashes; a later ``import _hashlib`` in the process loads
 OpenSSL.
 
-Since dpem runs in parallel by processes, importing this module pins BLAS
-to one thread per process: it sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
-and MKL_NUM_THREADS to 1, whatever the caller exported, before any command
-loads numpy.  BLAS threads split a large matrix-vector product's sums, so
-results would otherwise depend on the host in their last bits, and they
-oversubscribe the CPUs that the worker processes use.  A process that
-loaded numpy before this module keeps its BLAS threads.
+Processes are dpem's parallelism, so no idle BLAS threads should run beside
+them: importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1, whatever the caller exported, before any command loads
+numpy.  No result path calls BLAS, so the pin moves no result bit, and a
+process that loaded numpy before this module keeps its BLAS threads and
+writes the same bytes.
 """
 
 from __future__ import annotations
@@ -179,9 +178,9 @@ def _fit_flags(n_seeds: str):
         click.option("--seed", default="0", type=INT),
         click.option("--n-seeds", default=n_seeds, type=COUNT),
         click.option("--threads", default="1", type=COUNT,
-                     help="worker processes, at most one per task and CPU, each on one "
-                          "BLAS thread: run forks all but one and fits a share itself; "
-                          "sweep forks a pool"),
+                     help="worker processes, at most one per task and CPU, and no "
+                          "BLAS threads beside them: run forks all but one and fits a "
+                          "share itself; sweep forks a pool"),
         click.option("--out", required=True, type=click.Path(dir_okay=False)),
         click.option("--unsafe-no-noise", is_flag=True, default=False, type=BOOL,
                      help="disable privacy noise; output is NOT private"),
@@ -358,7 +357,8 @@ def _run_forked(tasks, worker, processes: int) -> dict:
     from concurrent.futures.process import ProcessPoolExecutor
 
     # fork is safe here: the pool forks every worker before it starts its
-    # own threads, and BLAS runs on this process's thread alone (see above)
+    # own threads, and BLAS, pinned to one thread so as not to run idle
+    # threads beside the workers, starts none (see above)
     pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
                                initializer=_install_worker, initargs=(worker,))
     try:
@@ -593,7 +593,7 @@ def cmd_preprocess(data, out):
         "sigma_rule": "sqrt of max per-cluster covariance eigenvalue",
         "sigma_floor_applied": sigma <= SIGMA_FLOOR,
         "p_m": 0.0,
-        "snr": float(np.linalg.norm(beta_star) / sigma),
+        "snr": math.sqrt(np.einsum("i,i->", beta_star, beta_star)) / sigma,
         "source": str(data),
         "beta_star": [float(v) for v in beta_star],
     })

@@ -24,7 +24,6 @@ from .accounting import PrivacyBudget, gaussian_sigma_for_zcdp, make_budget
 from .base import ALGORITHMS, BaseEstimator
 from .errors import ConfigError, ConvergenceError, DomainError
 from .models import (
-    _ROWS,
     ModelSpec,
     ObservationSet,
     f_gmm_batch,
@@ -101,7 +100,7 @@ def align_sign(beta0: np.ndarray, reference: np.ndarray) -> np.ndarray:
     the known truth keeps error curves comparable across runs.  Not
     meaningful for rmc, whose optimum is unique.
     """
-    if float(np.dot(beta0, reference)) < 0.0:
+    if np.einsum("i,i->", beta0, reference) < 0.0:
         return -beta0
     return beta0
 
@@ -184,9 +183,8 @@ def _iterate(plan: ReleasePlan, beta, beta_star, rng) -> IterationTrace:
 
 def _sample_rows(t: int, beta, shape: tuple, batch: Callable) -> RowSource:
     """Iteration t's per-sample values at beta^{t-1} = beta, as a RowSource
-    whose blocks start at multiples of _ROWS, where grad_q_batch starts its
-    own, so each row has the bits of a whole-matrix call; batch(part) gives
-    the rows in the slice part.  A non-finite value means the run diverged."""
+    whose rows batch(part) gives for the slice part; each row has the bits of
+    a whole-matrix call.  A non-finite value means the run diverged."""
     from .robust import RowSource
 
     def rows(part):
@@ -197,7 +195,7 @@ def _sample_rows(t: int, beta, shape: tuple, batch: Callable) -> RowSource:
                 last_value=beta)
         return values
 
-    return RowSource(shape, rows, _ROWS)
+    return RowSource(shape, rows)
 
 
 def _check_run(data: ObservationSet, model: ModelSpec, beta0, truth):
@@ -420,7 +418,7 @@ def run_algorithm(algorithm: str, data: ObservationSet, model: ModelSpec, beta0,
             raise ConfigError("tau: 'auto' reads beta_star, which was computed from "
                               "the private data; give a number")
         tau = tau_bound(model, float(np.max(np.abs(beta_star))),
-                        float(np.linalg.norm(beta_star)))
+                        math.sqrt(np.einsum("i,i->", beta_star, beta_star)))
     if algorithm == "dpgem":
         return dp_gradient_em(data, model, beta0, tau, eta, T, budget, zeta, rng,
                               beta_star, shuffle=shuffle, disable_noise=disable_noise)

@@ -216,11 +216,11 @@ def sample_observations(
     if model.kind == "mrm":
         z = gen.integers(0, 2, size=n) * 2 - 1
         x = gen.standard_normal((n, model.d))
-        y = z * (x @ beta_star) + model.sigma * gen.standard_normal(n)
+        y = z * np.einsum("ij,j->i", x, beta_star) + model.sigma * gen.standard_normal(n)
         return ObservationSet("mrm", y, x)
     x = gen.standard_normal((n, model.d))
     # the response uses the full covariate; masking happens afterwards
-    y = x @ beta_star + model.sigma * gen.standard_normal(n)
+    y = np.einsum("ij,j->i", x, beta_star) + model.sigma * gen.standard_normal(n)
     mask = np.empty((n, model.d), dtype=bool)
     for i in range(0, n, _ROWS):
         rows = mask[i:i + _ROWS]
@@ -231,16 +231,16 @@ def sample_observations(
 
 # Rows per block of grad_q_batch, so that the allocator reuses each block's
 # temporaries instead of faulting n x d ones in again on every call, and of
-# sample_observations' n x d terms.  A multiple of 4: OpenBLAS's dgemv_t
-# takes its dot products 4 rows at a time, and blocks that start elsewhere
-# change last bits.
+# sample_observations' n x d terms.
 _ROWS = 1024
 
 
 def grad_q_batch(model: ModelSpec, data: ObservationSet, beta) -> np.ndarray:
     """(n, d) matrix of the per-sample ascent directions g_i of the
     surrogate objective at beta, whose mean grad_q_mean takes (each g_i is
-    written out there), evaluated _ROWS rows at a time into one new array."""
+    written out there), evaluated _ROWS rows at a time into one new array.
+    Every product is an einsum, which sums each row alone and in numpy's own
+    order, so a row's bits depend neither on the rows beside it nor on BLAS."""
     if data.kind != model.kind:
         raise DomainError(f"data kind {data.kind!r} does not match model {model.kind!r}")
     beta = check_vector("beta", beta, d=model.d)
@@ -249,27 +249,28 @@ def grad_q_batch(model: ModelSpec, data: ObservationSet, beta) -> np.ndarray:
     for i in range(0, data.n, _ROWS):
         block, ys = out[i:i + _ROWS], data.ys[i:i + _ROWS]
         if model.kind == "gmm":
-            np.multiply(np.tanh(0.5 * (ys @ beta) / s2)[:, None], ys, out=block)
+            t = np.tanh(0.5 * np.einsum("ij,j->i", ys, beta) / s2)
+            np.multiply(t[:, None], ys, out=block)
             block -= beta
             continue
         xs = data.xs[i:i + _ROWS]
         if model.kind == "mrm":
-            xb = xs @ beta
+            xb = np.einsum("ij,j->i", xs, beta)
             t = np.tanh(0.5 * ys * xb / s2)
             np.subtract((t * ys)[:, None] * xs, xb[:, None] * xs, out=block)
             continue
         miss = np.subtract(1.0, data.mask[i:i + _ROWS], dtype=float)
         mb = miss * beta
-        dot_obs = xs @ beta  # sentinel entries are 0, so this is <beta, observed x>
-        denom = s2 + miss @ (beta * beta)
+        dot_obs = np.einsum("ij,j->i", xs, beta)  # <beta, observed x>: sentinels are 0
+        denom = s2 + np.einsum("ij,j->i", miss, beta * beta)
         # u = (1 - z) * m up to the sign of a zero, since sentinel entries are 0
         u = ((ys - dot_obs) / denom)[:, None] * mb
         m = xs + u
         # ys m - K beta, with K = diag(1 - z) + m m^T - u u^T the conditional
         # second moment, is ys m - ((mb + m <m, beta>) - u <u, beta>)
-        np.multiply(m, (m @ beta)[:, None], out=block)
+        np.multiply(m, np.einsum("ij,j->i", m, beta)[:, None], out=block)
         block += mb
-        u *= (u @ beta)[:, None]
+        u *= np.einsum("ij,j->i", u, beta)[:, None]
         block -= u
         m *= ys[:, None]
         np.subtract(m, block, out=block)
@@ -306,7 +307,7 @@ def grad_q_mean(model: ModelSpec, data: ObservationSet, beta, clip=None) -> np.n
     s2 = model.sigma**2
     ys, xs = data.ys, data.xs
     if model.kind == "gmm":
-        a = np.tanh(0.5 * (ys @ beta) / s2)
+        a = np.tanh(0.5 * np.einsum("ij,j->i", ys, beta) / s2)
         if clip is not None:
             sq = np.empty(data.n)
             for i in range(0, data.n, _ROWS):
@@ -314,11 +315,11 @@ def grad_q_mean(model: ModelSpec, data: ObservationSet, beta, clip=None) -> np.n
                 sq[i:i + _ROWS] = np.einsum("ij,ij->i", rows, rows)
     else:
         xx, miss = data._row_terms
-        xb = xs @ beta
+        xb = np.einsum("ij,j->i", xs, beta)
         if model.kind == "mrm":
             a = np.tanh(0.5 * ys * xb / s2) * ys - xb
         else:
-            q = miss @ (beta * beta)
+            q = np.einsum("ij,j->i", miss, beta * beta)
             c = (ys - xb) / (s2 + q)
             a = ys - (xb + c * q)
             r = c * a - 1.0 + c * c * q
@@ -338,10 +339,10 @@ def grad_q_mean(model: ModelSpec, data: ObservationSet, beta, clip=None) -> np.n
         if model.kind == "rmc":
             r *= scale
     if model.kind == "gmm":
-        return (a @ ys - beta * count) / data.n
+        return (np.einsum("i,ij->j", a, ys) - beta * count) / data.n
     if model.kind == "mrm":
-        return (a @ xs) / data.n
-    return (a @ xs + beta * (r @ miss)) / data.n
+        return np.einsum("i,ij->j", a, xs) / data.n
+    return (np.einsum("i,ij->j", a, xs) + beta * np.einsum("i,ij->j", r, miss)) / data.n
 
 
 def f_gmm_batch(data: ObservationSet, beta_prime, sigma: float) -> np.ndarray:
@@ -349,7 +350,8 @@ def f_gmm_batch(data: ObservationSet, beta_prime, sigma: float) -> np.ndarray:
         raise DomainError(f"f_gmm requires gmm observations, got {data.kind!r}")
     beta_prime = check_vector("beta_prime", beta_prime, d=data.d)
     sigma = check_positive("sigma", sigma)
-    return np.tanh(0.5 * (data.ys @ beta_prime) / sigma**2)[:, None] * data.ys
+    t = np.tanh(0.5 * np.einsum("ij,j->i", data.ys, beta_prime) / sigma**2)
+    return t[:, None] * data.ys
 
 
 def tau_bound(model: ModelSpec, beta_star_inf: float, beta_star_l2: float) -> float:

@@ -6,6 +6,8 @@ point and the top eigenvalue of a symmetric PSD matrix.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -69,11 +71,10 @@ def sample_gaussian(rng: RngStream, mean: float, std: float) -> float:
 def initial_beta(d: int, rng: RngStream) -> np.ndarray:
     """Random unit-norm starting point: a seeded Gaussian direction."""
     d = check_count("d", d)
-    v = rng.generator.standard_normal(d)
-    norm = float(np.linalg.norm(v))
-    while norm == 0.0:  # essentially impossible; redraw keeps the contract
+    norm = 0.0
+    while norm == 0.0:  # a redraw is essentially impossible; it keeps the contract
         v = rng.generator.standard_normal(d)
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(np.einsum("i,i->", v, v))
     return v / norm
 
 

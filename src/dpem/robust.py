@@ -364,7 +364,7 @@ def _window_integral(a, b, lo, hi, panels: int) -> np.ndarray:
     z = a[:, None, None] + b[:, None, None] * u
     pdf = np.exp(-0.5 * u * u) * _INV_SQRT_2PI
     # the cube as a product: z**3 is a libm pow call per node, ~80x slower
-    panel_sums = ((z - z * z * z / 6.0) * pdf) @ weights
+    panel_sums = np.einsum("ijk,k->ij", (z - z * z * z / 6.0) * pdf, weights)
     return np.sum(half * panel_sums, axis=-1)
 
 
@@ -442,12 +442,11 @@ def robust_mean(xs, p: RobustMeanParams) -> float:
 class RowSource:
     """An (n, d) matrix made a block of rows at a time: source[i:j] computes
     rows i..j-1 as a C-ordered float array, which the source has checked
-    finite.  robust_mean_columns takes the rows in blocks that start at
-    multiples of step and holds one block at once; np.asarray builds the
-    whole matrix."""
+    finite.  robust_mean_columns takes the rows a block at a time and holds
+    one block at once; np.asarray builds the whole matrix."""
 
-    def __init__(self, shape: tuple, rows: Callable[[slice], np.ndarray], step: int):
-        self.shape, self.step, self._rows = shape, step, rows
+    def __init__(self, shape: tuple, rows: Callable[[slice], np.ndarray]):
+        self.shape, self._rows = shape, rows
 
     def __getitem__(self, part: slice) -> np.ndarray:
         return self._rows(part)
@@ -459,32 +458,25 @@ class RowSource:
 def robust_mean_columns(matrix, p: RobustMeanParams) -> np.ndarray:
     """Per-column robust mean of an (n, d) value matrix or RowSource.
 
-    The rows go through the kernel a block at a time, each block about
-    _BLOCK entries and a multiple of the source's step rows, into one
-    reused buffer whose first row holds the sum of the rows before the
-    block.  numpy sums axis 0 of a C-ordered array row by row, in order,
-    so reducing that buffer carries .mean(axis=0)'s sum bit for bit.  At
-    d = 1 the column is contiguous and numpy sums it pairwise instead, so
-    it is one block.  A last row left on its own joins the block before
-    it: numpy takes a one-row matrix product as a dot product, which
-    rounds otherwise than the matrix-vector product a source's whole
-    matrix would take."""
-    if isinstance(matrix, RowSource):
-        step = matrix.step
-    else:
-        step, matrix = 1, np.asarray(matrix, dtype=float)
+    The rows go through the kernel a block of about _BLOCK entries at a
+    time, into one reused buffer whose first row holds the sum of the rows
+    before the block.  numpy sums axis 0 of a C-ordered array row by row, in
+    order, so reducing that buffer carries .mean(axis=0)'s sum bit for bit.
+    At d = 1 the column is contiguous and numpy sums it pairwise instead, so
+    it is one block."""
+    if not isinstance(matrix, RowSource):
+        matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.size == 0:
             raise DomainError(f"matrix must be a nonempty (n, d) array, got shape {matrix.shape}")
         if not np.all(np.isfinite(matrix)):
             raise DomainError("matrix must have finite entries")
     n, d = matrix.shape
-    rows = n if d == 1 else min(n, step * max(1, _BLOCK // (step * d)))
-    most = min(rows + 1, n)
-    values = np.empty((most + 1, d))
+    rows = n if d == 1 else min(n, max(1, _BLOCK // d))
+    values = np.empty((rows + 1, d))
     total = np.empty(d)
-    floats = np.empty(_FLOAT_ROWS * min(most * d, _BLOCK))
-    stops = [*range(rows, n - 1, rows), n]
-    for start, stop in zip([0, *stops], stops):
+    floats = np.empty(_FLOAT_ROWS * min(rows * d, _BLOCK))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
         k = stop - start
         _smoothed_phi_into(matrix[start:stop].reshape(-1), p.s, p.beta,
                            values[1 : k + 1].reshape(-1), floats)

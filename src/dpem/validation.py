@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -26,7 +27,8 @@ def check_flag(name: str, x) -> bool:
 
 
 def check_finite_scalar(name: str, x) -> float:
-    if isinstance(x, (bool, np.bool_)):  # float(True) is 1.0
+    # float() also reads True as 1.0 and the string "1.0" as a number
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, Real):
         raise DomainError(f"{name} must be a number, got {x!r}")
     x = float(x)
     if not math.isfinite(x):

@@ -1,6 +1,8 @@
 import math
 import pickle
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from dpem.models import (
 )
 from dpem.numeric import RngStream
 from dpem.robust import PHI_BOUND, RobustMeanParams, robust_mean_columns
+from dpem.validation import check_finite_scalar
 
 
 def make_problem(kind, d, n, seed, snr=3.0, sigma=1.0, p_m=0.0):
@@ -724,6 +727,22 @@ class TestBoolsAreNotNumbers:
             estimator.fit(data.ys, beta_star=beta_star)
 
 
+class TestOnlyRealsAreNumbers:
+    """A number setting must be a real number: float() reads the string
+    "1.0" as 1.0, and raises ValueError on "x" and TypeError on None."""
+
+    @pytest.mark.parametrize("eta", ["x", None, "1.0"])
+    def test_classes(self, eta):
+        _, beta_star, data, _, _ = make_problem("gmm", 3, 200, 42)
+        with pytest.raises(DomainError, match=re.escape(f"eta must be a number, got {eta!r}")):
+            GradientEM(eta=eta, n_iter=2).fit(data.ys, beta_star=beta_star)
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), np.float32(2.0), Fraction(4, 2)],
+                             ids=["int", "numpy-int", "numpy-float32", "fraction"])
+    def test_reals_pass(self, value):
+        assert check_finite_scalar("x", value) == 2.0
+
+
 # each algorithm's settings as plan_for takes them; _fit passes them to the fit function
 SETTINGS = {"em": dict(eta=1.0), "clipped": dict(eta=1.0, clip=2.0),
             "dpgem": dict(eta=1.0, tau=5.0, zeta=0.05), "dpem": dict(tau=5.0, zeta=0.05)}
@@ -878,7 +897,8 @@ class TestStreamedReleases:
                   RobustMeanParams(np.abs(whole).max() / 20.0, smoothing),
                   RobustMeanParams(plan.settings["s"], 16.0)]
         assert all(map(any, zip(*(_kernel_branches(whole, p) for p in params))))
-        # blocks of 1024 rows at every d, as well as the default's
+        # blocks of 1024 entries at every d, as well as the default's; at
+        # d = 70 that is 14 rows, so n = 1023 leaves a last block of one row
         for block in (robust._BLOCK, 1024):
             monkeypatch.setattr(robust, "_BLOCK", block)
             for p in params:

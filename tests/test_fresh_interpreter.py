@@ -14,7 +14,8 @@ traced peaks of sampling, writing and reading a dataset, the peak RSS of the
 commands that write and read one on two processes, and a check that the
 forked child flushes none of its parent's output.  The BLAS threads a CLI
 process runs are counted in a fresh interpreter too, since the test process
-loaded numpy before dpem.cli could pin them.  So are the modules each
+loaded numpy before dpem.cli could pin them, and a library caller that kept
+two BLAS threads writes the CLI's bytes there.  So are the modules each
 command loads: no command loads OpenSSL's _hashlib, only the robust fits
 load the kernel, and only its far regime numpy.polynomial.
 """
@@ -474,18 +475,42 @@ def test_cli_runs_one_blas_thread(tmp_path):
     assert fresh(["-c", THREADS_AFTER_PRODUCT], tmp_path, env) == "1\n"
 
 
-def test_run_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path):
-    # 23040 x 20 is the fewest rows at d = 20 at which OpenBLAS 0.3.31
-    # splits em's matrix-vector products across two threads; the run's
-    # error cells then differed in their last bits
+# 23040 x 20 is the fewest rows at d = 20 at which OpenBLAS 0.3.31 splits a
+# matrix-vector product across two threads; when em's products were BLAS's,
+# the run's error cells then differed in their last bits
+def wide_rmc(root):
     fresh(["-m", "dpem.cli", "gen", "--model", "rmc", "--p-m", "0.2", "--n", "23040",
-           "--d", "20", "--out", "rmc.csv"], tmp_path)
+           "--d", "20", "--out", "rmc.csv"], root)
+
+
+def test_run_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path):
+    wide_rmc(tmp_path)
     outputs = []
     for threads in ("1", "2"):
         fresh(["-m", "dpem.cli", "run", "--algorithm", "em", "--data", "rmc.csv",
                "--out", f"em{threads}.csv"], tmp_path, dict.fromkeys(BLAS_THREADS, threads))
         outputs.append((tmp_path / f"em{threads}.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# Runs em on rmc.csv through CliRunner, as a library caller that loaded numpy
+# before dpem.cli, and so kept the BLAS threads it exported, would.
+LIBRARY_RUN = """\
+import numpy
+from click.testing import CliRunner
+from dpem.cli import cli
+result = CliRunner().invoke(cli, ["run", "--algorithm", "em", "--data", "rmc.csv",
+                                  "--out", "library.csv"])
+assert result.exit_code == 0, result.output
+"""
+
+
+def test_library_caller_with_blas_threads_writes_the_cli_bytes(tmp_path):
+    wide_rmc(tmp_path)
+    fresh(["-m", "dpem.cli", "run", "--algorithm", "em", "--data", "rmc.csv",
+           "--out", "cli.csv"], tmp_path)
+    fresh(["-c", LIBRARY_RUN], tmp_path, dict.fromkeys(BLAS_THREADS, "2"))
+    assert (tmp_path / "library.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
 
 
 # Runs the dpem CLI on the arguments after the first, which names the one

@@ -468,15 +468,15 @@ def batch_problems(n=1003, d=20):
 
 
 class TestBatchBlocks:
-    # 1003 rows fit in one default block, 3003 span three; d = 20 because
-    # blocks that break OpenBLAS's groups of 4 rows change bits there
+    # 1003 rows fit in one default block, 3003 span three; blocks of 1, 3
+    # and 7 rows start anywhere, and 1003 rows in blocks of 3 leave one row
     @pytest.mark.parametrize("n", [1003, 3003])
     def test_results_independent_of_row_blocks(self, monkeypatch, n):
         for m, data, beta in batch_problems(n):
             arrays = [a for a in (data.ys, data.xs, data.mask) if a is not None]
             kept = [a.tobytes() for a in arrays]
             default = grad_q_batch(m, data, beta)
-            for rows in (4, 64, data.n + 1):
+            for rows in (1, 3, 4, 7, 64, 1000, data.n + 1):
                 monkeypatch.setattr(models, "_ROWS", rows)
                 got = grad_q_batch(m, data, beta)
                 assert got is not default and not np.shares_memory(got, default)
@@ -526,20 +526,18 @@ class TestBatchBlocks:
 
 
 def rmc_grad_oracle(m, data, beta):
-    """grad_q_batch's rmc rows as first written, K_beta beta term by term, in
-    the same row blocks (blocks that start elsewhere change last bits)."""
+    """grad_q_batch's rmc rows as first written, K_beta beta term by term,
+    over the whole matrix at once."""
     s2 = m.sigma**2
-    out = []
-    for i in range(0, data.n, models._ROWS):
-        xs, ys = data.xs[i:i + models._ROWS], data.ys[i:i + models._ROWS]
-        miss = 1.0 - data.mask[i:i + models._ROWS].astype(float)
-        dot_obs = xs @ beta
-        denom = s2 + miss @ (beta * beta)
-        mm = xs + ((ys - dot_obs) / denom)[:, None] * (miss * beta)
-        u = miss * mm
-        k_beta = miss * beta + mm * (mm @ beta)[:, None] - u * (u @ beta)[:, None]
-        out.append(ys[:, None] * mm - k_beta)
-    return np.concatenate(out)
+    xs, ys = data.xs, data.ys
+    miss = 1.0 - data.mask.astype(float)
+    dot_obs = np.einsum("ij,j->i", xs, beta)
+    denom = s2 + np.einsum("ij,j->i", miss, beta * beta)
+    mm = xs + ((ys - dot_obs) / denom)[:, None] * (miss * beta)
+    u = miss * mm
+    k_beta = (miss * beta + mm * np.einsum("ij,j->i", mm, beta)[:, None]
+              - u * np.einsum("ij,j->i", u, beta)[:, None])
+    return ys[:, None] * mm - k_beta
 
 
 class TestRmcBlock:
